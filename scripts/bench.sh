@@ -13,13 +13,13 @@
 #           fig13_training fig15_memory_noc serve_sweep)
 #
 # --compare diffs the fresh BENCH_*.json against the committed
-# baselines in <baseline-dir> (see bench/baselines/): for every
-# "total_cycles" value present in both, a regression of more than 5%
-# fails the script. BENCH_serve.json is held to a stricter gate: the
-# serving simulator is deterministic, so its "total_cycles" and
-# "served" values must match the baseline EXACTLY. Baselines record
-# their "quick" flag; comparing a quick run against a full baseline
-# (or vice versa) is an error.
+# baselines in <baseline-dir> (see bench/baselines/). The simulator
+# is deterministic, so every "total_cycles" value (and, in
+# BENCH_serve.json, every "served" count) must match the baseline
+# EXACTLY: a change that is meant to be host-side only must not move
+# simulated timing at all, and an intended timing change regenerates
+# the baselines. Baselines record their "quick" flag; comparing a
+# quick run against a full baseline (or vice versa) is an error.
 #
 # --compare also runs a trace-overhead gate: quick fig12 with a live
 # sampled recorder (NEUROCUBE_TRACE_SAMPLE=1024) must finish within
@@ -127,43 +127,21 @@ for fresh in "$outdir"/BENCH_*.json; do
         fail=1
         continue
     fi
-    if [ "$name" = "BENCH_serve.json" ]; then
-        # The serving simulator is deterministic: cycle counts and
-        # served-request counts must match the baseline exactly.
-        if [ "$(extract_cycles "$fresh")" = "$(extract_cycles "$base")" ] \
-            && [ "$(extract_served "$fresh")" = "$(extract_served "$base")" ]; then
-            echo "  $name: total_cycles and served match exactly"
-        else
-            echo "  $name: deterministic serving results diverged" \
-                 "from baseline (total_cycles/served must match" \
-                 "exactly)" >&2
-            diff <(extract_cycles "$base") <(extract_cycles "$fresh") \
-                | head -5 || true
-            fail=1
-        fi
-        report_wall "$name" "$base" "$fresh"
-        compared=$((compared + 1))
-        continue
+    # Exact match: extract_served is empty on both sides for the
+    # benches that report no served counts.
+    if [ "$(extract_cycles "$fresh")" = "$(extract_cycles "$base")" ] \
+        && [ "$(extract_served "$fresh")" = "$(extract_served "$base")" ]; then
+        echo "  $name: $(extract_cycles "$fresh" | wc -l)" \
+             "total_cycles values match exactly"
+    else
+        echo "  $name: simulated results diverged from baseline" \
+             "(total_cycles/served must match exactly)" >&2
+        diff <(extract_cycles "$base") <(extract_cycles "$fresh") \
+            | head -5 || true
+        diff <(extract_served "$base") <(extract_served "$fresh") \
+            | head -5 || true
+        fail=1
     fi
-    # Pair up the ordered cycle counts and flag >5% regressions.
-    verdict="$(paste -d' ' <(extract_cycles "$base") \
-                           <(extract_cycles "$fresh") \
-        | awk -v name="$name" '
-            NF == 2 && $1 > 0 {
-                ratio = $2 / $1
-                if (ratio > 1.05) {
-                    printf "  %s: cycle regression %d -> %d (+%.1f%%)\n",
-                           name, $1, $2, 100 * (ratio - 1)
-                    bad = 1
-                }
-                n += 1
-            }
-            END {
-                if (!bad)
-                    printf "  %s: %d cycle counts within 5%%\n", name, n
-                exit bad
-            }')" || fail=1
-    echo "$verdict"
     report_wall "$name" "$base" "$fresh"
     compared=$((compared + 1))
 done
@@ -216,7 +194,7 @@ awk -v off="$off_ms" -v on="$on_ms" '
         }
     }' || fail=1
 if [ "$fail" -ne 0 ]; then
-    echo "bench comparison FAILED (cycle regression, flag mismatch," \
+    echo "bench comparison FAILED (cycle mismatch, flag mismatch," \
          "or trace overhead)" >&2
     exit 1
 fi

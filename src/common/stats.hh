@@ -12,6 +12,7 @@
 #define NEUROCUBE_COMMON_STATS_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -169,12 +170,7 @@ class Histogram
     static unsigned
     bucketOf(uint64_t value)
     {
-        unsigned width = 0;
-        while (value != 0) {
-            ++width;
-            value >>= 1;
-        }
-        return width;
+        return unsigned(std::bit_width(value));
     }
 
     /** Buckets: index 0 = value 0, i = values of bit width i. */

@@ -55,6 +55,10 @@ MemoryChannel::enqueue(const MemRequest &req)
     stamped.enqueueTick = now_;
     stamped.row = rowOf(req.addr);
     stamped.bank = bankOfRow(stamped.row);
+    // The new entry lands inside the lookahead window only when its
+    // queue holds fewer than lookaheadWindow entries.
+    if ((req.write ? writeQueue_ : queue_).size() < lookaheadWindow)
+        lookaheadStale_ = true;
     if (req.write) {
         writeQueue_.push_back(stamped);
         ++bufferedWrites_[req.addr];
@@ -89,12 +93,13 @@ MemoryChannel::resetTiming()
         row = noRow;
     drainWrites_ = false;
     lookaheadArmed_ = true;
+    lookaheadStale_ = true;
     pendingActivations_ = 0;
 }
 
 void
 MemoryChannel::lookaheadActivate(Tick now,
-                                 const std::deque<MemRequest> &queue)
+                                 const Ring<MemRequest> &queue)
 {
     size_t window = std::min(queue.size(), lookaheadWindow);
     uint64_t prev_row = noRow;
@@ -119,11 +124,15 @@ MemoryChannel::lookaheadActivate(Tick now,
             statRowMisses_ += 1;
             NC_TRACE(TraceComponent::Vault, traceId_,
                      TraceEventType::DramRowActivate, bank, row);
-            // One activation start per tick (command-bus limit).
+            // One activation start per tick (command-bus limit). The
+            // activation changed a bank's state, so stay stale.
             return;
         }
         banks_needed |= bank_bit;
     }
+    // Nothing to start: until an input changes, a rescan would
+    // reach the same verdict.
+    lookaheadStale_ = false;
 }
 
 size_t
@@ -141,8 +150,7 @@ MemoryChannel::pickServeIndex(Tick now) const
 }
 
 void
-MemoryChannel::serveWord(Tick now, std::deque<MemRequest> &queue,
-                         size_t idx)
+MemoryChannel::serveWord(Tick now, Ring<MemRequest> &queue, size_t idx)
 {
     const uint64_t row = queue[idx].row;
     const bool is_write = queue[idx].write;
@@ -184,8 +192,8 @@ MemoryChannel::serveWord(Tick now, std::deque<MemRequest> &queue,
         ++taken;
     }
 
-    queue.erase(queue.begin() + long(idx),
-                queue.begin() + long(idx + taken));
+    queue.erase(idx, taken);
+    lookaheadStale_ = true;
 
     // One controller transaction moved `packed` elements' bits over
     // the DRAM interface (duplicates ride the broadcast for free).
@@ -239,6 +247,7 @@ MemoryChannel::tick(Tick now)
                 openRow_[b] = pendingRow_[b];
                 pendingRow_[b] = noRow;
                 --pendingActivations_;
+                lookaheadStale_ = true;
             }
         }
     }
@@ -268,11 +277,13 @@ MemoryChannel::tick(Tick now)
             drainWrites_ = false;
             hazardDrain_ = writeQueue_.empty() ? false : hazardDrain_;
             lookaheadArmed_ = true;
+            lookaheadStale_ = true;
         }
     } else if (hazardDrain_ || writeQueue_.size() >= writeDrainHigh
                || queue_.empty()) {
         drainWrites_ = !writeQueue_.empty();
         lookaheadArmed_ = true;
+        lookaheadStale_ = true;
     }
     if (writeQueue_.empty())
         hazardDrain_ = false;
@@ -280,9 +291,12 @@ MemoryChannel::tick(Tick now)
     // Lookahead only needs to re-scan at burst boundaries or while
     // stalled; in the middle of a burst nothing it could start has
     // changed (one activation start per boundary keeps the command
-    // bus honest anyway).
+    // bus honest anyway). Of those scans, one whose inputs are
+    // unchanged since a scan that activated nothing is skipped: it
+    // would activate nothing again.
     if (burstWords_ == 0 || lookaheadArmed_) {
-        lookaheadActivate(now, drainWrites_ ? writeQueue_ : queue_);
+        if (lookaheadStale_)
+            lookaheadActivate(now, drainWrites_ ? writeQueue_ : queue_);
         lookaheadArmed_ = false;
     }
 
@@ -309,9 +323,9 @@ MemoryChannel::tick(Tick now)
 
     if (drainWrites_) {
         // Writes drain strictly in order.
-        uint64_t row = rowOf(writeQueue_.front().addr);
-        unsigned bank = bankOf(writeQueue_.front().addr);
-        if (now >= bankReady_[bank] && openRow_[bank] == row) {
+        const MemRequest &head = writeQueue_.front();
+        const unsigned bank = head.bank;
+        if (now >= bankReady_[bank] && openRow_[bank] == head.row) {
             serveWord(now, writeQueue_, 0);
             NC_METRIC_CYCLE(TraceComponent::Vault, traceId_,
                             StallClass::Busy);
@@ -373,6 +387,7 @@ MemoryChannel::skipTicks(Tick from, Tick to)
                 openRow_[b] = pendingRow_[b];
                 pendingRow_[b] = noRow;
                 --pendingActivations_;
+                lookaheadStale_ = true;
             }
         }
     }

@@ -17,11 +17,11 @@
 #define NEUROCUBE_DRAM_MEMORY_CHANNEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
 #include "common/fixed_point.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "common/wake.hh"
@@ -129,7 +129,7 @@ class MemoryChannel
     void skipTicks(Tick from, Tick to);
 
     /** Serviced reads, in order; consumer pops from the front. */
-    std::deque<MemResponse> &responses() { return responses_; }
+    Ring<MemResponse> &responses() { return responses_; }
 
     /** True when no serviced read awaits its consumer. */
     bool responsesEmpty() const { return responses_.empty(); }
@@ -196,9 +196,9 @@ class MemoryChannel
     /** Row index of an element address. */
     uint64_t rowOf(Addr addr) const { return addr / rowElements_; }
     /**
-     * Bank an element address maps to. The row index is hashed so
-     * that independent sequential streams (states vs weights) rarely
-     * fall into lock-step same-bank conflicts.
+     * Bank a DRAM row maps to. The row index is hashed so that
+     * independent sequential streams (states vs weights) rarely fall
+     * into lock-step same-bank conflicts.
      */
     unsigned
     bankOfRow(uint64_t row) const
@@ -206,17 +206,21 @@ class MemoryChannel
         return unsigned((row ^ (row >> 4)) % params_.banksPerChannel);
     }
 
-    unsigned bankOf(Addr addr) const { return bankOfRow(rowOf(addr)); }
-
-    /** Start pre-activations for upcoming rows in idle banks. */
-    void lookaheadActivate(Tick now,
-                           const std::deque<MemRequest> &queue);
+    /**
+     * Start a pre-activation for an upcoming row in an idle bank.
+     * Clears lookaheadStale_ when the scan activates nothing.
+     */
+    void lookaheadActivate(Tick now, const Ring<MemRequest> &queue);
 
     /**
-     * Pick the queue index to serve this tick: the head when its row
-     * is open, otherwise the first open-row request within the
-     * reorder window (FR-FCFS row-hit-first, never reordering past a
-     * write so read-after-write ordering is preserved).
+     * Pick the read-queue index to serve this tick: the head when
+     * its row is open, otherwise the first open-row read within the
+     * reorder window (FR-FCFS row-hit-first). Only reads are
+     * reordered: writes wait in writeQueue_ and drain in order, and
+     * a read that depends on a buffered write sets hazardDrain_,
+     * which drains the write buffer before any further read is
+     * served, so read-after-write order holds without this scan
+     * looking at writes.
      *
      * @return index into the queue, or SIZE_MAX when nothing can be
      *         served this tick
@@ -224,8 +228,7 @@ class MemoryChannel
     size_t pickServeIndex(Tick now) const;
 
     /** Serve up to one word's worth of requests starting at idx. */
-    void serveWord(Tick now, std::deque<MemRequest> &queue,
-                   size_t idx);
+    void serveWord(Tick now, Ring<MemRequest> &queue, size_t idx);
 
     /** Requests inspected for out-of-order row hits. */
     static constexpr size_t reorderWindow = 48;
@@ -235,15 +238,20 @@ class MemoryChannel
     /** Vault/channel index published with trace events. */
     uint16_t traceId_;
 
-    std::deque<MemRequest> queue_;
-    std::deque<MemRequest> writeQueue_;
+    /**
+     * Request queues (and responses_ below): contiguous rings, since
+     * indexing and erasing sit on the per-tick path. They start empty
+     * and grow on first use, which keeps channel construction cheap.
+     */
+    Ring<MemRequest> queue_;
+    Ring<MemRequest> writeQueue_;
     /** Reference counts of buffered write addresses (RAW guard). */
     std::unordered_map<Addr, unsigned> bufferedWrites_;
     /** Currently draining the write buffer. */
     bool drainWrites_ = false;
     /** A queued read depends on a buffered write: drain fully. */
     bool hazardDrain_ = false;
-    std::deque<MemResponse> responses_;
+    Ring<MemResponse> responses_;
 
     /**
      * Tick of the last tick() call; stamps requests accepted between
@@ -260,6 +268,12 @@ class MemoryChannel
     Tick gapRemaining_ = 0;
     /** Force a lookahead re-scan on the next tick. */
     bool lookaheadArmed_ = true;
+    /**
+     * Something lookaheadActivate() reads may have changed since its
+     * last scan that activated nothing; while false a scan would
+     * activate nothing again, so tick() skips it (DESIGN.md 6b).
+     */
+    bool lookaheadStale_ = true;
     /** Activations in flight (skips the promotion scan when 0). */
     unsigned pendingActivations_ = 0;
     /** Event-engine scheduler hook (null under the legacy loop). */

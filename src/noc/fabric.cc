@@ -14,8 +14,8 @@ NocFabric::NocFabric(const Config &config, StatGroup *parent)
     : config_(config),
       pePort_(config.numNodes),
       memPort_(config.numNodes),
-      peDelivery_(config.numNodes, PacketRing(config.deliveryDepth)),
-      memDelivery_(config.numNodes, PacketRing(config.deliveryDepth)),
+      peDelivery_(config.numNodes, Ring<Packet>(config.deliveryDepth)),
+      memDelivery_(config.numNodes, Ring<Packet>(config.deliveryDepth)),
       nodeLateral_(config.numNodes, 0),
       nodeLocal_(config.numNodes, 0),
       nodeSink_(config.numNodes, nullptr),
@@ -308,7 +308,7 @@ NocFabric::ejectNode(unsigned node, Tick now)
     Router &router = *routers_[node];
     if (router.bufferedOutputs() == 0)
         return;
-    auto eject = [&](unsigned port, PacketRing &sink,
+    auto eject = [&](unsigned port, Ring<Packet> &sink,
                      bool is_mem) {
         auto &out = router.outputQueue(port);
         unsigned budget = router.portWidth(port);

@@ -74,9 +74,9 @@ class NocFabric
     void injectFromPe(PeId p, const Packet &packet, Tick now);
 
     /** Packets delivered to PE p; the PE pops from the front. */
-    PacketRing &peDelivery(PeId p) { return peDelivery_[p]; }
+    Ring<Packet> &peDelivery(PeId p) { return peDelivery_[p]; }
     /** Packets delivered to the PNG/memory port at node v. */
-    PacketRing &memDelivery(VaultId v)
+    Ring<Packet> &memDelivery(VaultId v)
     {
         return memDelivery_[v];
     }
@@ -316,8 +316,8 @@ class NocFabric
     std::vector<unsigned> pePort_;
     /** Per node: output port feeding the memory endpoint. */
     std::vector<unsigned> memPort_;
-    std::vector<PacketRing> peDelivery_;
-    std::vector<PacketRing> memDelivery_;
+    std::vector<Ring<Packet>> peDelivery_;
+    std::vector<Ring<Packet>> memDelivery_;
 
     /** Per node: lateral/local packets injected there. */
     std::vector<uint64_t> nodeLateral_;

@@ -10,8 +10,8 @@ namespace neurocube
 Router::Router(const Config &config, StatGroup *parent,
                const std::string &name, unsigned trace_id)
     : config_(config), traceId_(uint16_t(trace_id)),
-      inputQueue_(config.numPorts, PacketRing(config.bufferDepth)),
-      outputQueue_(config.numPorts, PacketRing(config.bufferDepth)),
+      inputQueue_(config.numPorts, Ring<Packet>(config.bufferDepth)),
+      outputQueue_(config.numPorts, Ring<Packet>(config.bufferDepth)),
       routeTable_(2 * config.numNodes, ~0u),
       statGroup_(parent, name),
       statSwitched_(&statGroup_, "switched", "packets switched"),
@@ -64,7 +64,8 @@ Router::tick()
         // that wait is the link's cycle, not this crossbar's.
         NC_METRIC_CYCLE(TraceComponent::Router, traceId_,
                         idle() ? StallClass::Idle : StallClass::Busy);
-        priority_ = (priority_ + 1) % nports;
+        if (++priority_ == nports)
+            priority_ = 0;
         return;
     }
 
@@ -76,10 +77,13 @@ Router::tick()
         outBudget_[p] = std::min(width, space);
     }
 
-    // Visit inputs in rotating daisy-chain priority order.
+    // Visit inputs in rotating daisy-chain priority order
+    // (priority_ < nports, so one conditional subtract wraps).
     bool blocked = false;
     for (unsigned i = 0; i < nports; ++i) {
-        unsigned in = (priority_ + i) % nports;
+        unsigned in = priority_ + i;
+        if (in >= nports)
+            in -= nports;
         unsigned in_budget = portWidth(in);
         while (in_budget > 0 && !inputQueue_[in].empty()) {
             const Packet &head = inputQueue_[in].front();
@@ -122,7 +126,8 @@ Router::tick()
                             : StallClass::Busy);
 
     // Rotate the daisy chain (priorities update every clock cycle).
-    priority_ = (priority_ + 1) % nports;
+    if (++priority_ == nports)
+        priority_ = 0;
 }
 
 } // namespace neurocube

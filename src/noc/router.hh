@@ -22,10 +22,10 @@
 #include <string>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "noc/packet.hh"
-#include "noc/packet_ring.hh"
 #include "trace/trace.hh"
 
 namespace neurocube
@@ -108,7 +108,7 @@ class Router
     unsigned bufferedInputs() const { return bufferedInputs_; }
 
     /** Packets waiting in an output FIFO. */
-    PacketRing &outputQueue(unsigned port)
+    Ring<Packet> &outputQueue(unsigned port)
     {
         return outputQueue_[port];
     }
@@ -157,8 +157,8 @@ class Router
     Config config_;
     /** Node index published with trace events. */
     uint16_t traceId_;
-    std::vector<PacketRing> inputQueue_;
-    std::vector<PacketRing> outputQueue_;
+    std::vector<Ring<Packet>> inputQueue_;
+    std::vector<Ring<Packet>> outputQueue_;
     std::vector<unsigned> routeTable_;
     /** Daisy-chain priority pointer, advanced every cycle. */
     unsigned priority_ = 0;

@@ -120,17 +120,17 @@ Pe::drainCache(Tick now)
 {
     if (cache_.subBankOccupancy(opCounter_) == 0)
         return;
-    std::vector<Packet> matches;
-    unsigned scanned = cache_.extract(group_, opCounter_, matches);
+    matches_.clear();
+    unsigned scanned = cache_.extract(group_, opCounter_, matches_);
     NC_ENERGY_EVENT(EnergyEventKind::CacheRead, id_, scanned);
-    if (matches.empty()) {
+    if (matches_.empty()) {
         NC_TRACE(TraceComponent::Pe, id_, TraceEventType::CacheMiss,
                  opCounter_, scanned);
     } else {
         NC_TRACE(TraceComponent::Pe, id_, TraceEventType::CacheHit,
-                 opCounter_, matches.size());
+                 opCounter_, matches_.size());
     }
-    for (const Packet &packet : matches)
+    for (const Packet &packet : matches_)
         stageOperand(packet);
 
     // The full sub-bank search scans up to the sub-bank's 64 slots

@@ -199,7 +199,9 @@ class Pe
     Tick macBusyUntil_ = 0;
     bool passComplete_ = true;
 
-    PacketRing outbox_;
+    Ring<Packet> outbox_;
+    /** drainCache() scratch, reused so the search never allocates. */
+    std::vector<Packet> matches_;
 
     Stat statMacOps_;
     Stat statFlushes_;

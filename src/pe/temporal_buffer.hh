@@ -25,32 +25,33 @@ namespace neurocube
 class TemporalBuffer
 {
   public:
-    /** One MAC's slot. */
+    /** One MAC's operands (meaningful once both have arrived). */
     struct Slot
     {
-        bool hasState = false;
-        bool hasWeight = false;
         Fixed state{};
         Fixed weight{};
         /** Global output-neuron index this operand belongs to. */
         uint32_t neuron = 0;
         /** Memory channel storing the output neuron. */
         VaultId homeVault = 0;
-
-        bool complete() const { return hasState && hasWeight; }
     };
 
     /** @param num_macs number of MAC units (slots). */
-    explicit TemporalBuffer(unsigned num_macs) : slots_(num_macs) {}
+    explicit TemporalBuffer(unsigned num_macs)
+        : slots_(num_macs), hasState_(wordsFor(num_macs)),
+          hasWeight_(wordsFor(num_macs))
+    {
+    }
 
     /** Deposit a state operand for a MAC slot. */
     void
     putState(MacId mac, Fixed value, uint32_t neuron, VaultId home)
     {
         Slot &slot = at(mac);
-        nc_assert(!slot.hasState,
+        uint64_t &word = hasState_[mac / 64];
+        nc_assert(!(word & bitOf(mac)),
                   "duplicate state operand for MAC %u", unsigned(mac));
-        slot.hasState = true;
+        word |= bitOf(mac);
         slot.state = value;
         slot.neuron = neuron;
         slot.homeVault = home;
@@ -61,40 +62,62 @@ class TemporalBuffer
     putWeight(MacId mac, Fixed value, uint32_t neuron, VaultId home)
     {
         Slot &slot = at(mac);
-        nc_assert(!slot.hasWeight,
+        uint64_t &word = hasWeight_[mac / 64];
+        nc_assert(!(word & bitOf(mac)),
                   "duplicate weight operand for MAC %u", unsigned(mac));
-        slot.hasWeight = true;
+        word |= bitOf(mac);
         slot.weight = value;
         slot.neuron = neuron;
         slot.homeVault = home;
     }
 
-    /** True when slots [0, active) all hold a complete pair. */
+    /**
+     * True when slots [0, active) all hold a complete pair: one mask
+     * test per 64 slots (a single word at the paper's 16 MACs).
+     */
     bool
     complete(unsigned active) const
     {
-        for (unsigned m = 0; m < active; ++m) {
-            if (!slots_[m].complete())
+        unsigned w = 0;
+        for (; w < active / 64; ++w) {
+            if ((hasState_[w] & hasWeight_[w]) != ~uint64_t(0))
                 return false;
         }
-        return true;
+        uint64_t want = bitOf(active) - 1; // the remaining low slots
+        return (hasState_[w] & hasWeight_[w] & want) == want;
     }
 
     /** Read one slot. */
     const Slot &slot(MacId mac) const { return slots_[mac]; }
 
-    /** Clear all slots for the next operation. */
+    /**
+     * Clear all slots for the next operation. Only the presence
+     * masks reset: every slot a later flush reads is rewritten by
+     * its putState/putWeight first.
+     */
     void
     flush()
     {
-        for (Slot &slot : slots_)
-            slot = Slot{};
+        for (uint64_t &word : hasState_)
+            word = 0;
+        for (uint64_t &word : hasWeight_)
+            word = 0;
     }
 
     /** Number of slots. */
     unsigned size() const { return unsigned(slots_.size()); }
 
   private:
+    /** Mask words for @p slots slots, plus one so that the word
+     *  complete() indexes at active == slots always exists. */
+    static size_t wordsFor(unsigned slots) { return slots / 64 + 1; }
+
+    static uint64_t
+    bitOf(unsigned slot)
+    {
+        return uint64_t(1) << (slot % 64);
+    }
+
     Slot &
     at(MacId mac)
     {
@@ -104,6 +127,10 @@ class TemporalBuffer
     }
 
     std::vector<Slot> slots_;
+    /** Slot m holds a state operand iff bit m % 64 of word m / 64. */
+    std::vector<uint64_t> hasState_;
+    /** Same layout for weight operands. */
+    std::vector<uint64_t> hasWeight_;
 };
 
 } // namespace neurocube

@@ -1,5 +1,7 @@
 #include "png/png.hh"
 
+#include <bit>
+
 #include "common/logging.hh"
 #include "trace/energy.hh"
 #include "trace/metrics.hh"
@@ -42,7 +44,7 @@ Png::tracePhase(PngFsmPhase phase, unsigned plane)
 void
 Png::configure(const PngProgram &program)
 {
-    nc_assert(pending_.empty() && outQueue_.empty(),
+    nc_assert(busySlots_ == 0 && outQueue_.empty(),
               "reprogramming PNG %u with work in flight", unsigned(id_));
     program_ = program;
     generator_.configure(program, params_.numMacs,
@@ -77,17 +79,17 @@ Png::tick(Tick now)
     unsigned issued = 0;
     while (issued < params_.maxIssuePerTick && !generator_.done()
            && generator_.currentPlane() < allowedPlane_
-           && channel_.canAccept()
-           && pending_.size() < MemoryChannel::queueCapacity) {
-        GeneratedOp op;
+           && channel_.canAccept() && busySlots_ != allSlots) {
+        const unsigned slot = unsigned(std::countr_zero(~busySlots_));
+        GeneratedOp &op = inFlight_[slot];
         if (!generator_.next(op))
             break;
+        busySlots_ |= uint64_t(1) << slot;
         MemRequest req;
         req.write = false;
         req.addr = op.addr;
-        req.tag = nextTag_++;
+        req.tag = slot;
         channel_.enqueue(req);
-        pending_.push_back({req.tag, op});
         ++issued;
         statIssued_ += 1;
     }
@@ -98,20 +100,18 @@ Png::tick(Tick now)
     }
 
     // 2. Encapsulate returned data into packets. Completions may be
-    // out of order within the vault controller's reorder window, so
-    // match by tag.
+    // out of order within the vault controller's reorder window; the
+    // tag names the in-flight slot holding the read's metadata.
     auto &responses = channel_.responses();
     while (!responses.empty()
            && outQueue_.size() < params_.outQueueDepth) {
         const MemResponse &resp = responses.front();
-        nc_assert(!pending_.empty(), "response without a pending read");
-        size_t match = 0;
-        while (match < pending_.size()
-               && pending_[match].tag != resp.tag)
-            ++match;
-        nc_assert(match < pending_.size(),
+        nc_assert(busySlots_ != 0, "response without a pending read");
+        const uint64_t bit = resp.tag < maxInFlight
+                           ? uint64_t(1) << resp.tag : 0;
+        nc_assert(busySlots_ & bit,
                   "unmatched response tag at PNG %u", unsigned(id_));
-        const GeneratedOp &op = pending_[match].op;
+        const GeneratedOp &op = inFlight_[resp.tag];
         Packet packet;
         packet.kind = op.kind;
         packet.src = id_;
@@ -124,8 +124,7 @@ Png::tick(Tick now)
         packet.homeVault = op.homeVault;
         packet.data = resp.data;
         outQueue_.push_back(packet);
-        pending_[match] = pending_.back();
-        pending_.pop_back();
+        busySlots_ &= ~bit;
         responses.pop_front();
     }
 
@@ -195,7 +194,7 @@ Png::tick(Tick now)
     } else if (!generator_.done()
                && generator_.currentPlane() >= allowedPlane_) {
         cls = StallClass::Idle;
-    } else if (!generator_.done() || !pending_.empty()) {
+    } else if (!generator_.done() || busySlots_ != 0) {
         // Wants to issue (or has reads in flight) but the vault
         // controller is not accepting / has not responded.
         cls = StallClass::StallDram;
@@ -221,7 +220,7 @@ Png::done() const
 {
     if (!program_.enabled)
         return true;
-    return generator_.done() && pending_.empty() && outQueue_.empty()
+    return generator_.done() && busySlots_ == 0 && outQueue_.empty()
         && wbReceived_ >= program_.expectedWriteBacks;
 }
 
@@ -264,7 +263,7 @@ Png::skipTicks(Tick from, Tick to)
     if (!generator_.done()
         && generator_.currentPlane() >= allowedPlane_) {
         cls = StallClass::Idle; // plane-throttled: waiting on PEs
-    } else if (!generator_.done() || !pending_.empty()) {
+    } else if (!generator_.done() || busySlots_ != 0) {
         cls = StallClass::StallDram;
     } else {
         cls = StallClass::Idle;

@@ -17,8 +17,8 @@
 #ifndef NEUROCUBE_PNG_PNG_HH
 #define NEUROCUBE_PNG_PNG_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -135,24 +135,26 @@ class Png
     AddressGenerator generator_;
     const Lut *lut_;
 
-    /** One read in flight. */
-    struct PendingRead
-    {
-        uint64_t tag;
-        GeneratedOp op;
-    };
+    /** Reads that may be in flight at once (one per slot). */
+    static constexpr size_t maxInFlight = MemoryChannel::queueCapacity;
+    static_assert(maxInFlight <= 64, "slot mask is one 64-bit word");
+    /** busySlots_ with every slot taken. */
+    static constexpr uint64_t allSlots =
+        maxInFlight == 64 ? ~uint64_t(0)
+                          : (uint64_t(1) << maxInFlight) - 1;
 
     /**
-     * Metadata for reads in flight. The vault controller may
-     * complete row hits out of order (FR-FCFS), so responses are
-     * matched by tag within this window. Unordered: matches are
-     * removed by swap-with-back, which keeps removal O(1) — nothing
-     * observable depends on the order of in-flight entries.
+     * Metadata of the reads in flight, indexed by slot. A read's tag
+     * is the slot it occupies, so a response finds its op directly
+     * even when the vault controller completes row hits out of order
+     * (FR-FCFS). Which free slot a read takes is not observable:
+     * tags only travel to the channel and back.
      */
-    std::vector<PendingRead> pending_;
+    std::array<GeneratedOp, maxInFlight> inFlight_;
+    /** Bit s set while slot s holds a read in flight. */
+    uint64_t busySlots_ = 0;
     /** Encapsulated packets awaiting router injection. */
-    PacketRing outQueue_;
-    uint64_t nextTag_ = 0;
+    Ring<Packet> outQueue_;
     uint64_t wbReceived_ = 0;
 
     /** Write-backs per output plane (0 = no plane throttling). */
@@ -170,8 +172,7 @@ class Png
     {
         return !generator_.done()
             && generator_.currentPlane() < allowedPlane_
-            && channel_.canAccept()
-            && pending_.size() < MemoryChannel::queueCapacity;
+            && channel_.canAccept() && busySlots_ != allSlots;
     }
 
     StatGroup statGroup_;

@@ -78,21 +78,15 @@ EnergyRegistry::reset()
 namespace energy
 {
 
-namespace
+namespace detail
 {
 EnergyRegistry *g_activeRegistry = nullptr;
-} // namespace
-
-EnergyRegistry *
-activeRegistry()
-{
-    return g_activeRegistry;
-}
+} // namespace detail
 
 void
 setActiveRegistry(EnergyRegistry *registry)
 {
-    g_activeRegistry = registry;
+    detail::g_activeRegistry = registry;
 }
 
 } // namespace energy

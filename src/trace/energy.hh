@@ -160,11 +160,22 @@ class EnergyRegistry
 namespace energy
 {
 
+namespace detail
+{
+/** Storage behind activeRegistry() (do not touch directly). */
+extern EnergyRegistry *g_activeRegistry;
+} // namespace detail
+
 /**
  * The process-wide registry NC_ENERGY_EVENT publishes to, or nullptr
  * while energy accounting is off (mirrors metrics::activeRegistry()).
+ * Inline so the per-event sites reduce to one load + branch.
  */
-EnergyRegistry *activeRegistry();
+inline EnergyRegistry *
+activeRegistry()
+{
+    return detail::g_activeRegistry;
+}
 
 /** Install (or, with nullptr, remove) the active registry. */
 void setActiveRegistry(EnergyRegistry *registry);

@@ -218,6 +218,98 @@ TEST_F(ChannelTest, RowMissStallsUntilActivation)
     EXPECT_GE(second - first, params_.activateTicks() - 1);
 }
 
+TEST_F(ChannelTest, RowHitOvertakesHeadWaitingOnActivation)
+{
+    // FR-FCFS: open row 0 (bank 0), then queue reads that alternate
+    // between row 1 (bank 1, needs an activation) and row 0. The
+    // row-0 hits behind the waiting head are served first, one from
+    // the middle of the queue at a time; the row-1 reads keep their
+    // order and tags.
+    const Addr row1 = params_.elementsPerRow();
+    for (Addr a = 0; a < 8; ++a) {
+        channel_.store().write(a, Fixed::fromRaw(int16_t(100 + a)));
+        channel_.store().write(row1 + a,
+                               Fixed::fromRaw(int16_t(200 + a)));
+    }
+    channel_.enqueue({false, 0, Fixed(), 0});
+    ASSERT_EQ(run(300).size(), 1u);
+
+    channel_.enqueue({false, row1 + 0, Fixed(), 1});
+    channel_.enqueue({false, 2, Fixed(), 2});
+    channel_.enqueue({false, row1 + 1, Fixed(), 3});
+    channel_.enqueue({false, 4, Fixed(), 4});
+    channel_.enqueue({false, row1 + 2, Fixed(), 5});
+    auto responses = run(400);
+    ASSERT_EQ(responses.size(), 5u);
+    const uint64_t want_tags[] = {2, 4, 1, 3, 5};
+    const Addr want_addrs[] = {2, 4, row1 + 0, row1 + 1, row1 + 2};
+    for (size_t i = 0; i < 5; ++i) {
+        EXPECT_EQ(responses[i].tag, want_tags[i]) << "response " << i;
+        EXPECT_EQ(responses[i].addr, want_addrs[i]) << "response " << i;
+        EXPECT_EQ(responses[i].data,
+                  channel_.store().read(want_addrs[i]));
+    }
+    EXPECT_TRUE(channel_.idle());
+}
+
+TEST_F(ChannelTest, ResetTimingMidStreamReactivatesRows)
+{
+    // Stream one row and stop in the burst gap after the first burst
+    // (8 words, 16 elements): the lookahead has just rescanned and
+    // found the row open. resetTiming then closes every bank while 48
+    // reads still wait; nothing else changes, so only the reset itself
+    // can prompt the lookahead to activate the row again.
+    for (Addr a = 0; a < MemoryChannel::queueCapacity; ++a)
+        channel_.enqueue({false, a, Fixed(), a});
+    size_t seen = 0;
+    for (int t = 0; t < 400 && seen < 16; ++t)
+        seen += run(1).size();
+    ASSERT_EQ(seen, 16u);
+    ASSERT_TRUE(run(1).empty()); // the tCCD gap tick
+    channel_.resetTiming();
+    seen += run(1000).size();
+    EXPECT_EQ(seen, size_t(MemoryChannel::queueCapacity));
+    EXPECT_TRUE(channel_.idle());
+}
+
+TEST_F(ChannelTest, HazardBehindLongReadQueueDrainsTheWrite)
+{
+    // A write to row 3 waits in the buffer behind 64 row-0 reads. In
+    // the burst gap after the first 16 reads the lookahead has just
+    // rescanned the read queue; then a read of the written address
+    // arrives at index 48, outside the lookahead window. Its hazard
+    // flips the channel to draining writes, and that flip alone must
+    // send the lookahead to activate row 3.
+    const Addr hazard = Addr(params_.elementsPerRow()) * 3 + 5;
+    const Addr reads = MemoryChannel::queueCapacity;
+    for (Addr a = 0; a < reads; ++a) {
+        channel_.enqueue({false, a, Fixed(), a});
+        if (a == reads - 2) // canAccept() needs a free read slot too
+            channel_.enqueue({true, hazard, Fixed::fromDouble(7.5), 0});
+    }
+    size_t seen = 0;
+    for (int t = 0; t < 400 && seen < 16; ++t)
+        seen += run(1).size();
+    ASSERT_EQ(seen, 16u);
+    ASSERT_TRUE(run(1).empty()); // the tCCD gap tick
+    channel_.enqueue({false, hazard, Fixed(), 99});
+    auto responses = run(2000);
+    ASSERT_EQ(seen + responses.size(),
+              size_t(MemoryChannel::queueCapacity) + 1);
+    EXPECT_EQ(responses.back().tag, 99u);
+    EXPECT_DOUBLE_EQ(responses.back().data.toDouble(), 7.5);
+    EXPECT_TRUE(channel_.idle());
+}
+
+TEST_F(ChannelTest, EnqueueOnFullQueuePanics)
+{
+    for (Addr a = 0; a < MemoryChannel::queueCapacity; ++a)
+        channel_.enqueue({false, a, Fixed(), a});
+    EXPECT_FALSE(channel_.canAccept());
+    EXPECT_DEATH(channel_.enqueue({false, 99, Fixed(), 99}),
+                 "enqueue on a full channel queue");
+}
+
 TEST_F(ChannelTest, ReadAfterBufferedWriteReturnsNewValue)
 {
     // A read that targets an address sitting in the write buffer

@@ -42,12 +42,33 @@ TEST(TemporalBuffer, CompleteRequiresBothOperands)
     EXPECT_FALSE(buf.complete(2));
 }
 
+TEST(TemporalBuffer, CompleteSpansMaskWords)
+{
+    // More MACs than one 64-bit presence word holds.
+    TemporalBuffer buf(80);
+    for (MacId m = 0; m < 70; ++m) {
+        buf.putState(m, Fixed::fromDouble(1.0), 0, 0);
+        buf.putWeight(m, Fixed::fromDouble(2.0), 0, 0);
+    }
+    EXPECT_TRUE(buf.complete(64));
+    EXPECT_TRUE(buf.complete(70));
+    EXPECT_FALSE(buf.complete(71));
+    buf.putState(75, Fixed::fromDouble(1.0), 0, 0);
+    EXPECT_FALSE(buf.complete(80));
+    buf.flush();
+    EXPECT_TRUE(buf.complete(0));
+    EXPECT_FALSE(buf.complete(1));
+}
+
 TEST(TemporalBuffer, DuplicateOperandPanics)
 {
     TemporalBuffer buf(4);
     buf.putState(1, Fixed::fromDouble(1.0), 0, 0);
     EXPECT_DEATH(buf.putState(1, Fixed::fromDouble(1.0), 0, 0),
                  "duplicate state");
+    buf.putWeight(2, Fixed::fromDouble(1.0), 0, 0);
+    EXPECT_DEATH(buf.putWeight(2, Fixed::fromDouble(1.0), 0, 0),
+                 "duplicate weight");
 }
 
 TEST(OpCache, SubBankSelectionByOpIdMod16)

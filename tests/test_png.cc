@@ -1,17 +1,24 @@
 /**
  * @file
- * Unit tests for the PNG: counters, LUT, and address generator.
+ * Unit tests for the PNG: counters, LUT, address generator, and
+ * response matching in the PNG itself.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
+#include <tuple>
+#include <vector>
 
+#include "dram/memory_channel.hh"
+#include "noc/fabric.hh"
 #include "png/address_generator.hh"
 #include "png/counters.hh"
 #include "png/lut.hh"
+#include "png/png.hh"
 
 namespace neurocube
 {
@@ -362,6 +369,139 @@ TEST(AddressGenerator, PartialConnectionReadsOutputPlane)
     }
     EXPECT_TRUE(saw_partial_state);
     EXPECT_TRUE(saw_partial_weight);
+}
+
+/**
+ * One PNG wired to its vault channel and the NoC. Every element of
+ * the store holds its own address, so a packet's data names the read
+ * it came from.
+ */
+class PngTest : public ::testing::Test
+{
+  protected:
+    PngTest()
+        : root_(nullptr, "t"),
+          channel_(DramParams::hmcInternal(), &root_, "ch"),
+          fabric_(NocFabric::Config{}, &root_),
+          png_(0, PngParams{}, channel_, fabric_, &root_)
+    {
+        for (Addr a = 0; a < 512; ++a)
+            channel_.store().write(a, Fixed::fromRaw(int16_t(a)));
+    }
+
+    /**
+     * One tick in the machine's phase order (PNG, channel, NoC). The
+     * channel's responses are held back and handed to the PNG in
+     * reverse, eight or more at a time, so reads complete out of
+     * issue order and in-flight slots free out of order. Operand
+     * packets delivered to any PE are appended to @p out.
+     */
+    void
+    step(std::vector<Packet> &out)
+    {
+        png_.tick(now_);
+        channel_.tick(now_);
+        auto &responses = channel_.responses();
+        while (!responses.empty()) {
+            held_.push_back(responses.front());
+            responses.pop_front();
+        }
+        if (held_.size() >= 8 || (channel_.idle() && !held_.empty())) {
+            for (auto it = held_.rbegin(); it != held_.rend(); ++it)
+                responses.push_back(*it);
+            held_.clear();
+        }
+        fabric_.tick(now_);
+        for (unsigned pe = 0; pe < fabric_.config().numNodes; ++pe) {
+            auto &delivery = fabric_.peDelivery(PeId(pe));
+            while (!delivery.empty()) {
+                out.push_back(delivery.front());
+                delivery.pop_front();
+            }
+        }
+        ++now_;
+    }
+
+    /** Address the read behind an operand packet of smallConvProgram
+     *  must have had. */
+    static Addr
+    expectedAddr(const Packet &packet)
+    {
+        if (packet.kind == PacketKind::Weight)
+            return 300 + packet.opId;
+        const Conn c = smallConvProgram().conns[packet.opId];
+        uint32_t x = packet.neuron % 6, y = packet.neuron / 6;
+        return 100 + (y + c.dy) * 8 + (x + c.dx);
+    }
+
+    StatGroup root_;
+    MemoryChannel channel_;
+    NocFabric fabric_;
+    Png png_;
+    std::vector<MemResponse> held_;
+    Tick now_ = 0;
+};
+
+TEST_F(PngTest, OutOfOrderResponsesKeepTheirReadMetadata)
+{
+    // 648 reads through at most 64 in-flight slots: slots are reused
+    // many times, in scrambled order.
+    png_.configure(smallConvProgram());
+    const size_t reads = 36 * 9 * 2;
+    std::vector<Packet> packets;
+    for (int t = 0; t < 20000 && packets.size() < reads; ++t)
+        step(packets);
+    ASSERT_EQ(packets.size(), reads);
+
+    std::set<std::tuple<int, uint32_t, OpId, MacId>> seen;
+    bool out_of_order = false;
+    for (size_t i = 0; i < packets.size(); ++i) {
+        const Packet &p = packets[i];
+        EXPECT_EQ(p.data.raw(), int16_t(expectedAddr(p)))
+            << "packet " << i << " carries another read's metadata";
+        EXPECT_EQ(p.neuron, p.group * 16 + p.mac);
+        EXPECT_EQ(p.src, 0u);
+        EXPECT_TRUE(seen.insert({int(p.kind), p.group, p.opId, p.mac})
+                        .second);
+        if (i > 0 && p.kind == packets[i - 1].kind
+            && p.group == packets[i - 1].group
+            && p.opId == packets[i - 1].opId
+            && p.mac < packets[i - 1].mac)
+            out_of_order = true;
+    }
+    EXPECT_TRUE(out_of_order) << "the harness did not reorder reads";
+
+    // Every slot came back: reprogramming finds nothing in flight
+    // (configure panics otherwise, as the next test shows).
+    png_.configure(smallConvProgram());
+}
+
+TEST_F(PngTest, ReprogrammingWithReadsInFlightPanics)
+{
+    png_.configure(smallConvProgram());
+    std::vector<Packet> packets;
+    step(packets);
+    EXPECT_DEATH(png_.configure(smallConvProgram()), "work in flight");
+}
+
+TEST_F(PngTest, UnmatchedResponseTagPanics)
+{
+    png_.configure(smallConvProgram());
+    std::vector<Packet> packets;
+    step(packets); // four reads in flight: slots 0-3
+    channel_.responses().push_back({0, Fixed(), 40});
+    EXPECT_DEATH(png_.tick(now_), "unmatched response tag");
+}
+
+TEST_F(PngTest, ResponseWithoutPendingReadPanics)
+{
+    // A full channel queue keeps the PNG from issuing, so nothing is
+    // in flight when the stray response arrives.
+    for (Addr a = 0; a < MemoryChannel::queueCapacity; ++a)
+        channel_.enqueue({false, a, Fixed(), 0});
+    png_.configure(smallConvProgram());
+    channel_.responses().push_back({0, Fixed(), 0});
+    EXPECT_DEATH(png_.tick(now_), "response without a pending read");
 }
 
 } // namespace
