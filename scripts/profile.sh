@@ -10,7 +10,7 @@
 # the bench tree with -pg -O2 into build-prof/ on first use. Both
 # paths honor the bench environment knobs:
 #
-#   NEUROCUBE_ENGINE=legacy|event|threads   engine override
+#   NEUROCUBE_ENGINE=legacy|event|threaded  engine override
 #   NEUROCUBE_QUICK=1                       reduced workloads
 #   NEUROCUBE_BENCH_DIR=<dir>               JSON output directory
 #

@@ -32,7 +32,10 @@ namespace neurocube
  */
 enum class SimEngine
 {
-    /** Tick every component every cycle (the reference loop). */
+    /**
+     * Tick every component every cycle (the reference semantics):
+     * the wake-list scheduler in tick-all mode, which never skips.
+     */
     Legacy,
     /**
      * Wake-list scheduler: components report their next interesting
@@ -59,9 +62,7 @@ struct NeurocubeConfig
      * stall, and energy accounting as a traced legacy run (fuzzed in
      * tests/test_engine_diff.cc). ThreadedLanes demotes to Event
      * while a trace-event recorder (a session with sinks) is live —
-     * the recorder ring is single-producer; see
-     * TraceConfig::legacyEngineWithRecorder for the old always-
-     * Legacy fallback.
+     * the recorder ring is single-producer.
      */
     SimEngine engine = SimEngine::Event;
 

@@ -10,8 +10,8 @@
 namespace neurocube
 {
 
-PassScheduler::PassScheduler(Slice slice, Tick start)
-    : s_(std::move(slice))
+PassScheduler::PassScheduler(Slice slice, Tick start, bool tick_all)
+    : s_(std::move(slice)), tickAll_(tick_all)
 {
     const size_t nc = s_.channels.size();
     const size_t np = s_.pes.size();
@@ -67,7 +67,8 @@ PassScheduler::step(Tick t)
             }
             s_.pngs[i]->tick(t);
             pngAcct_[i] = t + 1;
-            pngWake_[i] = s_.pngs[i]->nextEventAfter(t);
+            pngWake_[i] =
+                tickAll_ ? t + 1 : s_.pngs[i]->nextEventAfter(t);
         }
     }
 
@@ -82,7 +83,8 @@ PassScheduler::step(Tick t)
             }
             s_.channels[i]->tick(t);
             chAcct_[i] = t + 1;
-            chWake_[i] = s_.channels[i]->nextEventAfter(t);
+            chWake_[i] =
+                tickAll_ ? t + 1 : s_.channels[i]->nextEventAfter(t);
         }
     }
 
@@ -104,6 +106,8 @@ PassScheduler::step(Tick t)
             s_.fabric->tick(t);
             fabricWake_ = s_.fabric->nextEventAfter(t);
         }
+        if (tickAll_)
+            fabricWake_ = t + 1;
         fabricAcct_ = t + 1;
     }
 
@@ -118,7 +122,9 @@ PassScheduler::step(Tick t)
             }
             s_.pes[i]->tick(t, *s_.fabric);
             peAcct_[i] = t + 1;
-            peWake_[i] = s_.pes[i]->nextEventAfter(t, *s_.fabric);
+            peWake_[i] = tickAll_
+                             ? t + 1
+                             : s_.pes[i]->nextEventAfter(t, *s_.fabric);
         }
     }
 }

@@ -1,19 +1,20 @@
 /**
  * @file
- * Wake-list pass scheduler: the event-driven execution engine behind
- * SimEngine::Event and SimEngine::ThreadedLanes.
+ * Wake-list pass scheduler: the execution engine behind every
+ * SimEngine.
  *
- * The legacy loop in core/neurocube.cc advances every component every
- * reference tick. Most of those ticks are provably no-ops (a PE
- * waiting out its 16-tick MAC window, a DDR3 channel pacing a 0.2
- * words/tick credit, a finished lane idling until the slowest lane
- * catches up). The scheduler keeps, per component, the next tick at
- * which its tick() could do anything (wakeAt) and the first tick it
- * has not yet accounted (accounted); a pass executes only the ticks
- * some component is awake for, and each component's skipped stretch is
+ * SimEngine::Legacy runs it in tick-all mode: every component wakes
+ * at t + 1, so every component ticks every reference tick. Most of
+ * those ticks are provably no-ops (a PE waiting out its 16-tick MAC
+ * window, a DDR3 channel pacing a 0.2 words/tick credit, a finished
+ * lane idling until the slowest lane catches up). In its default
+ * mode the scheduler keeps, per component, the next tick at which
+ * its tick() could do anything (wakeAt) and the first tick it has
+ * not yet accounted (accounted); a pass executes only the ticks some
+ * component is awake for, and each component's skipped stretch is
  * replayed in bulk by its skipTicks() before its next real tick.
  *
- * Invariants that make this bit-exact with the legacy loop (see
+ * Invariants that make this bit-exact with tick-all mode (see
  * DESIGN.md "Wake-list scheduler"):
  *  - a component only sleeps when its tick() is a no-op modulo
  *    accounting (nextEventAfter() encodes the proof obligation);
@@ -26,10 +27,11 @@
  *  - executed ticks run in the legacy phase order (PNGs, channels,
  *    fabric, PEs; ascending index within a phase).
  *
- * One PassScheduler drives either the whole machine (Event) or one
- * batch lane's slice of it (ThreadedLanes, one scheduler per worker
- * thread over a NocFabric::LaneView). tests/test_engine_diff.cc
- * fuzzes both against the legacy loop.
+ * One PassScheduler drives either the whole machine (Legacy, Event)
+ * or one batch lane's slice of it (ThreadedLanes, one scheduler per
+ * worker thread over a NocFabric::LaneView). tests/test_engine_diff.cc
+ * fuzzes both against tick-all mode, which never skips and so stays
+ * the differential oracle.
  */
 
 #ifndef NEUROCUBE_CORE_ENGINE_HH
@@ -75,11 +77,13 @@ class PassScheduler final : public WakeSink
 
     /**
      * Build the wake lists with every component awake at @p start
-     * (the first executed tick always ticks everything, exactly like
-     * the legacy loop's first iteration) and attach the wake sinks to
-     * the slice's channels and fabric nodes.
+     * (the first executed tick always ticks everything) and attach
+     * the wake sinks to the slice's channels and fabric nodes. With
+     * @p tick_all, step() wakes every component at t + 1 instead of
+     * asking nextEventAfter(): nothing ever sleeps, so nothing is
+     * skipped and the wake hooks change nothing (SimEngine::Legacy).
      */
-    PassScheduler(Slice slice, Tick start);
+    PassScheduler(Slice slice, Tick start, bool tick_all = false);
 
     /** Detaches the wake sinks. */
     ~PassScheduler() override;
@@ -128,6 +132,8 @@ class PassScheduler final : public WakeSink
 
   private:
     Slice s_;
+    /** Tick-all mode: every component re-wakes at t + 1. */
+    const bool tickAll_;
 
     // Per owned component: next interesting tick / first
     // not-yet-accounted tick. accounted <= wakeAt always.

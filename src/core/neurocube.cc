@@ -1,5 +1,7 @@
 #include "core/neurocube.hh"
 
+#include <algorithm>
+#include <numeric>
 #include <thread>
 
 #include "common/logging.hh"
@@ -44,15 +46,14 @@ summarize(const Histogram &h)
     return {h.count(), h.mean(), h.p50(), h.p99(), h.max()};
 }
 
-/** True when @p nodes is null or contains @p node. */
-bool
-nodeSelected(const std::vector<unsigned> *nodes, unsigned node)
+/** Monotone per-lane counters the layer probe differences. */
+struct LaneCounts
 {
-    if (nodes == nullptr)
-        return true;
-    return std::find(nodes->begin(), nodes->end(), node)
-        != nodes->end();
-}
+    uint64_t macs = 0;
+    uint64_t bits = 0;
+    uint64_t lateral = 0;
+    uint64_t local = 0;
+};
 
 } // namespace
 
@@ -142,39 +143,16 @@ Neurocube::setInput(const Tensor &input)
     input_ = input;
 }
 
-bool
-Neurocube::passDone() const
-{
-    for (const auto &png : pngs_) {
-        if (!png->done())
-            return false;
-    }
-    for (const auto &pe : pes_) {
-        if (!pe->done())
-            return false;
-    }
-    for (const auto &channel : channels_) {
-        if (!channel->idle())
-            return false;
-    }
-    return fabric_->idle();
-}
-
 SimEngine
 Neurocube::activeEngine() const
 {
-    if (trace::activeRecorder() != nullptr) {
-        // Compatibility escape hatch: the pre-sampling releases ran
-        // every traced pass on the legacy loop.
-        if (config_.trace.legacyEngineWithRecorder)
-            return SimEngine::Legacy;
-        // The recorder ring is single-producer; lane workers would
-        // race on it. The single-threaded event loop emits the same
-        // stream (skipped ticks are exactly the ticks no component
-        // records at), so tracing costs the thread fan-out only.
-        if (config_.engine == SimEngine::ThreadedLanes)
-            return SimEngine::Event;
-    }
+    // The recorder ring is single-producer; lane workers would race
+    // on it. The single-threaded event loop emits the same stream
+    // (skipped ticks are exactly the ticks no component records at),
+    // so tracing costs the thread fan-out only.
+    if (trace::activeRecorder() != nullptr
+        && config_.engine == SimEngine::ThreadedLanes)
+        return SimEngine::Event;
     return config_.engine;
 }
 
@@ -202,47 +180,34 @@ Neurocube::spatialSnapshot()
     return snap;
 }
 
-PassScheduler::Slice
-Neurocube::fullSlice()
+Neurocube::Lane
+Neurocube::machineLane() const
 {
-    PassScheduler::Slice s;
-    s.fabric = fabric_.get();
-    s.numNodes = config_.numPes;
-    s.numChannels = unsigned(channels_.size());
-    std::vector<unsigned> mem_nodes = config_.resolvedMemoryNodes();
-    for (unsigned ch = 0; ch < channels_.size(); ++ch) {
-        s.channelIds.push_back(ch);
-        s.channels.push_back(channels_[ch].get());
-        s.pngs.push_back(pngs_[ch].get());
-        s.channelNodes.push_back(mem_nodes[ch]);
-    }
-    for (unsigned p = 0; p < pes_.size(); ++p) {
-        s.peIds.push_back(p);
-        s.pes.push_back(pes_[p].get());
-    }
-    return s;
+    Lane lane;
+    lane.nodes.resize(pes_.size());
+    std::iota(lane.nodes.begin(), lane.nodes.end(), 0u);
+    lane.channels.resize(channels_.size());
+    std::iota(lane.channels.begin(), lane.channels.end(), 0u);
+    return lane;
 }
 
 PassScheduler::Slice
-Neurocube::laneSlice(unsigned lane)
+Neurocube::slice(const Lane &lane, const NocFabric::LaneView *view)
 {
-    // Batching requires the identity vault attachment (channel i at
-    // node i, asserted by buildBatchLanes), so a lane's node list
-    // selects its channels, PNGs, and PEs alike.
-    const LaneSpec &spec = lanePartition_[lane];
     PassScheduler::Slice s;
     s.fabric = fabric_.get();
-    s.view = &laneViews()[lane];
+    s.view = view;
     s.numNodes = config_.numPes;
     s.numChannels = unsigned(channels_.size());
-    for (unsigned node : spec.nodes) {
-        s.channelIds.push_back(node);
-        s.channels.push_back(channels_[node].get());
-        s.pngs.push_back(pngs_[node].get());
-        s.channelNodes.push_back(node);
-        s.peIds.push_back(node);
-        s.pes.push_back(pes_[node].get());
+    s.channelIds = lane.channels;
+    for (unsigned ch : lane.channels) {
+        s.channels.push_back(channels_[ch].get());
+        s.pngs.push_back(pngs_[ch].get());
+        s.channelNodes.push_back(unsigned(pngs_[ch]->id()));
     }
+    s.peIds = lane.nodes;
+    for (unsigned node : lane.nodes)
+        s.pes.push_back(pes_[node].get());
     return s;
 }
 
@@ -259,103 +224,270 @@ Neurocube::laneViews()
     return laneViews_;
 }
 
-void
-Neurocube::runPassEvent(Tick start, Tick deadline, uint64_t pairs)
+bool
+Neurocube::laneDone(const Lane &lane) const
 {
-    if (passDone())
-        return; // zero executed ticks, exactly like the legacy loop
-    PassScheduler sched(fullSlice(), start);
-    Tick t = start;
-    for (;;) {
-        // Stamp executed ticks only: a skipped tick is one no
-        // component would have recorded an event at (the sleep
-        // conditions guarantee it), so the stream matches the legacy
-        // loop's every-tick stamping bit for bit.
-        NC_TRACE_TICK(t);
-        sched.step(t);
-        if (uint64_t skipped = sched.takeSkippedTicks())
-            NC_TRACE(TraceComponent::Sim, 0, TraceEventType::EngineSkip,
-                     0, skipped);
-        // The legacy loop checks the deadline after ++now_ and before
-        // re-evaluating passDone(), so the check is unconditional.
-        if (t + 1 >= deadline) {
-            nc_panic("pass deadlock: %llu of expected work pending "
-                     "after %llu ticks",
-                     (unsigned long long)pairs,
-                     (unsigned long long)(t + 1 - start));
-        }
-        if (passDone()) {
-            ++t;
-            break;
-        }
-        Tick next = sched.minWake();
-        if (next == tickNever || next >= deadline) {
-            // Every component asleep with the pass unfinished: the
-            // legacy loop would no-op-tick its way to the deadline
-            // and panic there. Report the deadlock immediately.
-            nc_panic("pass deadlock: %llu of expected work pending, "
-                     "all components asleep at tick %llu",
-                     (unsigned long long)pairs,
-                     (unsigned long long)(t + 1 - start));
-        }
-        t = next;
+    // Over the machine lane this is "every PNG and PE done, every
+    // channel idle, the fabric idle": NocFabric::idle() means every
+    // node is quiescent.
+    for (unsigned ch : lane.channels) {
+        if (!pngs_[ch]->done() || !channels_[ch]->idle())
+            return false;
     }
-    NC_TRACE_TICK(t);
-    sched.catchupAll(t);
-    if (uint64_t skipped = sched.takeSkippedTicks())
-        NC_TRACE(TraceComponent::Sim, 0, TraceEventType::EngineSkip, 0,
-                 skipped);
-    now_ = t;
+    for (unsigned node : lane.nodes) {
+        if (!pes_[node]->done() || !fabric_->nodeQuiescent(node))
+            return false;
+    }
+    return true;
 }
 
-Tick
-Neurocube::runPass(const CompiledLayer &compiled, size_t pass)
+void
+Neurocube::runPass(const std::vector<Lane> &lanes,
+                   const std::vector<CompiledLayer> &compiled,
+                   size_t pass, std::vector<Tick> &cycles)
 {
+    // The host writes every PNG's configuration registers, then
+    // releases them (Sec. II-C). Events stamped here (PNG Configured
+    // phases) carry the tick after the configuration window.
+    now_ += config_.configTicksPerPass;
     NC_TRACE_TICK(now_);
-    const CompiledPass &cp = compiled.passes()[pass];
-    for (unsigned ch = 0; ch < channels_.size(); ++ch)
-        pngs_[ch]->configure(cp.programs[ch]);
-    for (unsigned p = 0; p < pes_.size(); ++p)
-        pes_[p]->configurePass(compiled.peConfig(pass, p));
+    const unsigned active = unsigned(compiled.size());
+    for (unsigned l = 0; l < lanes.size(); ++l) {
+        // Active lanes get their programs, idle lanes are parked on
+        // disabled ones.
+        const Lane &lane = lanes[l];
+        for (unsigned i = 0; i < lane.channels.size(); ++i) {
+            pngs_[lane.channels[i]]->configure(
+                l < active ? compiled[l].passes()[pass].programs[i]
+                           : PngProgram{});
+        }
+        for (unsigned i = 0; i < lane.nodes.size(); ++i) {
+            pes_[lane.nodes[i]]->configurePass(
+                l < active ? compiled[l].peConfig(pass, i)
+                           : PePassConfig{});
+        }
+    }
 
     // Safety net: a pass can never legitimately exceed this budget
     // (every operand pair needs at least one DRAM word somewhere).
     uint64_t pairs = 0;
     for (const auto &png : pngs_)
         pairs += png->pairBudget();
-    Tick deadline = now_ + 10000 + 400 * pairs;
+    const Tick start = now_;
+    const Tick deadline = start + 10000 + 400 * pairs;
 
-    Tick start = now_;
-    if (activeEngine() == SimEngine::Legacy) {
-        while (!passDone()) {
-            NC_TRACE_TICK(now_);
-            for (auto &png : pngs_)
-                png->tick(now_);
-            for (auto &channel : channels_)
-                channel->tick(now_);
-            fabric_->tick(now_);
-            for (auto &pe : pes_)
-                pe->tick(now_, *fabric_);
-            ++now_;
-            if (now_ >= deadline) {
-                nc_panic("pass deadlock: %llu of expected work "
-                         "pending after %llu ticks",
-                         (unsigned long long)pairs,
-                         (unsigned long long)(now_ - start));
+    // The pass loop: step one scheduler until lanes [first, last)
+    // are done, stamping each lane's end tick into done[].
+    std::vector<Tick> done(active, 0);
+    auto drive = [&](PassScheduler &sched, unsigned first,
+                     unsigned last) {
+        unsigned remaining = last - first;
+        for (Tick t = start;;) {
+            // Stamp executed ticks only: a skipped tick is one no
+            // component would have recorded an event at (the sleep
+            // conditions guarantee it), so the stream matches the
+            // tick-all mode's every-tick stamping bit for bit.
+            NC_TRACE_TICK(t);
+            sched.step(t);
+            if (uint64_t skipped = sched.takeSkippedTicks())
+                NC_TRACE(TraceComponent::Sim, 0,
+                         TraceEventType::EngineSkip, 0, skipped);
+            // Done-ness only changes through actions at executed
+            // ticks, so checking after each one finds every lane's
+            // end exactly.
+            const Tick stamp = t + 1;
+            for (unsigned l = first; l < last; ++l) {
+                if (done[l] == 0 && laneDone(lanes[l])) {
+                    done[l] = stamp;
+                    --remaining;
+                    if (lanes[l].spec != nullptr)
+                        NC_TRACE(TraceComponent::Sim, l,
+                                 TraceEventType::LaneDone,
+                                 unsigned(pass), stamp - start);
+                }
             }
+            if (stamp >= deadline) {
+                nc_panic("pass deadlock: %u lanes pending after %llu "
+                         "ticks (%llu operand pairs)", remaining,
+                         (unsigned long long)(stamp - start),
+                         (unsigned long long)pairs);
+            }
+            if (remaining == 0)
+                return;
+            Tick next = sched.minWake();
+            if (next == tickNever || next >= deadline) {
+                // Tick-all mode would no-op-tick its way to the
+                // deadline and panic there; report it now.
+                nc_panic("pass deadlock: %u lanes pending, all "
+                         "components asleep at tick %llu (%llu "
+                         "operand pairs)", remaining,
+                         (unsigned long long)(stamp - start),
+                         (unsigned long long)pairs);
+            }
+            t = next;
         }
+    };
+
+    // Legacy and Event run one scheduler over the whole machine.
+    // ThreadedLanes gives each lane of a batch its own scheduler over
+    // its fabric slice and worker thread. Parked lanes get one too:
+    // they never step, but the catch-up below accounts their idle
+    // components in bulk. The lanes touch disjoint per-node state
+    // (the lane checker asserts no packet crosses lanes); shared
+    // fabric aggregates detour through per-node scratch meanwhile.
+    const SimEngine engine = activeEngine();
+    const bool fan_out = engine == SimEngine::ThreadedLanes
+                      && lanes.front().spec != nullptr;
+    std::vector<std::unique_ptr<PassScheduler>> scheds;
+    if (fan_out) {
+        fabric_->setLaneStatsMode(true);
+        for (unsigned l = 0; l < lanes.size(); ++l) {
+            scheds.push_back(std::make_unique<PassScheduler>(
+                slice(lanes[l], &laneViews()[l]), start));
+        }
+        std::vector<std::thread> workers;
+        for (unsigned l = 1; l < active; ++l)
+            workers.emplace_back([&, l] { drive(*scheds[l], l, l + 1); });
+        drive(*scheds[0], 0, 1);
+        for (std::thread &w : workers)
+            w.join();
     } else {
-        // ThreadedLanes only threads runForwardBatch; a plain pass
-        // runs on the single-scheduler event engine.
-        runPassEvent(start, deadline, pairs);
+        scheds.push_back(std::make_unique<PassScheduler>(
+            slice(machineLane(), nullptr), start,
+            engine == SimEngine::Legacy));
+        drive(*scheds[0], 0, active);
     }
+
+    // Every component stays accounted until the pass's global end,
+    // when the slowest lane is done.
+    const Tick final = *std::max_element(done.begin(), done.end());
+    NC_TRACE_TICK(final);
+    for (auto &sched : scheds) {
+        sched->catchupAll(final);
+        if (uint64_t skipped = sched->takeSkippedTicks())
+            NC_TRACE(TraceComponent::Sim, 0, TraceEventType::EngineSkip,
+                     0, skipped);
+    }
+    if (fan_out) {
+        fabric_->foldLaneStats();
+        fabric_->setLaneStatsMode(false);
+    }
+    now_ = final;
     statPasses_ += 1;
-    return now_ - start;
+    for (unsigned l = 0; l < active; ++l)
+        cycles[l] += config_.configTicksPerPass + (done[l] - start);
+}
+
+std::vector<LayerResult>
+Neurocube::runLayerOnLanes(const LayerDesc &layer,
+                           const std::vector<Lane> &lanes,
+                           const std::vector<CompiledLayer> &compiled)
+{
+    const unsigned active = unsigned(compiled.size());
+    // Identical layer descriptors compile to identical pass
+    // structures, so the lanes stay in lockstep pass by pass.
+    const size_t num_passes = compiled[0].passes().size();
+    for (unsigned l = 1; l < active; ++l) {
+        nc_assert(compiled[l].passes().size() == num_passes,
+                  "lane %u compiled %zu passes, lane 0 %zu", l,
+                  compiled[l].passes().size(), num_passes);
+    }
+
+    // Layer probe, before the passes: per-lane counters, and one
+    // metrics, spatial and energy snapshot of the whole machine that
+    // the passes turn into the layer's deltas.
+    auto counts = [&](const Lane &lane) {
+        LaneCounts c;
+        for (unsigned node : lane.nodes) {
+            c.macs += pes_[node]->macOps();
+            c.lateral += fabric_->nodeLateralPackets(node);
+            c.local += fabric_->nodeLocalPackets(node);
+        }
+        for (unsigned ch : lane.channels)
+            c.bits += channels_[ch]->bitsTransferred();
+        return c;
+    };
+    std::vector<LaneCounts> before(active);
+    for (unsigned l = 0; l < active; ++l)
+        before[l] = counts(lanes[l]);
+    MetricsRegistry *metrics = metricsRegistry();
+    SpatialRegistry *spatial = spatialRegistry();
+    EnergyRegistry *energy = energyRegistry();
+    MetricsSnapshot metrics_delta;
+    SpatialSnapshot spatial_delta;
+    EnergySnapshot energy_delta;
+    if (metrics)
+        metrics_delta = metrics->snapshot();
+    if (spatial)
+        spatial_delta = spatialSnapshot();
+    if (energy)
+        energy_delta = energy->snapshot();
+
+    const Tick layer_start = now_;
+    std::vector<Tick> cycles(active, 0);
+    for (size_t pass = 0; pass < num_passes; ++pass)
+        runPass(lanes, compiled, pass, cycles);
+    statLayerCycles_ += now_ - layer_start;
+
+    if (metrics)
+        metrics_delta = metrics->snapshot().delta(metrics_delta);
+    if (spatial)
+        spatial_delta = spatialSnapshot().delta(spatial_delta);
+    if (energy)
+        energy_delta = energy->snapshot().delta(energy_delta);
+
+    // Layer probe, after: each lane's deltas become its LayerResult.
+    // The machine lane has a null filter, so an unbatched layer reads
+    // every counter unfiltered. Every component instance is
+    // node-indexed and batching requires the identity vault
+    // attachment, so a batch lane's node list selects its routers,
+    // PEs, PNGs and channels alike.
+    std::vector<LayerResult> results(active);
+    for (unsigned l = 0; l < active; ++l) {
+        const Lane &lane = lanes[l];
+        const std::vector<unsigned> *filter =
+            lane.spec ? &lane.nodes : nullptr;
+        const LaneCounts after = counts(lane);
+        LayerResult &r = results[l];
+        r.name = layer.name.empty() ? layerTypeName(layer.type)
+                                    : layer.name;
+        r.passes = unsigned(num_passes);
+        r.cycles = cycles[l];
+        r.ops = 2 * (after.macs - before[l].macs);
+        r.dramBits = after.bits - before[l].bits;
+        r.lateralPackets = after.lateral - before[l].lateral;
+        r.localPackets = after.local - before[l].local;
+
+        LayerFootprint fp = layerFootprint(
+            layer, config_.mapping, unsigned(lane.channels.size()));
+        r.memoryBytes = fp.totalBytes();
+        r.duplicationBytes = fp.duplicationBytes;
+
+        if (metrics) {
+            r.bottleneck = buildBottleneckReport(metrics_delta, filter);
+            fillHistogramSummaries(r.bottleneck, lane);
+        }
+        if (spatial) {
+            r.spatial = filter ? filterSnapshotToNodes(spatialTopology(),
+                                                       spatial_delta,
+                                                       *filter)
+                               : spatial_delta;
+        }
+        // The lane owns its share of the PEs and vault channels, so
+        // its ceilings come from a machine shrunk to the lane.
+        NeurocubeConfig lane_cfg = config_;
+        lane_cfg.numPes = unsigned(lane.nodes.size());
+        lane_cfg.dram.numChannels = unsigned(lane.channels.size());
+        r.roofline = rooflinePoint(layer, lane_cfg, r);
+        if (energy)
+            r.energy = energy_delta.sum(filter);
+    }
+    return results;
 }
 
 void
 Neurocube::fillHistogramSummaries(BottleneckReport &report,
-                                  const std::vector<unsigned> *nodes)
+                                  const Lane &lane)
 {
     report.nocLatency = summarize(fabric_->latencyHistogram());
 
@@ -363,17 +495,12 @@ Neurocube::fillHistogramSummaries(BottleneckReport &report,
     Histogram dram(nullptr, "", "");
     Histogram pe_cache(nullptr, "", "");
     Histogram png_queue(nullptr, "", "");
-    std::vector<unsigned> mem_nodes = config_.resolvedMemoryNodes();
-    for (unsigned ch = 0; ch < channels_.size(); ++ch) {
-        if (nodeSelected(nodes, mem_nodes[ch]))
-            dram.merge(channels_[ch]->queueResidencyHistogram());
-        if (nodeSelected(nodes, unsigned(pngs_[ch]->id())))
-            png_queue.merge(pngs_[ch]->outQueueDepthHistogram());
+    for (unsigned ch : lane.channels) {
+        dram.merge(channels_[ch]->queueResidencyHistogram());
+        png_queue.merge(pngs_[ch]->outQueueDepthHistogram());
     }
-    for (unsigned p = 0; p < pes_.size(); ++p) {
-        if (nodeSelected(nodes, p))
-            pe_cache.merge(pes_[p]->cacheOccupancyHistogram());
-    }
+    for (unsigned node : lane.nodes)
+        pe_cache.merge(pes_[node]->cacheOccupancyHistogram());
     report.dramQueueResidency = summarize(dram);
     report.peCacheOccupancy = summarize(pe_cache);
     report.pngOutQueueDepth = summarize(png_queue);
@@ -384,89 +511,15 @@ Neurocube::runSingleLayer(const LayerDesc &layer,
                           const std::vector<Fixed> &weights,
                           const Tensor &input, Tensor *output)
 {
+    const std::vector<Lane> lanes{machineLane()};
     std::vector<BackingStore *> stores;
-    stores.reserve(channels_.size());
-    for (auto &channel : channels_)
-        stores.push_back(&channel->store());
-
-    CompiledLayer compiled =
-        compiler_.compile(layer, weights, input, stores);
-
-    LayerResult result;
-    result.name = layer.name.empty() ? layerTypeName(layer.type)
-                                     : layer.name;
-    result.passes = unsigned(compiled.passes().size());
-
-    uint64_t mac_ops_before = 0;
-    for (const auto &pe : pes_)
-        mac_ops_before += pe->macOps();
-    uint64_t lateral_before = fabric_->lateralPackets();
-    uint64_t local_before = fabric_->localPackets();
-    uint64_t bits_before = 0;
-    for (const auto &channel : channels_)
-        bits_before += channel->bitsTransferred();
-
-    MetricsRegistry *metrics = metricsRegistry();
-    MetricsSnapshot metrics_before;
-    if (metrics)
-        metrics_before = metrics->snapshot();
-
-    SpatialRegistry *spatial = spatialRegistry();
-    SpatialSnapshot spatial_before;
-    if (spatial)
-        spatial_before = spatialSnapshot();
-
-#if NEUROCUBE_TRACE_ENABLED
-    EnergyRegistry *energy = energyRegistry();
-    EnergySnapshot energy_before;
-    if (energy)
-        energy_before = energy->snapshot();
-#endif
-
-    Tick cycles = 0;
-    for (size_t pass = 0; pass < compiled.passes().size(); ++pass) {
-        cycles += config_.configTicksPerPass;
-        now_ += config_.configTicksPerPass;
-        cycles += runPass(compiled, pass);
-    }
-
-    uint64_t mac_ops_after = 0;
-    for (const auto &pe : pes_)
-        mac_ops_after += pe->macOps();
-    uint64_t bits_after = 0;
-    for (const auto &channel : channels_)
-        bits_after += channel->bitsTransferred();
-
-    result.cycles = cycles;
-    result.ops = 2 * (mac_ops_after - mac_ops_before);
-    result.lateralPackets = fabric_->lateralPackets() - lateral_before;
-    result.localPackets = fabric_->localPackets() - local_before;
-    result.dramBits = bits_after - bits_before;
-
-    LayerFootprint fp = layerFootprint(layer, config_.mapping,
-                                       config_.dram.numChannels);
-    result.memoryBytes = fp.totalBytes();
-    result.duplicationBytes = fp.duplicationBytes;
-
-    if (metrics) {
-        result.bottleneck = buildBottleneckReport(
-            metrics->snapshot().delta(metrics_before));
-        fillHistogramSummaries(result.bottleneck, nullptr);
-    }
-
-    if (spatial)
-        result.spatial = spatialSnapshot().delta(spatial_before);
-    result.roofline = rooflinePoint(layer, config_, result);
-
-#if NEUROCUBE_TRACE_ENABLED
-    if (energy)
-        result.energy = energy->snapshot().delta(energy_before).sum();
-#endif
-
-    statLayerCycles_ += cycles;
-
+    for (unsigned ch : lanes[0].channels)
+        stores.push_back(&channels_[ch]->store());
+    std::vector<CompiledLayer> compiled;
+    compiled.push_back(compiler_.compile(layer, weights, input, stores));
+    LayerResult result = runLayerOnLanes(layer, lanes, compiled)[0];
     if (output)
-        *output = compiler_.gather(compiled, stores);
+        *output = compiler_.gather(compiled[0], stores);
     return result;
 }
 
@@ -559,152 +612,21 @@ Neurocube::advanceIdleTo(Tick when)
     now_ = when;
 }
 
-bool
-Neurocube::laneDone(const LaneSpec &lane) const
-{
-    for (unsigned node : lane.nodes) {
-        if (!pngs_[node]->done() || !pes_[node]->done()
-            || !channels_[node]->idle()
-            || !fabric_->nodeQuiescent(node)) {
-            return false;
-        }
-    }
-    return true;
-}
-
-void
-Neurocube::runBatchPassEvent(Tick start, Tick deadline,
-                             unsigned active, size_t pass,
-                             std::vector<Tick> &lane_done)
-{
-    PassScheduler sched(fullSlice(), start);
-    unsigned remaining = active;
-    Tick t = start;
-    Tick final = start;
-    for (;;) {
-        // Executed ticks carry the same stamps (and therefore the
-        // same event stream) as the legacy every-tick loop; skipped
-        // ticks are ones no component records at.
-        NC_TRACE_TICK(t);
-        sched.step(t);
-        if (uint64_t skipped = sched.takeSkippedTicks())
-            NC_TRACE(TraceComponent::Sim, 0, TraceEventType::EngineSkip,
-                     0, skipped);
-        const Tick stamp = t + 1;
-        // Lane done-ness only changes through actions at executed
-        // ticks, so evaluating after every executed tick yields the
-        // same stamps as the legacy every-tick loop.
-        for (unsigned l = 0; l < active; ++l) {
-            if (lane_done[l] == 0 && laneDone(lanePartition_[l])) {
-                lane_done[l] = stamp;
-                --remaining;
-                // Same emission point as the legacy loop: recorder
-                // stamped at the executed tick, value is the lane's
-                // pass span.
-                NC_TRACE(TraceComponent::Sim, l,
-                         TraceEventType::LaneDone, unsigned(pass),
-                         stamp - start);
-            }
-        }
-        if (stamp >= deadline) {
-            nc_panic("batch pass deadlock: %u lanes pending after "
-                     "%llu ticks", remaining,
-                     (unsigned long long)(stamp - start));
-        }
-        if (remaining == 0) {
-            final = stamp;
-            break;
-        }
-        Tick next = sched.minWake();
-        if (next == tickNever || next >= deadline) {
-            nc_panic("batch pass deadlock: %u lanes pending, all "
-                     "components asleep at tick %llu", remaining,
-                     (unsigned long long)(stamp - start));
-        }
-        t = next;
-    }
-    sched.catchupAll(final);
-    if (uint64_t skipped = sched.takeSkippedTicks())
-        NC_TRACE(TraceComponent::Sim, 0, TraceEventType::EngineSkip, 0,
-                 skipped);
-    now_ = final;
-}
-
-void
-Neurocube::runBatchPassThreaded(Tick start, Tick deadline,
-                                unsigned active,
-                                std::vector<Tick> &lane_done)
-{
-    const unsigned lanes = unsigned(lanePartition_.size());
-    laneViews();
-
-    // Shared fabric aggregates detour through per-node scratch while
-    // the workers run; everything else the lanes touch is per-node
-    // and therefore disjoint by construction (the lane checker
-    // asserts no packet crosses lanes).
-    fabric_->setLaneStatsMode(true);
-
-    // One scheduler per lane, parked lanes included: they never step,
-    // but catchupAll below bulk-accounts their idle components.
-    std::vector<std::unique_ptr<PassScheduler>> scheds;
-    scheds.reserve(lanes);
-    for (unsigned l = 0; l < lanes; ++l)
-        scheds.push_back(
-            std::make_unique<PassScheduler>(laneSlice(l), start));
-
-    auto run_lane = [&](unsigned l) {
-        PassScheduler &sched = *scheds[l];
-        const LaneSpec &lane = lanePartition_[l];
-        Tick t = start;
-        for (;;) {
-            sched.step(t);
-            if (t + 1 >= deadline) {
-                nc_panic("batch pass deadlock: lane %u pending after "
-                         "%llu ticks", l,
-                         (unsigned long long)(t + 1 - start));
-            }
-            if (laneDone(lane)) {
-                lane_done[l] = t + 1;
-                break;
-            }
-            Tick next = sched.minWake();
-            if (next == tickNever || next >= deadline) {
-                nc_panic("batch pass deadlock: lane %u asleep with "
-                         "work pending at tick %llu", l,
-                         (unsigned long long)(t + 1 - start));
-            }
-            t = next;
-        }
-    };
-
-    std::vector<std::thread> workers;
-    workers.reserve(active > 0 ? active - 1 : 0);
-    for (unsigned l = 1; l < active; ++l)
-        workers.emplace_back(run_lane, l);
-    run_lane(0);
-    for (std::thread &w : workers)
-        w.join();
-
-    Tick final = start;
-    for (unsigned l = 0; l < active; ++l)
-        final = std::max(final, lane_done[l]);
-    for (unsigned l = 0; l < lanes; ++l)
-        scheds[l]->catchupAll(final);
-
-    fabric_->foldLaneStats();
-    fabric_->setLaneStatsMode(false);
-    now_ = final;
-}
-
 BatchRunResult
 Neurocube::runForwardBatch(const std::vector<Tensor> &inputs)
 {
     nc_assert(!net_.layers.empty(), "runForwardBatch before loadNetwork");
     if (lanePartition_.empty())
         buildBatchLanes();
-    const unsigned lanes = unsigned(lanePartition_.size());
-    nc_assert(!inputs.empty() && inputs.size() <= lanes,
-              "batch of %zu inputs on %u lanes", inputs.size(), lanes);
+    // Batching requires the identity vault attachment (channel i at
+    // node i, asserted by buildBatchLanes), so a lane's nodes are its
+    // channels too.
+    std::vector<Lane> lanes;
+    for (const LaneSpec &spec : lanePartition_)
+        lanes.push_back({&spec, spec.nodes, spec.nodes});
+    nc_assert(!inputs.empty() && inputs.size() <= lanes.size(),
+              "batch of %zu inputs on %zu lanes", inputs.size(),
+              lanes.size());
     const unsigned active = unsigned(inputs.size());
 
     const LayerDesc &first = net_.layers.front();
@@ -719,7 +641,7 @@ Neurocube::runForwardBatch(const std::vector<Tensor> &inputs)
 
     // Arm the fabric's lane checker: with >1 lane, any packet that
     // leaves its vault group is counted as a violation.
-    if (lanes > 1) {
+    if (lanes.size() > 1) {
         std::vector<uint16_t> lane_of(config_.numPes, 0);
         for (const LaneSpec &lane : lanePartition_) {
             for (unsigned node : lane.nodes)
@@ -728,7 +650,7 @@ Neurocube::runForwardBatch(const std::vector<Tensor> &inputs)
         fabric_->setLaneMap(std::move(lane_of));
     }
 
-    batchActivations_.assign(lanes, {});
+    batchActivations_.assign(lanes.size(), {});
     for (unsigned l = 0; l < active; ++l)
         batchActivations_[l].assign(net_.layers.size(), Tensor());
 
@@ -742,205 +664,27 @@ Neurocube::runForwardBatch(const std::vector<Tensor> &inputs)
 
     for (size_t li = 0; li < net_.layers.size(); ++li) {
         const LayerDesc &layer = net_.layers[li];
-        const Tick layer_start = now_;
 
         // Compile the layer once per active lane, each against its own
         // vault group's stores and input.
         std::vector<CompiledLayer> compiled(active);
         std::vector<std::vector<BackingStore *>> lane_stores(active);
         for (unsigned l = 0; l < active; ++l) {
-            const LaneSpec &lane = lanePartition_[l];
-            lane_stores[l].reserve(lane.nodes.size());
-            for (unsigned node : lane.nodes)
-                lane_stores[l].push_back(&channels_[node]->store());
+            for (unsigned ch : lanes[l].channels)
+                lane_stores[l].push_back(&channels_[ch]->store());
             const Tensor &in =
                 li == 0 ? inputs[l] : batchActivations_[l][li - 1];
             compiled[l] = compiler_.compile(layer, data_.weights[li],
-                                            in, lane_stores[l], &lane);
+                                            in, lane_stores[l],
+                                            lanes[l].spec);
         }
-        // Identical layer descriptors compile to identical pass
-        // structures, so the lanes stay in lockstep pass by pass.
-        const size_t num_passes = compiled[0].passes().size();
-        for (unsigned l = 1; l < active; ++l) {
-            nc_assert(compiled[l].passes().size() == num_passes,
-                      "lane %u compiled %zu passes, lane 0 %zu", l,
-                      compiled[l].passes().size(), num_passes);
-        }
-
-        std::vector<LayerResult> lr(active);
-        std::vector<uint64_t> macs_before(active, 0);
-        std::vector<uint64_t> bits_before(active, 0);
-        std::vector<uint64_t> lateral_before(active, 0);
-        std::vector<uint64_t> local_before(active, 0);
+        std::vector<LayerResult> lr =
+            runLayerOnLanes(layer, lanes, compiled);
         for (unsigned l = 0; l < active; ++l) {
-            for (unsigned node : lanePartition_[l].nodes) {
-                macs_before[l] += pes_[node]->macOps();
-                bits_before[l] += channels_[node]->bitsTransferred();
-                lateral_before[l] += fabric_->nodeLateralPackets(node);
-                local_before[l] += fabric_->nodeLocalPackets(node);
-            }
-        }
-
-        MetricsRegistry *metrics = metricsRegistry();
-        MetricsSnapshot metrics_before;
-        if (metrics)
-            metrics_before = metrics->snapshot();
-
-        SpatialRegistry *spatial = spatialRegistry();
-        SpatialSnapshot spatial_before;
-        if (spatial)
-            spatial_before = spatialSnapshot();
-
-#if NEUROCUBE_TRACE_ENABLED
-        EnergyRegistry *energy = energyRegistry();
-        EnergySnapshot energy_before;
-        if (energy)
-            energy_before = energy->snapshot();
-#endif
-
-        for (size_t p = 0; p < num_passes; ++p) {
-            NC_TRACE_TICK(now_);
-            now_ += config_.configTicksPerPass;
-
-            // Configure every node: active lanes get their programs,
-            // idle lanes are parked on disabled ones.
-            for (const LaneSpec &lane : lanePartition_) {
-                for (unsigned i = 0; i < lane.nodes.size(); ++i) {
-                    unsigned node = lane.nodes[i];
-                    if (lane.index < active) {
-                        const CompiledLayer &cl =
-                            compiled[lane.index];
-                        pngs_[node]->configure(
-                            cl.passes()[p].programs[i]);
-                        pes_[node]->configurePass(cl.peConfig(p, i));
-                    } else {
-                        pngs_[node]->configure(PngProgram{});
-                        pes_[node]->configurePass(PePassConfig{});
-                    }
-                }
-            }
-
-            uint64_t pairs = 0;
-            for (const auto &png : pngs_)
-                pairs += png->pairBudget();
-            const Tick deadline = now_ + 10000 + 400 * pairs;
-
-            const Tick start = now_;
-            std::vector<Tick> lane_done(active, 0);
-            const SimEngine engine = activeEngine();
-            if (engine == SimEngine::Legacy) {
-                unsigned remaining = active;
-                while (remaining > 0) {
-                    NC_TRACE_TICK(now_);
-                    for (auto &png : pngs_)
-                        png->tick(now_);
-                    for (auto &channel : channels_)
-                        channel->tick(now_);
-                    fabric_->tick(now_);
-                    for (auto &pe : pes_)
-                        pe->tick(now_, *fabric_);
-                    ++now_;
-                    for (unsigned l = 0; l < active; ++l) {
-                        if (lane_done[l] == 0
-                            && laneDone(lanePartition_[l])) {
-                            lane_done[l] = now_;
-                            --remaining;
-                            NC_TRACE(TraceComponent::Sim, l,
-                                     TraceEventType::LaneDone,
-                                     unsigned(p), now_ - start);
-                        }
-                    }
-                    if (now_ >= deadline) {
-                        nc_panic("batch pass deadlock: %u lanes "
-                                 "pending after %llu ticks", remaining,
-                                 (unsigned long long)(now_ - start));
-                    }
-                }
-            } else if (engine == SimEngine::Event) {
-                runBatchPassEvent(start, deadline, active, p,
-                                  lane_done);
-            } else {
-                runBatchPassThreaded(start, deadline, active,
-                                     lane_done);
-            }
-            statPasses_ += 1;
-            for (unsigned l = 0; l < active; ++l) {
-                lr[l].cycles += config_.configTicksPerPass
-                              + (lane_done[l] - start);
-            }
-        }
-
-        MetricsSnapshot metrics_delta;
-        if (metrics)
-            metrics_delta = metrics->snapshot().delta(metrics_before);
-
-        SpatialSnapshot spatial_delta;
-        if (spatial)
-            spatial_delta = spatialSnapshot().delta(spatial_before);
-
-#if NEUROCUBE_TRACE_ENABLED
-        EnergySnapshot energy_delta;
-        if (energy)
-            energy_delta = energy->snapshot().delta(energy_before);
-#endif
-
-        for (unsigned l = 0; l < active; ++l) {
-            const LaneSpec &lane = lanePartition_[l];
-            uint64_t macs = 0, bits = 0, lateral = 0, local = 0;
-            for (unsigned node : lane.nodes) {
-                macs += pes_[node]->macOps();
-                bits += channels_[node]->bitsTransferred();
-                lateral += fabric_->nodeLateralPackets(node);
-                local += fabric_->nodeLocalPackets(node);
-            }
-            lr[l].name = layer.name.empty()
-                             ? layerTypeName(layer.type)
-                             : layer.name;
-            lr[l].passes = unsigned(num_passes);
-            lr[l].ops = 2 * (macs - macs_before[l]);
-            lr[l].dramBits = bits - bits_before[l];
-            lr[l].lateralPackets = lateral - lateral_before[l];
-            lr[l].localPackets = local - local_before[l];
-
-            LayerFootprint fp = layerFootprint(
-                layer, config_.mapping, unsigned(lane.nodes.size()));
-            lr[l].memoryBytes = fp.totalBytes();
-            lr[l].duplicationBytes = fp.duplicationBytes;
-
-            if (metrics) {
-                // Per-lane attribution: every component instance is
-                // node-indexed and batching requires the identity
-                // vault attachment, so the lane's node list selects
-                // its routers, PEs, PNGs, and channels alike.
-                lr[l].bottleneck =
-                    buildBottleneckReport(metrics_delta, &lane.nodes);
-                fillHistogramSummaries(lr[l].bottleneck, &lane.nodes);
-            }
-
-            if (spatial) {
-                lr[l].spatial = filterSnapshotToNodes(
-                    spatial_topo, spatial_delta, lane.nodes);
-            }
-            // Lane roofline: this lane owns an even share of the
-            // PEs and vault channels, so its ceilings come from a
-            // proportionally shrunk machine.
-            NeurocubeConfig lane_cfg = config_;
-            lane_cfg.numPes = unsigned(lane.nodes.size());
-            lane_cfg.dram.numChannels = unsigned(lane.nodes.size());
-            lr[l].roofline = rooflinePoint(layer, lane_cfg, lr[l]);
-
-#if NEUROCUBE_TRACE_ENABLED
-            // Same node-indexed identity as the metrics attribution.
-            if (energy)
-                lr[l].energy = energy_delta.sum(&lane.nodes);
-#endif
-
-            result.lanes[l].layers.push_back(lr[l]);
+            result.lanes[l].layers.push_back(std::move(lr[l]));
             batchActivations_[l][li] =
                 compiler_.gather(compiled[l], lane_stores[l]);
         }
-
-        statLayerCycles_ += now_ - layer_start;
     }
 
     result.cycles = now_ - batch_start;

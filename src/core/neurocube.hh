@@ -172,19 +172,15 @@ class Neurocube
      */
     SpatialSnapshot spatialSnapshot();
 
-#if NEUROCUBE_TRACE_ENABLED
     /**
      * The activity energy counters of the active trace session, or
-     * nullptr (no session / energy disabled). Like
-     * TraceSession::energy(), only compiled in NEUROCUBE_TRACE=ON
-     * builds, so notrace builds never reference EnergyRegistry.
+     * nullptr (no session / energy disabled / tracing compiled out).
      */
     EnergyRegistry *
     energyRegistry()
     {
         return traceSession_ ? traceSession_->energy() : nullptr;
     }
-#endif
 
     /** Total operand-cache spills beyond sub-bank capacity. */
     uint64_t
@@ -200,43 +196,63 @@ class Neurocube
      * The engine the next pass will run on. Usually config().engine;
      * while a trace-event recorder is live, ThreadedLanes demotes to
      * Event (the recorder ring is single-producer, lane workers would
-     * race on it), and config().trace.legacyEngineWithRecorder
-     * additionally demotes everything to Legacy (the pre-sampling
-     * behaviour, kept as a compatibility escape hatch).
+     * race on it).
      */
     SimEngine activeEngine() const;
 
   private:
-    /** Run one compiled pass to completion; returns its cycles. */
-    Tick runPass(const CompiledLayer &compiled, size_t pass);
-    /** Slice covering the whole machine (Event engine). */
-    PassScheduler::Slice fullSlice();
-    /** Slice covering one batch lane (ThreadedLanes engine). */
-    PassScheduler::Slice laneSlice(unsigned lane);
+    /**
+     * One vault group the pass loop runs. An unbatched run is a
+     * single lane over every PE node and every channel, whatever the
+     * channel attachment (DDR3's included); a batch is one lane per
+     * LaneSpec of lanePartition_.
+     */
+    struct Lane
+    {
+        /** The batch vault group, or nullptr for the whole machine. */
+        const LaneSpec *spec = nullptr;
+        /** PE and router nodes, ascending. */
+        std::vector<unsigned> nodes;
+        /** Memory channels and their PNGs, ascending. */
+        std::vector<unsigned> channels;
+    };
+
+    /** The single lane of an unbatched run. */
+    Lane machineLane() const;
+    /**
+     * Run every pass of one layer on @p lanes and read the layer's
+     * statistics off, one LayerResult per compiled lane. compiled[l]
+     * is lane l's program; lanes past compiled.size() are parked.
+     */
+    std::vector<LayerResult>
+    runLayerOnLanes(const LayerDesc &layer,
+                    const std::vector<Lane> &lanes,
+                    const std::vector<CompiledLayer> &compiled);
+    /**
+     * Configure and run one pass until every compiled lane is done;
+     * adds each compiled lane's cycles for the pass to @p cycles.
+     */
+    void runPass(const std::vector<Lane> &lanes,
+                 const std::vector<CompiledLayer> &compiled,
+                 size_t pass, std::vector<Tick> &cycles);
+    /** Scheduler slice over one lane (@p view nullptr: full fabric). */
+    PassScheduler::Slice slice(const Lane &lane,
+                               const NocFabric::LaneView *view);
     /** Lane fabric views for lanePartition_ (built lazily, cached). */
     const std::vector<NocFabric::LaneView> &laneViews();
-    /** Event-engine body of runPass (after configuration). */
-    void runPassEvent(Tick start, Tick deadline, uint64_t pairs);
-    /** Event-engine body of one batch pass (single scheduler). */
-    void runBatchPassEvent(Tick start, Tick deadline, unsigned active,
-                           size_t pass, std::vector<Tick> &lane_done);
-    /** Threaded body of one batch pass (one scheduler per lane). */
-    void runBatchPassThreaded(Tick start, Tick deadline,
-                              unsigned active,
-                              std::vector<Tick> &lane_done);
-    /** True when every component has finished the current pass. */
-    bool passDone() const;
-    /** True when one lane's components have finished the pass. */
-    bool laneDone(const LaneSpec &lane) const;
+    /**
+     * True when one lane's PNGs and PEs are done, its channels idle
+     * and its nodes quiescent.
+     */
+    bool laneDone(const Lane &lane) const;
     /** Validate the batch preconditions and build lanePartition_. */
     void buildBatchLanes();
     /**
-     * Fill a report's histogram summaries from the machine's
-     * distribution stats (cumulative; node-filtered when nodes is
-     * non-null).
+     * Fill a report's histogram summaries from one lane's
+     * distribution stats (cumulative).
      */
     void fillHistogramSummaries(BottleneckReport &report,
-                                const std::vector<unsigned> *nodes);
+                                const Lane &lane);
 
     NeurocubeConfig config_;
     StatGroup statGroup_;

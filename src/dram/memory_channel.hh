@@ -96,8 +96,8 @@ class MemoryChannel
     void tick(Tick now);
 
     /**
-     * Event-engine hookup: the scheduler watching this channel, or
-     * nullptr under the legacy tick-every-cycle loop. enqueue() calls
+     * Scheduler hookup: the scheduler watching this channel, or
+     * nullptr outside a pass. enqueue() calls
      * sink->onChannelEnqueue() (before stamping, so the scheduler can
      * catch the channel up first) and serveWord() calls
      * sink->onChannelServe().
@@ -276,7 +276,7 @@ class MemoryChannel
     bool lookaheadStale_ = true;
     /** Activations in flight (skips the promotion scan when 0). */
     unsigned pendingActivations_ = 0;
-    /** Event-engine scheduler hook (null under the legacy loop). */
+    /** Scheduler hook (null outside a pass). */
     WakeSink *sink_ = nullptr;
 
     /** Per-bank open row (UINT64_MAX = closed). */

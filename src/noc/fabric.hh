@@ -326,7 +326,7 @@ class NocFabric
     std::vector<uint16_t> laneOf_;
     uint64_t crossLanePackets_ = 0;
 
-    /** Per-node event-engine wake sinks (null under legacy). */
+    /** Per-node scheduler wake sinks (null outside a pass). */
     std::vector<WakeSink *> nodeSink_;
     /** Aggregate stats detour through scratch_ (threaded lanes). */
     bool laneMode_ = false;

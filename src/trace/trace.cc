@@ -400,10 +400,8 @@ TraceSession::~TraceSession()
         metrics::setActiveRegistry(nullptr);
     if (spatial_ && spatial::activeRegistry() == spatial_.get())
         spatial::setActiveRegistry(nullptr);
-#if NEUROCUBE_TRACE_ENABLED
     if (energy_ && energy::activeRegistry() == energy_.get())
         energy::setActiveRegistry(nullptr);
-#endif
 }
 
 } // namespace neurocube

@@ -338,21 +338,15 @@ class TraceSession
     /** The session's spatial registry, or nullptr (spatial off). */
     SpatialRegistry *spatial() { return spatial_.get(); }
 
-#if NEUROCUBE_TRACE_ENABLED
-    /** The session's energy registry, or nullptr (energy off). The
-     *  accessor only exists in NEUROCUBE_TRACE=ON builds — callers
-     *  must sit behind the same guard, keeping notrace builds free
-     *  of any EnergyRegistry reference. */
+    /** The session's energy registry, or nullptr (energy off, or
+     *  tracing compiled out). */
     EnergyRegistry *energy() { return energy_.get(); }
-#endif
 
   private:
     TraceRecorder recorder_;
     std::unique_ptr<MetricsRegistry> metrics_;
     std::unique_ptr<SpatialRegistry> spatial_;
-#if NEUROCUBE_TRACE_ENABLED
     std::unique_ptr<EnergyRegistry> energy_;
-#endif
     std::vector<std::unique_ptr<TraceSink>> sinks_;
     /** File streams backing the exporters (destroyed after sinks). */
     std::vector<std::unique_ptr<std::ofstream>> streams_;

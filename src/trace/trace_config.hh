@@ -112,19 +112,6 @@ struct TraceConfig
      * (PngPhase, MacBusy) can lose an endpoint at window boundaries.
      */
     uint64_t samplePeriod = 1;
-
-    /**
-     * Compatibility fallback: when set, a live event recorder (a
-     * session with at least one export sink) demotes the run to the
-     * Legacy tick loop, as all pre-sampling releases did. Off by
-     * default — the Event engine now stamps and aggregates the same
-     * trace-visible state (tests/test_engine_diff.cc gates that the
-     * two engines agree bit-for-bit on cycles, stalls, and energy
-     * while tracing). ThreadedLanes still demotes to Event while a
-     * recorder is live: the ring is single-producer and lane workers
-     * would race on it.
-     */
-    bool legacyEngineWithRecorder = false;
 };
 
 } // namespace neurocube

@@ -388,5 +388,128 @@ TEST(Batch, PerLaneStatsPartitionTheMachine)
         EXPECT_LE(lane.totalCycles(), run.cycles);
 }
 
+TEST(Batch, OneLaneBatchMatchesUnbatchedForward)
+{
+    // A one-lane batch covers the whole machine, so on every engine
+    // it must report exactly what an unbatched forward run of the
+    // same input reports: cycles, traffic, footprint, roofline and
+    // every counter-derived export.
+    NetworkDesc net = convFcNet();
+    NetworkData data = NetworkData::randomized(net, 9);
+    const Tensor x = laneInputs(net, 1, 900)[0];
+
+    for (SimEngine engine : {SimEngine::Legacy, SimEngine::Event,
+                             SimEngine::ThreadedLanes}) {
+        SCOPED_TRACE("engine " + std::to_string(int(engine)));
+        NeurocubeConfig config;
+        config.engine = engine;
+        config.batch.lanes = 1;
+        config.trace.enabled = true;
+        config.trace.metrics = true;
+        config.trace.energy = true;
+        config.trace.spatial = true;
+
+        RunResult batched;
+        {
+            Neurocube cube(config);
+            cube.loadNetwork(net, data);
+            BatchRunResult run = cube.runForwardBatch({x});
+            ASSERT_EQ(run.lanes.size(), 1u);
+            batched = run.lanes[0];
+            EXPECT_EQ(run.cycles, batched.totalCycles());
+        }
+        RunResult unbatched;
+        {
+            Neurocube cube(config);
+            cube.loadNetwork(net, data);
+            cube.setInput(x);
+            unbatched = cube.runForward();
+        }
+
+        ASSERT_EQ(batched.layers.size(), unbatched.layers.size());
+        for (size_t i = 0; i < unbatched.layers.size(); ++i) {
+            SCOPED_TRACE("layer " + std::to_string(i));
+            const LayerResult &b = batched.layers[i];
+            const LayerResult &u = unbatched.layers[i];
+            EXPECT_EQ(b.name, u.name);
+            EXPECT_EQ(b.cycles, u.cycles);
+            EXPECT_EQ(b.ops, u.ops);
+            EXPECT_EQ(b.dramBits, u.dramBits);
+            EXPECT_EQ(b.lateralPackets, u.lateralPackets);
+            EXPECT_EQ(b.localPackets, u.localPackets);
+            EXPECT_EQ(b.memoryBytes, u.memoryBytes);
+            EXPECT_EQ(b.duplicationBytes, u.duplicationBytes);
+            EXPECT_EQ(b.passes, u.passes);
+            EXPECT_EQ(b.roofline.valid, u.roofline.valid);
+            EXPECT_EQ(b.roofline.macPerCycle, u.roofline.macPerCycle);
+            EXPECT_EQ(b.roofline.macCeiling, u.roofline.macCeiling);
+            EXPECT_EQ(b.roofline.bytesPerCycle,
+                      u.roofline.bytesPerCycle);
+            EXPECT_EQ(b.roofline.bytesCeiling, u.roofline.bytesCeiling);
+            EXPECT_EQ(b.roofline.bound, u.roofline.bound);
+        }
+        EXPECT_EQ(batched.metricsJson(), unbatched.metricsJson());
+        EXPECT_EQ(batched.spatialJson(), unbatched.spatialJson());
+        EnergyCounts be = batched.energyCounts();
+        EnergyCounts ue = unbatched.energyCounts();
+        EXPECT_EQ(be.valid, ue.valid);
+        EXPECT_EQ(be.n, ue.n);
+    }
+}
+
+#if NEUROCUBE_TRACE_ENABLED
+/** Trace sink that keeps every event it is handed. */
+struct CollectingSink : TraceSink
+{
+    std::vector<TraceEvent> events;
+
+    void
+    consume(const TraceEvent *batch, size_t count) override
+    {
+        events.insert(events.end(), batch, batch + count);
+    }
+};
+
+TEST(Batch, ConfiguredStampFollowsTheConfigurationWindow)
+{
+    // Every pass charges configTicksPerPass before stamping its
+    // start, so a PNG's Configured phase begins where its
+    // data-driven run does, batched or not.
+    NetworkDesc net = convFcNet();
+    NetworkData data = NetworkData::randomized(net, 10);
+    const Tensor x = laneInputs(net, 1, 1000)[0];
+
+    auto configured_ticks = [&](bool batched) {
+        TraceRecorder recorder(1024);
+        recorder.setComponentMask(1u << unsigned(TraceComponent::Png));
+        CollectingSink sink;
+        recorder.addSink(&sink);
+        trace::setActiveRecorder(&recorder);
+        Neurocube cube((NeurocubeConfig()));
+        cube.loadNetwork(net, data);
+        if (batched) {
+            cube.runForwardBatch({x});
+        } else {
+            cube.setInput(x);
+            cube.runForward();
+        }
+        trace::setActiveRecorder(nullptr);
+        recorder.finish();
+        std::vector<Tick> ticks;
+        for (const TraceEvent &e : sink.events) {
+            if (e.type == TraceEventType::PngPhase
+                && e.arg == uint32_t(PngFsmPhase::Configured))
+                ticks.push_back(e.tick);
+        }
+        return ticks;
+    };
+
+    const std::vector<Tick> unbatched = configured_ticks(false);
+    ASSERT_FALSE(unbatched.empty());
+    EXPECT_EQ(unbatched.front(), NeurocubeConfig().configTicksPerPass);
+    EXPECT_EQ(configured_ticks(true), unbatched);
+}
+#endif
+
 } // namespace
 } // namespace neurocube

@@ -552,13 +552,6 @@ TEST(EngineDiff, ActiveEngineUnderLiveRecorder)
         EXPECT_EQ(cube.activeEngine(), SimEngine::Event);
     }
 
-    // Compatibility flag restores the old always-Legacy fallback.
-    config.trace.legacyEngineWithRecorder = true;
-    {
-        Neurocube cube(config);
-        EXPECT_EQ(cube.activeEngine(), SimEngine::Legacy);
-    }
-
     // A metrics-only session has no recorder: nothing demotes.
     NeurocubeConfig metrics_only;
     metrics_only.engine = SimEngine::ThreadedLanes;
