@@ -14,12 +14,14 @@
 #
 # --compare diffs the fresh BENCH_*.json against the committed
 # baselines in <baseline-dir> (see bench/baselines/). The simulator
-# is deterministic, so every "total_cycles" value (and, in
-# BENCH_serve.json, every "served" count) must match the baseline
-# EXACTLY: a change that is meant to be host-side only must not move
-# simulated timing at all, and an intended timing change regenerates
-# the baselines. Baselines record their "quick" flag; comparing a
-# quick run against a full baseline (or vice versa) is an error.
+# is deterministic, so each file must match its baseline byte for
+# byte once the host-only values ("wall_ms", "git_describe") are
+# blanked: cycles, energy, stall classes, histograms, spatial
+# counters, rooflines and manifests are all gated. A change that is
+# meant to be host-side only must not move any of them, and an
+# intended change regenerates the baselines. Baselines record their
+# "quick" flag; comparing a quick run against a full baseline (or
+# vice versa) is an error.
 #
 # --compare also runs a trace-overhead gate: quick fig12 with a live
 # sampled recorder (NEUROCUBE_TRACE_SAMPLE=1024) must finish within
@@ -76,23 +78,23 @@ ls -l "$outdir"
 
 [ -n "$baseline_dir" ] || exit 0
 
-# --compare: ordered "total_cycles" extraction is stable because
-# writeBenchJson emits runs and layers in a fixed order.
+# --compare: byte comparison with the host-only values blanked.
+# wall_ms appears both as "wall_ms": 123.4 and as "wall_ms":123.456789
+# (manifests); the mask keeps each occurrence's spacing.
 echo
 echo "=== comparing against baselines in $baseline_dir ==="
-extract_cycles() {
-    grep -o '"total_cycles": *[0-9]*' "$1" | grep -o '[0-9]*$'
+mask_host() {
+    sed -E -e 's/("wall_ms": ?)[-+0-9.eE]+/\1_/g' \
+           -e 's/("git_describe": ?)"[^"]*"/\1_/g' "$1"
 }
 extract_quick() {
     grep -o '"quick": *\(true\|false\)' "$1" | head -1 \
         | grep -o '\(true\|false\)$'
 }
-extract_served() {
-    grep -o '"served": *[0-9]*' "$1" | grep -o '[0-9]*$'
-}
 
 # Informational only: wall clock is host-dependent, so deltas are
-# reported but never gate the comparison (cycles are the hard gate).
+# reported but never gate the comparison (the masked bytes are the
+# hard gate).
 report_wall() {
     paste -d' ' <(grep -o '"wall_ms": *[0-9.]*' "$2" \
                       | grep -o '[0-9.]*$') \
@@ -127,19 +129,14 @@ for fresh in "$outdir"/BENCH_*.json; do
         fail=1
         continue
     fi
-    # Exact match: extract_served is empty on both sides for the
-    # benches that report no served counts.
-    if [ "$(extract_cycles "$fresh")" = "$(extract_cycles "$base")" ] \
-        && [ "$(extract_served "$fresh")" = "$(extract_served "$base")" ]; then
-        echo "  $name: $(extract_cycles "$fresh" | wc -l)" \
-             "total_cycles values match exactly"
+    if cmp -s <(mask_host "$base") <(mask_host "$fresh"); then
+        echo "  $name: matches the baseline byte for byte" \
+             "(wall_ms, git_describe blanked)"
     else
         echo "  $name: simulated results diverged from baseline" \
-             "(total_cycles/served must match exactly)" >&2
-        diff <(extract_cycles "$base") <(extract_cycles "$fresh") \
-            | head -5 || true
-        diff <(extract_served "$base") <(extract_served "$fresh") \
-            | head -5 || true
+             "(every field but wall_ms/git_describe must match)" >&2
+        diff <(mask_host "$base") <(mask_host "$fresh") \
+            | head -10 || true
         fail=1
     fi
     report_wall "$name" "$base" "$fresh"
@@ -194,8 +191,8 @@ awk -v off="$off_ms" -v on="$on_ms" '
         }
     }' || fail=1
 if [ "$fail" -ne 0 ]; then
-    echo "bench comparison FAILED (cycle mismatch, flag mismatch," \
-         "or trace overhead)" >&2
+    echo "bench comparison FAILED (baseline mismatch, flag" \
+         "mismatch, or trace overhead)" >&2
     exit 1
 fi
 echo "bench comparison OK"

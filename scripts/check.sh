@@ -31,9 +31,9 @@ for preset in "${presets[@]}"; do
 done
 
 # Quick-mode serving smoke: run the serve_sweep bench against the
-# committed baseline — the sweep is deterministic, so its cycle and
-# served-request counts must match bench/baselines/BENCH_serve.json
-# exactly (see bench.sh --compare).
+# committed baseline — the sweep is deterministic, so its JSON must
+# match bench/baselines/BENCH_serve.json byte for byte (see
+# bench.sh --compare).
 case " ${presets[*]} " in
 *" default "*)
     echo "=== [default] serve_sweep smoke ==="

@@ -47,7 +47,9 @@ if have_perf; then
     data="$outdir/$bench.perf.data"
     echo "=== perf record $bench ==="
     perf record -g -o "$data" -- "$bin" "$@"
-    perf report -i "$data" --stdio | head -60 \
+    # sed, not head: head exits early, and the report's SIGPIPE would
+    # fail the script under pipefail.
+    perf report -i "$data" --stdio | sed -n '1,60p' \
         | tee "$outdir/$bench.perf.txt"
     echo
     echo "full report: perf report -i $data"
@@ -78,6 +80,6 @@ mv "$rundir/gmon.out" "$gmon"
 rmdir "$rundir" 2>/dev/null || true
 
 gprof --flat-profile "$bin" "$gmon" \
-    | head -40 | tee "$outdir/$bench.gprof.txt"
+    | sed -n '1,40p' | tee "$outdir/$bench.gprof.txt"
 echo
 echo "call graph: gprof $bin $gmon | less"

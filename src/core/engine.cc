@@ -29,6 +29,7 @@ PassScheduler::PassScheduler(Slice slice, Tick start, bool tick_all)
     peAcct_.assign(np, start);
     fabricWake_ = start;
     fabricAcct_ = start;
+    s_.fabric->restartAccounting(start, s_.view);
 
     chSlotOfChannel_.assign(s_.numChannels, -1);
     chSlotOfNode_.assign(s_.numNodes, -1);
@@ -88,27 +89,17 @@ PassScheduler::step(Tick t)
         }
     }
 
-    // Phase 3: the NoC (or this lane's slice of it).
+    // Phase 3: the NoC (or this lane's slice of it). The fabric
+    // accounts each router itself; fabricAcct_ only counts the ticks
+    // the whole slice slept through as skipped component-ticks.
     if (fabricWake_ <= t) {
-        if (fabricAcct_ < t) {
+        if (fabricAcct_ < t)
             skipped_ += t - fabricAcct_;
-            if (s_.view != nullptr)
-                s_.fabric->skipLaneTicks(*s_.view, t - fabricAcct_);
-            else
-                s_.fabric->skipTicks(t - fabricAcct_);
-        }
-        if (s_.view != nullptr) {
-            s_.fabric->tickLane(*s_.view, t);
-            fabricWake_ = s_.fabric->laneRoutersIdle(*s_.view)
-                              ? tickNever
-                              : t + 1;
-        } else {
-            s_.fabric->tick(t);
-            fabricWake_ = s_.fabric->nextEventAfter(t);
-        }
-        if (tickAll_)
-            fabricWake_ = t + 1;
+        s_.fabric->tick(t, s_.view, tickAll_);
         fabricAcct_ = t + 1;
+        fabricWake_ = tickAll_ || !s_.fabric->routersIdle(s_.view)
+                          ? t + 1
+                          : tickNever;
     }
 
     // Phase 4: PEs. An ejection in phase 3 woke the PE at t, so a
@@ -161,12 +152,9 @@ PassScheduler::catchupAll(Tick final)
     }
     if (fabricAcct_ < final) {
         skipped_ += final - fabricAcct_;
-        if (s_.view != nullptr)
-            s_.fabric->skipLaneTicks(*s_.view, final - fabricAcct_);
-        else
-            s_.fabric->skipTicks(final - fabricAcct_);
         fabricAcct_ = final;
     }
+    s_.fabric->catchUp(final, s_.view);
     for (size_t i = 0; i < s_.pes.size(); ++i) {
         if (peAcct_[i] < final) {
             skipped_ += final - peAcct_[i];
@@ -234,15 +222,11 @@ PassScheduler::onInject(unsigned node, bool from_mem)
     // A PNG injection (phase 1) is switched by the fabric this same
     // tick (phase 3); a PE write-back (phase 4) waits for the next
     // (the fabric's phase-3 tick at cur_, executed or skipped, was a
-    // no-op either way). The hook fires before the packet is pushed,
-    // so the catch-up below covers a window of provably idle routers.
+    // no-op either way). The fabric catches the receiving router up
+    // to the same tick before the push.
     const Tick when = from_mem ? cur_ : cur_ + 1;
     if (fabricAcct_ < when) {
         skipped_ += when - fabricAcct_;
-        if (s_.view != nullptr)
-            s_.fabric->skipLaneTicks(*s_.view, when - fabricAcct_);
-        else
-            s_.fabric->skipTicks(when - fabricAcct_);
         fabricAcct_ = when;
     }
     if (fabricWake_ > when)

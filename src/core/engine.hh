@@ -115,9 +115,10 @@ class PassScheduler final : public WakeSink
     void onInject(unsigned node, bool from_mem) override;
 
     /**
-     * Component-ticks bulk-replayed by skipTicks()/skipLaneTicks()
-     * since the last call, then reset. The fabric (one skip replays
-     * its whole slice) counts as a single component. The driving
+     * Component-ticks bulk-replayed by skipTicks() since the last
+     * call, then reset. The fabric counts as a single component that
+     * skips only while every router of its slice is empty (the
+     * routers it leaves out while awake are not counted). The driving
      * loop turns this into one aggregate TraceEventType::EngineSkip
      * event per executed tick — the skipped window's trace-visible
      * state, synthesized in bulk instead of per-cycle events.
@@ -140,6 +141,8 @@ class PassScheduler final : public WakeSink
     std::vector<Tick> pngWake_, pngAcct_;
     std::vector<Tick> chWake_, chAcct_;
     std::vector<Tick> peWake_, peAcct_;
+    // The fabric accounts its routers itself (NocFabric::tick); these
+    // two only count the ticks the whole slice slept through.
     Tick fabricWake_;
     Tick fabricAcct_;
 

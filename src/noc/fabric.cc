@@ -1,7 +1,9 @@
 #include "noc/fabric.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.hh"
 #include "trace/energy.hh"
@@ -28,6 +30,14 @@ NocFabric::NocFabric(const Config &config, StatGroup *parent)
       histLatency_(&statGroup_, "latency",
                    "end-to-end packet latency (ticks)")
 {
+    // A zero width or depth never moves a packet: the run would spin
+    // to its pass deadline. Reject it here, naming the field.
+    nc_assert(config_.linkWidth > 0, "noc.linkWidth must be > 0");
+    nc_assert(config_.localPortWidth > 0,
+              "noc.localPortWidth must be > 0");
+    nc_assert(config_.bufferDepth > 0, "noc.bufferDepth must be > 0");
+    nc_assert(config_.deliveryDepth > 0,
+              "noc.deliveryDepth must be > 0");
     switch (config_.topology) {
       case NocTopology::Mesh2D:
         buildMesh();
@@ -36,6 +46,18 @@ NocFabric::NocFabric(const Config &config, StatGroup *parent)
         buildFullyConnected();
         break;
     }
+    numPorts_ = routers_.front()->config().numPorts;
+    linkAt_.assign(size_t(config_.numNodes) * numPorts_, SIZE_MAX);
+    linkPorts_.assign(config_.numNodes, 0);
+    for (size_t i = 0; i < links_.size(); ++i) {
+        const Link &link = links_[i];
+        linkAt_[link.srcRouter * numPorts_ + link.srcPort] = i;
+        linkPorts_[link.srcRouter] |= uint64_t(1) << link.srcPort;
+    }
+    all_.nodes.resize(config_.numNodes);
+    std::iota(all_.nodes.begin(), all_.nodes.end(), 0u);
+    all_.linkMask.assign((links_.size() + 63) / 64, ~uint64_t(0));
+    accounted_.assign(config_.numNodes, 0);
     publishSpatialTopology();
 }
 
@@ -225,10 +247,13 @@ NocFabric::memInjectSpace(VaultId v) const
 void
 NocFabric::injectFromMem(VaultId v, const Packet &packet, Tick now)
 {
-    // Wake before the push: a sleeping scheduler catches the fabric
-    // up first, while the skipped window is still provably idle.
+    // Wake before the push: the scheduler wakes the fabric for the
+    // tick that first switches the packet.
     if (nodeSink_[v] != nullptr)
         nodeSink_[v]->onInject(v, true);
+    // PNGs inject before the fabric ticks at now: the router's idle
+    // cycles run up to now, and the tick at now switches the packet.
+    catchUpRouter(v, now);
     Packet p = packet;
     p.injectTick = now;
     accountInjection(v, p);
@@ -247,6 +272,9 @@ NocFabric::injectFromPe(PeId p, const Packet &packet, Tick now)
     // Wake before the push (see injectFromMem).
     if (nodeSink_[p] != nullptr)
         nodeSink_[p]->onInject(p, false);
+    // PEs inject after the fabric ticked at now, so the router was
+    // idle through now (or already ticked at now).
+    catchUpRouter(p, now + 1);
     Packet pk = packet;
     pk.injectTick = now;
     accountInjection(p, pk);
@@ -254,22 +282,23 @@ NocFabric::injectFromPe(PeId p, const Packet &packet, Tick now)
 }
 
 void
-NocFabric::traverseLink(const Link &link, size_t index)
+NocFabric::traverseLink(const Link &link, size_t index, Tick now)
 {
     Router &src = *routers_[link.srcRouter];
-    if (src.bufferedOutputs() == 0)
-        return;
-    auto &out = src.outputQueue(link.srcPort);
+    Router &dst = *routers_[link.dstRouter];
+    const Ring<Packet> &out = src.outputQueue(link.srcPort);
     // Occupancy integral: source queue depth, once per executed
-    // link-cycle. Cycles the event engine skips have every router
-    // empty, so they would contribute zero — the integral is engine-
-    // invariant without any bulk accounting.
+    // link-cycle with a packet waiting. Empty FIFOs and the cycles
+    // the event engine skips would contribute zero, so the integral
+    // is engine-invariant without any bulk accounting.
     NC_SPATIAL_EVENT(SpatialCounter::LinkOccupancy, index,
                      out.size());
+    // Phase 1 of this tick is over: a router it skipped was idle
+    // through now.
+    catchUpRouter(link.dstRouter, now + 1);
     unsigned budget = link.width;
     while (budget > 0 && !out.empty()
-           && routers_[link.dstRouter]->inputSpace(link.dstPort)
-                  > 0) {
+           && dst.inputSpace(link.dstPort) > 0) {
         // With a lane map installed, a packet entering a router
         // outside its destination's lane escaped its sub-mesh.
         if (!laneOf_.empty()
@@ -279,10 +308,8 @@ NocFabric::traverseLink(const Link &link, size_t index)
             else
                 ++crossLanePackets_;
         }
-        routers_[link.dstRouter]->pushInput(link.dstPort,
-                                            out.front());
-        out.pop_front();
-        --src.bufferedOutputs_;
+        dst.pushInput(link.dstPort, out.front());
+        src.popOutput(link.srcPort);
         --budget;
         if (laneMode_)
             ++scratch_[link.srcRouter].linkFlits;
@@ -298,7 +325,7 @@ NocFabric::traverseLink(const Link &link, size_t index)
     // downstream FIFO was out of space. At most one stall per link
     // per executed cycle (a classification, not a flit count).
     if (budget > 0 && !out.empty()
-        && routers_[link.dstRouter]->inputSpace(link.dstPort) == 0)
+        && dst.inputSpace(link.dstPort) == 0)
         NC_SPATIAL_EVENT(SpatialCounter::LinkStall, index, 1);
 }
 
@@ -306,11 +333,9 @@ void
 NocFabric::ejectNode(unsigned node, Tick now)
 {
     Router &router = *routers_[node];
-    if (router.bufferedOutputs() == 0)
-        return;
     auto eject = [&](unsigned port, Ring<Packet> &sink,
                      bool is_mem) {
-        auto &out = router.outputQueue(port);
+        const Ring<Packet> &out = router.outputQueue(port);
         unsigned budget = router.portWidth(port);
         bool ejected = false;
         while (budget > 0 && !out.empty()
@@ -330,8 +355,7 @@ NocFabric::ejectNode(unsigned node, Tick now)
                      TraceEventType::PacketEject, is_mem ? 1 : 0,
                      latency);
             sink.push_back(out.front());
-            out.pop_front();
-            --router.bufferedOutputs_;
+            router.popOutput(port);
             --budget;
             ejected = true;
         }
@@ -343,33 +367,78 @@ NocFabric::ejectNode(unsigned node, Tick now)
 }
 
 void
-NocFabric::tick(Tick now)
+NocFabric::tick(Tick now, const LaneView *view, bool tick_all)
 {
-    // Phase 1: switch allocation in every router.
-    for (auto &router : routers_)
-        router->tick();
+    const LaneView &v = viewOrAll(view);
+    // Per-thread scratch (ThreadedLanes ticks views concurrently):
+    // the links whose source FIFO holds a packet, and the nodes with
+    // a packet for an endpoint. Only phase 1 enqueues into output
+    // FIFOs, so both are complete once it is over.
+    thread_local std::vector<uint64_t> occupied_links;
+    thread_local std::vector<unsigned> ejecting;
+    occupied_links.assign(v.linkMask.size(), 0);
+    ejecting.clear();
 
-    // Phase 2: router-to-router links (credit = downstream space).
-    // Links never share a source or destination FIFO, so the three
-    // phase loops (and any restriction of them, see tickLane) are
-    // order-independent within a cycle.
-    for (size_t i = 0; i < links_.size(); ++i)
-        traverseLink(links_[i], i);
+    // Phase 1: switch allocation in every router that holds a packet.
+    for (unsigned node : v.nodes) {
+        Router &router = *routers_[node];
+        if (!tick_all && router.idle())
+            continue;
+        catchUpRouter(node, now);
+        router.tick();
+        accounted_[node] = now + 1;
+        const uint64_t outputs = router.occupiedOutputs();
+        for (uint64_t m = outputs & linkPorts_[node]; m != 0;
+             m &= m - 1) {
+            const size_t link =
+                linkAt_[node * numPorts_ + std::countr_zero(m)];
+            occupied_links[link / 64] |= uint64_t(1) << (link % 64);
+        }
+        // Routes lead only to links and to the two endpoint ports.
+        if ((outputs & ~linkPorts_[node]) != 0)
+            ejecting.push_back(node);
+    }
+
+    // Phase 2: router-to-router links (credit = downstream space),
+    // in ascending link index. Links never share a source or
+    // destination FIFO, so the three phase loops (and any
+    // restriction of them to a view) are order-independent within a
+    // cycle; the ascending order keeps trace events in place.
+    for (size_t w = 0; w < occupied_links.size(); ++w) {
+        for (uint64_t m = occupied_links[w] & v.linkMask[w]; m != 0;
+             m &= m - 1) {
+            const size_t index = w * 64 + std::countr_zero(m);
+            traverseLink(links_[index], index, now);
+        }
+    }
 
     // Phase 3: ejection into endpoint delivery queues.
-    for (unsigned node = 0; node < config_.numNodes; ++node)
+    for (unsigned node : ejecting)
         ejectNode(node, now);
 }
 
-void
-NocFabric::tickLane(const LaneView &view, Tick now)
+bool
+NocFabric::routersIdle(const LaneView *view) const
 {
-    for (unsigned node : view.nodes)
-        routers_[node]->tick();
-    for (size_t index : view.links)
-        traverseLink(links_[index], index);
-    for (unsigned node : view.nodes)
-        ejectNode(node, now);
+    for (unsigned node : viewOrAll(view).nodes) {
+        if (!routers_[node]->idle())
+            return false;
+    }
+    return true;
+}
+
+void
+NocFabric::restartAccounting(Tick start, const LaneView *view)
+{
+    for (unsigned node : viewOrAll(view).nodes)
+        accounted_[node] = start;
+}
+
+void
+NocFabric::catchUp(Tick final, const LaneView *view)
+{
+    for (unsigned node : viewOrAll(view).nodes)
+        catchUpRouter(node, final);
 }
 
 std::vector<NocFabric::LaneView>
@@ -379,6 +448,7 @@ NocFabric::buildLaneViews(
     std::vector<LaneView> views(partition.size());
     std::vector<size_t> lane_of(config_.numNodes, SIZE_MAX);
     for (size_t l = 0; l < partition.size(); ++l) {
+        views[l].linkMask.assign((links_.size() + 63) / 64, 0);
         views[l].nodes = partition[l];
         std::sort(views[l].nodes.begin(), views[l].nodes.end());
         for (unsigned node : views[l].nodes) {
@@ -391,24 +461,10 @@ NocFabric::buildLaneViews(
         size_t src_lane = lane_of[links_[i].srcRouter];
         if (src_lane != SIZE_MAX
             && src_lane == lane_of[links_[i].dstRouter]) {
-            views[src_lane].links.push_back(i);
+            views[src_lane].linkMask[i / 64] |= uint64_t(1) << (i % 64);
         }
     }
     return views;
-}
-
-void
-NocFabric::skipTicks(uint64_t n)
-{
-    for (auto &router : routers_)
-        router->skipTicks(n);
-}
-
-void
-NocFabric::skipLaneTicks(const LaneView &view, uint64_t n)
-{
-    for (unsigned node : view.nodes)
-        routers_[node]->skipTicks(n);
 }
 
 void
@@ -437,16 +493,6 @@ NocFabric::foldLaneStats()
         histLatency_.merge(s.latency);
         s = NodeScratch{};
     }
-}
-
-bool
-NocFabric::routersIdle() const
-{
-    for (const auto &router : routers_) {
-        if (!router->idle())
-            return false;
-    }
-    return true;
 }
 
 bool

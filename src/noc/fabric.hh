@@ -81,23 +81,22 @@ class NocFabric
         return memDelivery_[v];
     }
 
-    /** Advance one cycle: switch all routers, then move all links. */
-    void tick(Tick now);
-
     /**
-     * Structural slice of one batch lane: the lane's routers and the
-     * links internal to it. tickLane() over a view is equivalent to
-     * tick() as long as no packet crosses lanes (routers, links and
-     * ejections are mutually independent within a cycle, so
-     * restricting the iteration to one lane's slice cannot reorder
-     * anything observable).
+     * Structural slice of the fabric: a set of routers and the links
+     * between them. The whole fabric is one view (built once); a
+     * batch lane's view holds the lane's routers and the links
+     * internal to it. Ticking a lane's view is equivalent to ticking
+     * the whole fabric as long as no packet crosses lanes (routers,
+     * links and ejections are mutually independent within a cycle,
+     * so restricting the iteration to one lane's slice cannot
+     * reorder anything observable).
      */
     struct LaneView
     {
-        /** Lane nodes, ascending (matches full-fabric tick order). */
+        /** View nodes, ascending (matches full-fabric tick order). */
         std::vector<unsigned> nodes;
-        /** Indices into links_ of the lane-internal links. */
-        std::vector<size_t> links;
+        /** Bit i of word i / 64 set: links_[i] is in the view. */
+        std::vector<uint64_t> linkMask;
     };
 
     /** Slice the fabric along a node partition (one view per lane). */
@@ -105,37 +104,34 @@ class NocFabric
     buildLaneViews(
         const std::vector<std::vector<unsigned>> &partition) const;
 
-    /** Advance one cycle for one lane's slice only. */
-    void tickLane(const LaneView &view, Tick now);
+    /**
+     * Advance one cycle of @p view (nullptr: the whole fabric):
+     * switch the routers, then move the links, then eject. An empty
+     * router is not ticked: each router keeps the first tick it has
+     * not yet accounted, and its skipped idle cycles are replayed by
+     * Router::skipTicks() just before the next packet lands in it
+     * (or by catchUp()). With @p tick_all every router of the view is
+     * ticked every call (the scheduler's tick-all mode, the oracle).
+     *
+     * Push sites assume the scheduler's phase order within a cycle:
+     * PNG injection before the fabric's tick, link pushes inside it,
+     * PE injection after it.
+     */
+    void tick(Tick now, const LaneView *view = nullptr,
+              bool tick_all = false);
 
-    /** True when none of the lane's routers holds a packet. */
-    bool
-    laneRoutersIdle(const LaneView &view) const
-    {
-        for (unsigned node : view.nodes) {
-            if (!routers_[node]->idle())
-                return false;
-        }
-        return true;
-    }
+    /** True when none of the view's routers holds a packet. */
+    bool routersIdle(const LaneView *view = nullptr) const;
 
     /**
-     * First tick after @p now at which tick() would move a packet.
-     * With every router empty the fabric is quiescent until an
-     * injection (delivery queues drain on the consumer's clock, not
-     * this one); skipTicks() accounts the skipped stretch.
+     * Restart the accounting of the view's routers at @p start (a
+     * pass start): ticks before it, such as the configuration
+     * window, stay unaccounted.
      */
-    Tick
-    nextEventAfter(Tick now) const
-    {
-        return routersIdle() ? tickNever : now + 1;
-    }
+    void restartAccounting(Tick start, const LaneView *view = nullptr);
 
-    /** Account @p n all-routers-idle cycles in bulk. */
-    void skipTicks(uint64_t n);
-
-    /** Account @p n lane-routers-idle cycles for one lane's slice. */
-    void skipLaneTicks(const LaneView &view, uint64_t n);
+    /** Account every router of the view up to @p final (exclusive). */
+    void catchUp(Tick final, const LaneView *view = nullptr);
 
     /**
      * Install one wake sink for every node (single event scheduler),
@@ -156,7 +152,7 @@ class NocFabric
      * Route the fabric-level aggregate stats (ejection counts,
      * latency histogram, link flits, lane-violation count) through
      * per-node scratch counters instead of the shared Stat objects,
-     * so concurrent per-lane tickLane() calls never touch shared
+     * so concurrent per-lane tick() calls never touch shared
      * state. foldLaneStats() merges the scratch back (the fold is
      * exact: all quantities are integer-valued). Per-node stats
      * (router objects, nodeLateral_/nodeLocal_) are already disjoint
@@ -169,12 +165,6 @@ class NocFabric
 
     /** True when no packet is anywhere in the fabric. */
     bool idle() const;
-
-    /**
-     * True when no packet is inside a router (packets may still be
-     * waiting in endpoint delivery queues).
-     */
-    bool routersIdle() const;
 
     /**
      * True when one node holds no packets: its router FIFOs and both
@@ -289,9 +279,25 @@ class NocFabric
     void accountInjection(unsigned node, const Packet &packet);
     /** Publish link endpoints to an active SpatialRegistry. */
     void publishSpatialTopology() const;
-    /** Move packets across one link (phase 2 body). @p index is the
-     *  link's ordinal in links_ (spatial counter instance). */
-    void traverseLink(const Link &link, size_t index);
+    /** The view a LaneView pointer names (nullptr: the fabric). */
+    const LaneView &
+    viewOrAll(const LaneView *view) const
+    {
+        return view != nullptr ? *view : all_;
+    }
+    /** Replay router @p node's idle cycles up to @p to (exclusive). */
+    void
+    catchUpRouter(unsigned node, Tick to)
+    {
+        if (accounted_[node] < to) {
+            routers_[node]->skipTicks(to - accounted_[node]);
+            accounted_[node] = to;
+        }
+    }
+    /** Move packets across one link (phase 2 body of tick @p now).
+     *  @p index is the link's ordinal in links_ (spatial counter
+     *  instance). @pre the source output FIFO is occupied */
+    void traverseLink(const Link &link, size_t index, Tick now);
     /** Eject into one node's delivery queues (phase 3 body). */
     void ejectNode(unsigned node, Tick now);
 
@@ -312,6 +318,16 @@ class NocFabric
     unsigned meshWidth_ = 0;
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<Link> links_;
+    /** Every node and every link (the view a null view means). */
+    LaneView all_;
+    /** Router port count (every router of a topology has the same). */
+    unsigned numPorts_ = 0;
+    /** Per node * numPorts_ + port: the link that port feeds. */
+    std::vector<size_t> linkAt_;
+    /** Per node: output ports that feed a link. */
+    std::vector<uint64_t> linkPorts_;
+    /** Per router: first tick not yet accounted (see tick()). */
+    std::vector<Tick> accounted_;
     /** Per node: output port feeding the PE endpoint. */
     std::vector<unsigned> pePort_;
     /** Per node: output port feeding the memory endpoint. */

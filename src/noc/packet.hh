@@ -34,19 +34,15 @@ enum class PacketKind : uint8_t
     WriteBack,
 };
 
-/** One single-flit NoC packet. */
+/**
+ * One single-flit NoC packet. Fields are ordered widest first so the
+ * struct packs into 32 bytes: every operand is copied through four
+ * rings (PNG out-queue, router input, router output, delivery queue).
+ */
 struct Packet
 {
-    /** Payload interpretation. */
-    PacketKind kind = PacketKind::State;
-    /** Source vault (4-bit SRC field). */
-    VaultId src = 0;
-    /** Destination id: PE for operands, vault/PNG for write-backs. */
-    uint16_t dst = 0;
-    /** True when dst names a PNG/memory port, not a PE. */
-    bool dstIsMem = false;
-    /** Target MAC within the destination PE (4-bit MAC-ID field). */
-    MacId mac = 0;
+    /** Simulation bookkeeping: tick at injection (latency stats). */
+    Tick injectTick = 0;
     /**
      * Operation sequence number within the current output neuron
      * group. The hardware field is opId % 256 (Section V-A); the
@@ -54,9 +50,6 @@ struct Packet
      * depend on wraparound being benign.
      */
     OpId opId = 0;
-    /** The 16-bit payload. */
-    Fixed data{};
-
     /** Simulation bookkeeping: output-neuron index for this op. */
     uint32_t neuron = 0;
     /**
@@ -65,8 +58,14 @@ struct Packet
      * group from in-order generation plus the 8-bit OP-ID).
      */
     uint32_t group = 0;
-    /** Simulation bookkeeping: tick at injection (latency stats). */
-    Tick injectTick = 0;
+    /** Source vault (4-bit SRC field). */
+    VaultId src = 0;
+    /** Destination id: PE for operands, vault/PNG for write-backs. */
+    uint16_t dst = 0;
+    /** Target MAC within the destination PE (4-bit MAC-ID field). */
+    MacId mac = 0;
+    /** The 16-bit payload. */
+    Fixed data{};
     /**
      * Memory channel that stores this op's output neuron (the
      * write-back destination). Usually the PE's own vault, but with
@@ -74,6 +73,10 @@ struct Packet
      * the home channel is a coarser partition.
      */
     VaultId homeVault = 0;
+    /** Payload interpretation. */
+    PacketKind kind = PacketKind::State;
+    /** True when dst names a PNG/memory port, not a PE. */
+    bool dstIsMem = false;
 
     /** The 8-bit OP-ID field value as the hardware would carry it. */
     uint32_t hwOpId() const { return opId % opIdModulus; }
@@ -81,6 +84,8 @@ struct Packet
     /** Size of the hardware packet in bits (Table II router width). */
     static constexpr unsigned bits = 36;
 };
+
+static_assert(sizeof(Packet) == 32, "Packet grew past 32 bytes");
 
 } // namespace neurocube
 

@@ -1,5 +1,8 @@
 #include "noc/router.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 #include "trace/energy.hh"
 #include "trace/metrics.hh"
@@ -10,15 +13,24 @@ namespace neurocube
 Router::Router(const Config &config, StatGroup *parent,
                const std::string &name, unsigned trace_id)
     : config_(config), traceId_(uint16_t(trace_id)),
+      width_(config.numPorts, 1),
       inputQueue_(config.numPorts, Ring<Packet>(config.bufferDepth)),
       outputQueue_(config.numPorts, Ring<Packet>(config.bufferDepth)),
       routeTable_(2 * config.numNodes, ~0u),
+      outBudget_(config.numPorts, 0),
       statGroup_(parent, name),
       statSwitched_(&statGroup_, "switched", "packets switched"),
       statBlocked_(&statGroup_, "blocked",
                    "input-port cycles blocked on a full output")
 {
     nc_assert(config_.numPorts >= 2, "router needs at least 2 ports");
+    // One bit per port in the occupancy masks.
+    nc_assert(config_.numPorts <= 64,
+              "router has %u ports, the occupancy masks hold 64",
+              config_.numPorts);
+    for (unsigned p = 0; p < config_.portWidth.size()
+                         && p < config_.numPorts; ++p)
+        width_[p] = config_.portWidth[p];
 }
 
 void
@@ -38,6 +50,7 @@ Router::pushInput(unsigned port, const Packet &packet)
     nc_assert(inputSpace(port) > 0,
               "push into full input FIFO (credit violation)");
     inputQueue_[port].push_back(packet);
+    inMask_ |= uint64_t(1) << port;
     ++bufferedInputs_;
     NC_TRACE(TraceComponent::Router, traceId_,
              TraceEventType::FlitEnqueue, port,
@@ -58,7 +71,7 @@ Router::tick()
 {
     const unsigned nports = config_.numPorts;
 
-    if (bufferedInputs_ == 0) {
+    if (inMask_ == 0) {
         // Nothing to switch; just rotate the daisy chain. Output
         // FIFOs may still hold packets waiting for link slots, but
         // that wait is the link's cycle, not this crossbar's.
@@ -69,53 +82,63 @@ Router::tick()
         return;
     }
 
-    // Remaining output enqueue slots this cycle (crossbar width).
-    outBudget_.resize(nports);
-    for (unsigned p = 0; p < nports; ++p) {
-        unsigned width = portWidth(p);
-        unsigned space = outputSpace(p);
-        outBudget_[p] = std::min(width, space);
-    }
-
-    // Visit inputs in rotating daisy-chain priority order
-    // (priority_ < nports, so one conditional subtract wraps).
+    // Visit the occupied inputs in rotating daisy-chain priority
+    // order: ports priority_ and up, then 0 to priority_ - 1. An
+    // output's budget, min(width, space), is taken the first time
+    // this cycle routes a packet to it; only this loop enqueues into
+    // outputs, so that equals a budget taken up front.
+    const uint64_t from_priority = ~uint64_t(0) << priority_;
+    uint64_t budgeted = 0;
+    unsigned switched = 0;
     bool blocked = false;
-    for (unsigned i = 0; i < nports; ++i) {
-        unsigned in = priority_ + i;
-        if (in >= nports)
-            in -= nports;
-        unsigned in_budget = portWidth(in);
-        while (in_budget > 0 && !inputQueue_[in].empty()) {
-            const Packet &head = inputQueue_[in].front();
-            unsigned idx = routeIndex(head.dst, head.dstIsMem,
-                                      config_.numNodes);
-            nc_assert(idx < routeTable_.size(),
-                      "unroutable destination %u", head.dst);
-            unsigned out = routeTable_[idx];
-            nc_assert(out != ~0u, "no route installed for dst %u%s",
-                      head.dst, head.dstIsMem ? " (mem)" : "");
-            if (outBudget_[out] == 0) {
-                // Head-of-line blocked; wormhole switching cannot
-                // reorder behind the blocked head.
-                statBlocked_ += 1;
-                blocked = true;
+    for (uint64_t pending : {inMask_ & from_priority,
+                             inMask_ & ~from_priority}) {
+        while (pending != 0) {
+            const unsigned in = unsigned(std::countr_zero(pending));
+            pending &= pending - 1;
+            Ring<Packet> &queue = inputQueue_[in];
+            for (unsigned in_budget = width_[in];
+                 in_budget > 0 && !queue.empty(); --in_budget) {
+                const Packet &head = queue.front();
+                unsigned idx = routeIndex(head.dst, head.dstIsMem,
+                                          config_.numNodes);
+                nc_assert(idx < routeTable_.size(),
+                          "unroutable destination %u", head.dst);
+                unsigned out = routeTable_[idx];
+                nc_assert(out != ~0u, "no route installed for dst %u%s",
+                          head.dst, head.dstIsMem ? " (mem)" : "");
+                const uint64_t out_bit = uint64_t(1) << out;
+                if ((budgeted & out_bit) == 0) {
+                    budgeted |= out_bit;
+                    outBudget_[out] =
+                        std::min(width_[out], outputSpace(out));
+                }
+                if (outBudget_[out] == 0) {
+                    // Head-of-line blocked; wormhole switching cannot
+                    // reorder behind the blocked head.
+                    statBlocked_ += 1;
+                    blocked = true;
+                    NC_TRACE(TraceComponent::Router, traceId_,
+                             TraceEventType::FlitBlocked, in);
+                    break;
+                }
+                outputQueue_[out].push_back(head);
+                queue.pop_front();
+                outMask_ |= out_bit;
+                --outBudget_[out];
+                ++switched;
                 NC_TRACE(TraceComponent::Router, traceId_,
-                         TraceEventType::FlitBlocked, in);
-                break;
+                         TraceEventType::FlitSwitch, out,
+                         outputQueue_[out].size());
             }
-            outputQueue_[out].push_back(head);
-            inputQueue_[in].pop_front();
-            --bufferedInputs_;
-            ++bufferedOutputs_;
-            --outBudget_[out];
-            --in_budget;
-            statSwitched_ += 1;
-            NC_ENERGY_EVENT(EnergyEventKind::NocHop, traceId_, 1);
-            NC_TRACE(TraceComponent::Router, traceId_,
-                     TraceEventType::FlitSwitch, out,
-                     outputQueue_[out].size());
+            if (queue.empty())
+                inMask_ &= ~(uint64_t(1) << in);
         }
     }
+    bufferedInputs_ -= switched;
+    bufferedOutputs_ += switched;
+    statSwitched_ += switched;
+    NC_ENERGY_EVENT(EnergyEventKind::NocHop, traceId_, switched);
 
     // Head-of-line blocking dominates the classification: a cycle
     // where any input sat behind a full output is the congestion

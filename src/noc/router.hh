@@ -108,23 +108,38 @@ class Router
     unsigned bufferedInputs() const { return bufferedInputs_; }
 
     /** Packets waiting in an output FIFO. */
-    Ring<Packet> &outputQueue(unsigned port)
+    const Ring<Packet> &outputQueue(unsigned port) const
     {
         return outputQueue_[port];
+    }
+
+    /** Bit p set: output FIFO p holds a packet. */
+    uint64_t occupiedOutputs() const { return outMask_; }
+
+    /** Remove the head of a non-empty output FIFO (link or ejection). */
+    void
+    popOutput(unsigned port)
+    {
+        Ring<Packet> &queue = outputQueue_[port];
+        queue.pop_front();
+        --bufferedOutputs_;
+        if (queue.empty())
+            outMask_ &= ~(uint64_t(1) << port);
     }
 
     /**
      * Switch allocation for one cycle: move packets from input FIFOs
      * to output FIFOs under crossbar constraints (at most width[in]
      * dequeues per input, width[out] enqueues per output) with
-     * rotating daisy-chain priority across inputs.
+     * rotating daisy-chain priority across inputs. Only occupied
+     * inputs are visited.
      */
     void tick();
 
     /**
-     * Account @p n fully-idle cycles in bulk (event engine): rotates
-     * the daisy-chain priority as n tick() calls would have and
-     * classifies the cycles Idle. @pre idle()
+     * Account @p n fully-idle cycles in bulk: rotates the daisy-chain
+     * priority as n tick() calls would have and classifies the cycles
+     * Idle. @pre idle()
      */
     void skipTicks(uint64_t n);
 
@@ -145,39 +160,36 @@ class Router
     const Config &config() const { return config_; }
 
     /** Width of a port in packets per cycle. */
-    unsigned
-    portWidth(unsigned port) const
-    {
-        if (port < config_.portWidth.size())
-            return config_.portWidth[port];
-        return 1;
-    }
+    unsigned portWidth(unsigned port) const { return width_[port]; }
 
   private:
     Config config_;
     /** Node index published with trace events. */
     uint16_t traceId_;
+    /** Per-port width, resolved from config_.portWidth once. */
+    std::vector<unsigned> width_;
     std::vector<Ring<Packet>> inputQueue_;
     std::vector<Ring<Packet>> outputQueue_;
     std::vector<unsigned> routeTable_;
     /** Daisy-chain priority pointer, advanced every cycle. */
     unsigned priority_ = 0;
-    /** Scratch per-output budget, reused each cycle. */
+    /**
+     * Per-output enqueue budget of the current cycle. An entry is
+     * valid only once tick() has set its bit in its local mask.
+     */
     std::vector<unsigned> outBudget_;
+    /** Bit p set: input FIFO p holds a packet. */
+    uint64_t inMask_ = 0;
+    /** Bit p set: output FIFO p holds a packet. */
+    uint64_t outMask_ = 0;
     /** Packets currently in input FIFOs (fast empty check). */
     unsigned bufferedInputs_ = 0;
-    /**
-     * Packets currently in output FIFOs. tick() increments on each
-     * switch; the fabric (a friend — it pops outputQueue_ directly)
-     * decrements at its link-traverse and ejection pop sites.
-     */
+    /** Packets currently in output FIFOs. */
     unsigned bufferedOutputs_ = 0;
 
     StatGroup statGroup_;
     Stat statSwitched_;
     Stat statBlocked_;
-
-    friend class NocFabric;
 };
 
 } // namespace neurocube

@@ -253,9 +253,7 @@ void setActiveRegistry(SpatialRegistry *registry);
  * newline): the mesh shape, per-link records with node endpoints,
  * and the vault/PE/node vectors as flat arrays in instance order.
  * Deterministic — fixed field order, integers only — so identical
- * runs produce byte-identical documents. Deliberately avoids the
- * "total_cycles" / "served" / "wall_ms" key names scripts/bench.sh
- * pattern-matches for its baseline gates.
+ * runs produce byte-identical documents.
  *
  * @param cycles reference cycles the counters cover (the divisor
  *        for occupancy/queue integrals); 0 when unknown

@@ -123,8 +123,12 @@ randomConfig(Rng &rng, bool need_identity_channels)
             break;
         }
     }
+    // About one case in four runs the 17-port fully connected NoC.
+    if (rng.below(4) == 0)
+        config.noc.topology = NocTopology::FullyConnected;
     config.noc.bufferDepth = 4u << rng.below(3);    // 4, 8, 16
     config.noc.linkWidth = 1 + unsigned(rng.below(2));
+    config.noc.localPortWidth = 1 + unsigned(rng.below(3)); // 1..3
     config.noc.deliveryDepth = 16u << rng.below(2); // 16, 32
     config.splitFullConvPasses = rng.below(4) == 0;
     config.mapping.weightsInPeMemory = rng.below(2) != 0;

@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "common/rng.hh"
 #include "noc/fabric.hh"
 #include "noc/packet.hh"
 #include "noc/router.hh"
+#include "trace/energy.hh"
+#include "trace/metrics.hh"
+#include "trace/spatial.hh"
 
 namespace neurocube
 {
@@ -210,9 +216,8 @@ TEST(Router, RotatingPriorityIsFair)
                 router.pushInput(in, p);
         }
         router.tick();
-        auto &out = router.outputQueue(2);
-        while (!out.empty())
-            out.pop_front();
+        while (!router.outputQueue(2).empty())
+            router.popOutput(2);
     }
     // The crossbar moves one packet per output per cycle; both
     // inputs stay saturated, so the sum is ~100 and the split fair.
@@ -246,10 +251,10 @@ TEST(Router, RotatingArbiterBoundsWaitingTime)
                 router.pushInput(in, p);
         }
         router.tick();
-        auto &out = router.outputQueue(Inputs - 1);
-        while (!out.empty()) {
-            grants.push_back(uint16_t(out.front().src));
-            out.pop_front();
+        while (!router.outputQueue(Inputs - 1).empty()) {
+            grants.push_back(
+                uint16_t(router.outputQueue(Inputs - 1).front().src));
+            router.popOutput(Inputs - 1);
         }
     }
 
@@ -277,6 +282,279 @@ TEST(Router, CreditViolationAsserts)
     EXPECT_EQ(router.inputSpace(0), 0u);
     EXPECT_DEATH(router.pushInput(0, p), "credit violation");
 }
+
+TEST(FabricConfig, ZeroWidthsAndDepthsAreRejected)
+{
+    // Each would never move a packet and spin a run to its deadline.
+    StatGroup root(nullptr, "t");
+    NocFabric::Config c;
+    c.linkWidth = 0;
+    EXPECT_DEATH(NocFabric(c, &root), "noc.linkWidth must be > 0");
+    c = NocFabric::Config{};
+    c.localPortWidth = 0;
+    EXPECT_DEATH(NocFabric(c, &root),
+                 "noc.localPortWidth must be > 0");
+    c = NocFabric::Config{};
+    c.bufferDepth = 0;
+    EXPECT_DEATH(NocFabric(c, &root), "noc.bufferDepth must be > 0");
+    c = NocFabric::Config{};
+    c.deliveryDepth = 0;
+    EXPECT_DEATH(NocFabric(c, &root),
+                 "noc.deliveryDepth must be > 0");
+}
+
+TEST(Router, PortCountBoundedByOccupancyMask)
+{
+    Router::Config rc;
+    rc.numPorts = 65;
+    rc.numNodes = 1;
+    StatGroup root(nullptr, "t");
+    EXPECT_DEATH(Router(rc, &root, "r"), "occupancy masks hold 64");
+    rc.numPorts = 64;
+    Router widest(rc, &root, "r64");
+    EXPECT_EQ(widest.portWidth(63), 1u);
+}
+
+TEST(Router, SkipTicksWithBufferedPacketAsserts)
+{
+    Router::Config rc;
+    rc.numPorts = 2;
+    rc.numNodes = 1;
+    StatGroup root(nullptr, "t");
+    Router router(rc, &root, "r");
+    router.pushInput(0, operandTo(0));
+    EXPECT_DEATH(router.skipTicks(1), "skipTicks while packets");
+}
+
+TEST(Router, MissingRouteAsserts)
+{
+    Router::Config rc;
+    rc.numPorts = 2;
+    rc.numNodes = 2;
+    StatGroup root(nullptr, "t");
+    Router router(rc, &root, "r");
+    router.pushInput(0, operandTo(1));
+    EXPECT_DEATH(router.tick(), "no route installed for dst 1");
+    Router far(rc, &root, "far");
+    far.pushInput(0, operandTo(7));
+    EXPECT_DEATH(far.tick(), "unroutable destination 7");
+}
+
+/**
+ * Differential check of the fabric's router skipping: one seeded
+ * stimulus runs once with every router ticked every cycle (the
+ * scheduler's tick-all mode) and once with empty routers left out
+ * and caught up lazily. The stimulus follows the machine's phase
+ * order: PNG-side draining and injection before the fabric's tick,
+ * PE-side draining and injection after it.
+ */
+class FabricSkipDiff
+    : public ::testing::TestWithParam<std::tuple<NocTopology, unsigned>>
+{
+  protected:
+    /** One packet handed to an endpoint: (tick, node, to_mem, id). */
+    using Delivery = std::tuple<Tick, unsigned, bool, uint32_t>;
+
+    struct Outcome
+    {
+        std::vector<Delivery> delivered;
+        Tick final = 0;
+        std::vector<StallBreakdown> routerCycles;
+        std::vector<EnergyCounts> energy;
+        std::vector<uint64_t> linkFlits, linkStalls, linkOccupancy;
+        uint64_t linkFlitStat = 0;
+        uint64_t ejected = 0;
+        uint64_t latencyMin = 0, latencyMax = 0;
+        double latencyMean = 0, latencyP50 = 0, latencyP99 = 0;
+    };
+
+    static Outcome
+    run(bool tick_all, uint64_t seed)
+    {
+        const auto [topology, link_width] = GetParam();
+        NocFabric::Config c;
+        c.topology = topology;
+        c.numNodes = 16;
+        c.linkWidth = link_width;
+        c.bufferDepth = 4;
+        c.deliveryDepth = 4;
+
+        MetricsRegistry metrics;
+        metrics.configure(c.numNodes, c.numNodes, c.numNodes, c.numNodes);
+        EnergyRegistry energy;
+        energy.configure(c.numNodes);
+        SpatialRegistry spatial;
+        spatial.configure(c.numNodes, c.numNodes, c.numNodes);
+        metrics::setActiveRegistry(&metrics);
+        energy::setActiveRegistry(&energy);
+        spatial::setActiveRegistry(&spatial);
+
+        Outcome o;
+        {
+            StatGroup root(nullptr, "t");
+            NocFabric fabric(c, &root);
+            Rng rng(seed);
+            uint32_t next_id = 0;
+            Tick quiet_until = 0;
+            const Tick inject_end = 3000;
+            auto drain = [&](Tick t, unsigned node, bool to_mem,
+                             uint64_t n) {
+                Ring<Packet> &q = to_mem ? fabric.memDelivery(node)
+                                         : fabric.peDelivery(node);
+                for (; n > 0 && !q.empty(); --n) {
+                    o.delivered.emplace_back(t, node, to_mem,
+                                             q.front().neuron);
+                    q.pop_front();
+                }
+            };
+            auto packet = [&](bool to_mem) {
+                // A third of the traffic converges on one node, so
+                // its FIFOs back up into the links feeding it.
+                const uint64_t dst =
+                    rng.below(3) == 0 ? 5 : rng.below(c.numNodes);
+                Packet p = operandTo(uint16_t(dst));
+                p.dstIsMem = to_mem;
+                p.neuron = next_id++;
+                return p;
+            };
+            Tick t = 0;
+            for (;; ++t) {
+                const bool injecting = t < inject_end;
+                if (injecting && t >= quiet_until
+                    && rng.below(64) == 0) {
+                    // An idle gap: no endpoint injects for a while.
+                    quiet_until = t + 1 + rng.below(40);
+                }
+                const bool active = injecting && t >= quiet_until;
+                // PNG phase: absorb write-backs, inject operands.
+                for (unsigned v = 0; v < c.numNodes; ++v) {
+                    drain(t, v, true, injecting ? rng.below(3) : 2);
+                    if (!active || rng.below(4) != 0)
+                        continue;
+                    for (uint64_t k = rng.below(3); k > 0
+                         && fabric.memInjectSpace(VaultId(v)) > 0; --k)
+                        fabric.injectFromMem(VaultId(v), packet(false),
+                                             t);
+                }
+                // Fabric phase: the event scheduler leaves an empty
+                // fabric asleep; tick-all mode ticks it regardless.
+                if (tick_all || !fabric.routersIdle())
+                    fabric.tick(t, nullptr, tick_all);
+                // PE phase: consume operands, inject write-backs.
+                for (unsigned p = 0; p < c.numNodes; ++p) {
+                    drain(t, p, false, injecting ? rng.below(3) : 2);
+                    if (active && rng.below(6) == 0
+                        && fabric.peInjectSpace(PeId(p)) > 0)
+                        fabric.injectFromPe(PeId(p), packet(true), t);
+                }
+                if (!injecting && fabric.idle())
+                    break;
+                if (t > 100000) {
+                    ADD_FAILURE() << "fabric never drained";
+                    break;
+                }
+            }
+            o.final = t + 1;
+            fabric.catchUp(o.final);
+
+            o.routerCycles = metrics.state().of(TraceComponent::Router);
+            o.energy = energy.state().instances;
+            o.linkFlits = spatial.state().linkFlits;
+            o.linkStalls = spatial.state().linkStalls;
+            o.linkOccupancy = spatial.state().linkOccupancy;
+            o.linkFlitStat = fabric.linkFlits();
+            o.ejected = fabric.ejectedPackets();
+            const Histogram &h = fabric.latencyHistogram();
+            o.latencyMin = h.min();
+            o.latencyMax = h.max();
+            o.latencyMean = h.mean();
+            o.latencyP50 = h.p50();
+            o.latencyP99 = h.p99();
+            EXPECT_EQ(o.ejected, next_id);
+        }
+        metrics::setActiveRegistry(nullptr);
+        energy::setActiveRegistry(nullptr);
+        spatial::setActiveRegistry(nullptr);
+        return o;
+    }
+};
+
+TEST_P(FabricSkipDiff, SkippingMatchesTickAll)
+{
+    for (uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        const Outcome all = run(true, seed);
+        const Outcome skip = run(false, seed);
+
+        ASSERT_GT(all.delivered.size(), 1000u);
+        ASSERT_EQ(all.final, skip.final);
+        const size_t n =
+            std::min(all.delivered.size(), skip.delivered.size());
+        for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(all.delivered[i], skip.delivered[i])
+                << "first differing delivery at index " << i
+                << ", tick " << std::get<0>(all.delivered[i]);
+        }
+        ASSERT_EQ(all.delivered.size(), skip.delivered.size());
+
+#if NEUROCUBE_TRACE_ENABLED
+        // Every router is accounted for every tick, ticked or not.
+        // The stimulus must reach every regime: idle stretches,
+        // switching, and head-of-line blocking behind full FIFOs.
+        ASSERT_EQ(all.routerCycles.size(), 16u);
+        StallBreakdown sum;
+        for (size_t r = 0; r < all.routerCycles.size(); ++r) {
+            EXPECT_EQ(all.routerCycles[r].ticks,
+                      skip.routerCycles[r].ticks)
+                << "router " << r;
+            EXPECT_EQ(skip.routerCycles[r].total(), skip.final);
+            for (size_t k = 0; k < sum.ticks.size(); ++k)
+                sum.ticks[k] += skip.routerCycles[r].ticks[k];
+        }
+        EXPECT_GT(sum[StallClass::Idle], 0u);
+        EXPECT_GT(sum[StallClass::Busy], 0u);
+        EXPECT_GT(sum[StallClass::StallNocCredit], 0u);
+        ASSERT_EQ(all.energy.size(), skip.energy.size());
+        uint64_t hops = 0;
+        for (size_t r = 0; r < all.energy.size(); ++r) {
+            for (EnergyEventKind kind :
+                 {EnergyEventKind::NocHop, EnergyEventKind::NocLink}) {
+                EXPECT_EQ(all.energy[r][kind], skip.energy[r][kind])
+                    << "router " << r;
+            }
+            hops += skip.energy[r][EnergyEventKind::NocHop];
+        }
+        EXPECT_GT(hops, 0u);
+        EXPECT_EQ(all.linkFlits, skip.linkFlits);
+        EXPECT_EQ(all.linkStalls, skip.linkStalls);
+        EXPECT_EQ(all.linkOccupancy, skip.linkOccupancy);
+        uint64_t stalls = 0;
+        for (uint64_t n : skip.linkStalls)
+            stalls += n;
+        EXPECT_GT(stalls, 0u);
+#endif
+        EXPECT_EQ(all.linkFlitStat, skip.linkFlitStat);
+        EXPECT_GT(skip.linkFlitStat, 0u);
+        EXPECT_EQ(all.ejected, skip.ejected);
+        EXPECT_EQ(all.latencyMin, skip.latencyMin);
+        EXPECT_EQ(all.latencyMax, skip.latencyMax);
+        EXPECT_EQ(all.latencyMean, skip.latencyMean);
+        EXPECT_EQ(all.latencyP50, skip.latencyP50);
+        EXPECT_EQ(all.latencyP99, skip.latencyP99);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, FabricSkipDiff,
+    ::testing::Combine(::testing::Values(NocTopology::Mesh2D,
+                                         NocTopology::FullyConnected),
+                       ::testing::Values(1u, 2u)),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param) == NocTopology::Mesh2D
+                               ? "Mesh"
+                               : "FullyConnected")
+             + "Width" + std::to_string(std::get<1>(info.param));
+    });
 
 } // namespace
 } // namespace neurocube
