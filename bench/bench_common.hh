@@ -198,14 +198,11 @@ runForward(const NeurocubeConfig &config, const NetworkDesc &net,
     input.randomize(rng);
     NeurocubeConfig cfg = config;
 #if NEUROCUBE_TRACE_ENABLED
-    // Metrics-only trace session (no event sinks): every bench run
+    // Counters-only trace session (no event sinks): every bench run
     // attributes its cycles so the panels and BENCH_*.json carry
     // bottleneck labels. Observational only — cycle counts match a
     // tracing-off run (tests/test_golden_cycles.cc).
-    if (!cfg.trace.enabled) {
-        cfg.trace.enabled = true;
-        cfg.trace.metrics = true;
-    }
+    cfg.trace.enabled = true;
 #endif
     // Distinct export filenames for successive runs of one binary.
     static unsigned run_ordinal = 0;

@@ -32,11 +32,10 @@ runTraining(bool include_gradient)
 
     NeurocubeConfig config;
 #if NEUROCUBE_TRACE_ENABLED
-    // Metrics + energy trace session so the panels and
+    // Counters-only trace session so the panels and
     // BENCH_fig13.json carry bottleneck and pJ attribution
     // (observational only; see tests/test_golden_cycles.cc).
     config.trace.enabled = true;
-    config.trace.metrics = true;
 #endif
     config.engine = engineFromEnv(config.engine);
     config.planCache = planCacheFromEnv(config.planCache);

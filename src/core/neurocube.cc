@@ -6,9 +6,6 @@
 
 #include "common/logging.hh"
 #include "core/analytic_model.hh"
-#include "trace/energy.hh"
-#include "trace/metrics.hh"
-#include "trace/spatial.hh"
 
 namespace neurocube
 {
@@ -95,25 +92,27 @@ Neurocube::Neurocube(const NeurocubeConfig &config)
         }
         traceSession_ =
             std::make_unique<TraceSession>(config_.trace, topology);
+        probe_ = traceSession_->probe();
 #else
         nc_warn("tracing requested but compiled out "
                 "(rebuild with -DNEUROCUBE_TRACE=ON)");
 #endif
     }
 
-    fabric_ = std::make_unique<NocFabric>(config_.noc, &statGroup_);
+    fabric_ = std::make_unique<NocFabric>(config_.noc, &statGroup_,
+                                          probe_);
 
     for (unsigned ch = 0; ch < config_.dram.numChannels; ++ch) {
         channels_.push_back(std::make_unique<MemoryChannel>(
             config_.dram, &statGroup_,
-            "vault" + std::to_string(ch), uint16_t(ch)));
+            "vault" + std::to_string(ch), uint16_t(ch), probe_));
         pngs_.push_back(std::make_unique<Png>(
             VaultId(mem_nodes[ch]), config_.png, *channels_[ch],
-            *fabric_, &statGroup_));
+            *fabric_, &statGroup_, probe_));
     }
     for (unsigned p = 0; p < config_.numPes; ++p) {
         pes_.push_back(std::make_unique<Pe>(PeId(p), config_.pe,
-                                            &statGroup_));
+                                            &statGroup_, probe_));
     }
 }
 
@@ -146,38 +145,21 @@ Neurocube::setInput(const Tensor &input)
 SimEngine
 Neurocube::activeEngine() const
 {
-    // The recorder ring is single-producer; lane workers would race
+    // The recorder ring is single-threaded; lane workers would race
     // on it. The single-threaded event loop emits the same stream
     // (skipped ticks are exactly the ticks no component records at),
     // so tracing costs the thread fan-out only.
-    if (trace::activeRecorder() != nullptr
+    if (probe_.recorder != nullptr
         && config_.engine == SimEngine::ThreadedLanes)
         return SimEngine::Event;
     return config_.engine;
 }
 
 SpatialTopology
-Neurocube::spatialTopology()
+Neurocube::spatialTopology() const
 {
-    SpatialRegistry *registry = spatialRegistry();
-    return registry ? registry->topology() : SpatialTopology{};
-}
-
-SpatialSnapshot
-Neurocube::spatialSnapshot()
-{
-    SpatialSnapshot snap;
-    SpatialRegistry *registry = spatialRegistry();
-    if (registry == nullptr)
-        return snap;
-    snap = registry->snapshot();
-    snap.nodeLateral.resize(config_.numPes, 0);
-    snap.nodeLocal.resize(config_.numPes, 0);
-    for (unsigned node = 0; node < config_.numPes; ++node) {
-        snap.nodeLateral[node] = fabric_->nodeLateralPackets(node);
-        snap.nodeLocal[node] = fabric_->nodeLocalPackets(node);
-    }
-    return snap;
+    return probe_.registry ? probe_.registry->topology()
+                           : SpatialTopology{};
 }
 
 Neurocube::Lane
@@ -250,7 +232,7 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
     // releases them (Sec. II-C). Events stamped here (PNG Configured
     // phases) carry the tick after the configuration window.
     now_ += config_.configTicksPerPass;
-    NC_TRACE_TICK(now_);
+    NC_TRACE_TICK(probe_, now_);
     const unsigned active = unsigned(compiled.size());
     for (unsigned l = 0; l < lanes.size(); ++l) {
         // Active lanes get their programs, idle lanes are parked on
@@ -287,10 +269,10 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
             // component would have recorded an event at (the sleep
             // conditions guarantee it), so the stream matches the
             // tick-all mode's every-tick stamping bit for bit.
-            NC_TRACE_TICK(t);
+            NC_TRACE_TICK(probe_, t);
             sched.step(t);
             if (uint64_t skipped = sched.takeSkippedTicks())
-                NC_TRACE(TraceComponent::Sim, 0,
+                NC_TRACE(probe_, TraceComponent::Sim, 0,
                          TraceEventType::EngineSkip, 0, skipped);
             // Done-ness only changes through actions at executed
             // ticks, so checking after each one finds every lane's
@@ -301,9 +283,9 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
                     done[l] = stamp;
                     --remaining;
                     if (lanes[l].spec != nullptr)
-                        NC_TRACE(TraceComponent::Sim, l,
-                                 TraceEventType::LaneDone,
-                                 unsigned(pass), stamp - start);
+                        NC_TRACE(probe_, TraceComponent::Sim, l,
+                                 TraceEventType::LaneDone, unsigned(pass),
+                                 stamp - start);
                 }
             }
             if (stamp >= deadline) {
@@ -361,12 +343,12 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
     // Every component stays accounted until the pass's global end,
     // when the slowest lane is done.
     const Tick final = *std::max_element(done.begin(), done.end());
-    NC_TRACE_TICK(final);
+    NC_TRACE_TICK(probe_, final);
     for (auto &sched : scheds) {
         sched->catchupAll(final);
         if (uint64_t skipped = sched->takeSkippedTicks())
-            NC_TRACE(TraceComponent::Sim, 0, TraceEventType::EngineSkip,
-                     0, skipped);
+            NC_TRACE(probe_, TraceComponent::Sim, 0,
+                     TraceEventType::EngineSkip, 0, skipped);
     }
     if (fan_out) {
         fabric_->foldLaneStats();
@@ -394,8 +376,8 @@ Neurocube::runLayerOnLanes(const LayerDesc &layer,
     }
 
     // Layer probe, before the passes: per-lane counters, and one
-    // metrics, spatial and energy snapshot of the whole machine that
-    // the passes turn into the layer's deltas.
+    // snapshot of the machine's counter registry that the passes turn
+    // into the layer's delta.
     auto counts = [&](const Lane &lane) {
         LaneCounts c;
         for (unsigned node : lane.nodes) {
@@ -410,18 +392,10 @@ Neurocube::runLayerOnLanes(const LayerDesc &layer,
     std::vector<LaneCounts> before(active);
     for (unsigned l = 0; l < active; ++l)
         before[l] = counts(lanes[l]);
-    MetricsRegistry *metrics = metricsRegistry();
-    SpatialRegistry *spatial = spatialRegistry();
-    EnergyRegistry *energy = energyRegistry();
-    MetricsSnapshot metrics_delta;
-    SpatialSnapshot spatial_delta;
-    EnergySnapshot energy_delta;
-    if (metrics)
-        metrics_delta = metrics->snapshot();
-    if (spatial)
-        spatial_delta = spatialSnapshot();
-    if (energy)
-        energy_delta = energy->snapshot();
+    MetricsRegistry *registry = probe_.registry;
+    MetricsSnapshot delta;
+    if (registry)
+        delta = registry->snapshot();
 
     const Tick layer_start = now_;
     std::vector<Tick> cycles(active, 0);
@@ -429,24 +403,17 @@ Neurocube::runLayerOnLanes(const LayerDesc &layer,
         runPass(lanes, compiled, pass, cycles);
     statLayerCycles_ += now_ - layer_start;
 
-    if (metrics)
-        metrics_delta = metrics->snapshot().delta(metrics_delta);
-    if (spatial)
-        spatial_delta = spatialSnapshot().delta(spatial_delta);
-    if (energy)
-        energy_delta = energy->snapshot().delta(energy_delta);
+    if (registry)
+        delta = registry->snapshot().delta(delta);
 
-    // Layer probe, after: each lane's deltas become its LayerResult.
-    // The machine lane has a null filter, so an unbatched layer reads
-    // every counter unfiltered. Every component instance is
-    // node-indexed and batching requires the identity vault
-    // attachment, so a batch lane's node list selects its routers,
-    // PEs, PNGs and channels alike.
+    // Layer probe, after: each lane's share of the delta becomes its
+    // LayerResult. The machine lane reads the delta unfiltered; a
+    // batch lane filters it to its nodes, which select its routers,
+    // PEs and PNGs, and (batching requires the identity vault
+    // attachment) its channels.
     std::vector<LayerResult> results(active);
     for (unsigned l = 0; l < active; ++l) {
         const Lane &lane = lanes[l];
-        const std::vector<unsigned> *filter =
-            lane.spec ? &lane.nodes : nullptr;
         const LaneCounts after = counts(lane);
         LayerResult &r = results[l];
         r.name = layer.name.empty() ? layerTypeName(layer.type)
@@ -463,15 +430,14 @@ Neurocube::runLayerOnLanes(const LayerDesc &layer,
         r.memoryBytes = fp.totalBytes();
         r.duplicationBytes = fp.duplicationBytes;
 
-        if (metrics) {
-            r.bottleneck = buildBottleneckReport(metrics_delta, filter);
+        if (registry) {
+            const MetricsSnapshot lane_delta =
+                lane.spec ? registry->filterToNodes(delta, lane.nodes)
+                          : delta;
+            r.bottleneck = buildBottleneckReport(lane_delta);
             fillHistogramSummaries(r.bottleneck, lane);
-        }
-        if (spatial) {
-            r.spatial = filter ? filterSnapshotToNodes(spatialTopology(),
-                                                       spatial_delta,
-                                                       *filter)
-                               : spatial_delta;
+            r.energy = lane_delta.energyCounts();
+            r.spatial = lane_delta.spatialCounts();
         }
         // The lane owns its share of the PEs and vault channels, so
         // its ceilings come from a machine shrunk to the lane.
@@ -479,8 +445,6 @@ Neurocube::runLayerOnLanes(const LayerDesc &layer,
         lane_cfg.numPes = unsigned(lane.nodes.size());
         lane_cfg.dram.numChannels = unsigned(lane.channels.size());
         r.roofline = rooflinePoint(layer, lane_cfg, r);
-        if (energy)
-            r.energy = energy_delta.sum(filter);
     }
     return results;
 }

@@ -138,49 +138,24 @@ class Neurocube
     Tick now() const { return now_; }
 
     /**
-     * The stall-attribution counters of the active trace session, or
-     * nullptr (no session / metrics disabled / tracing compiled out).
+     * This machine's instrumentation: its event recorder (null
+     * without a trace sink) and its counter registry (null without a
+     * trace session).
      */
-    MetricsRegistry *
-    metricsRegistry()
-    {
-        return traceSession_ ? traceSession_->metrics() : nullptr;
-    }
+    Probe probe() const { return probe_; }
 
     /**
-     * The spatial counters of the active trace session, or nullptr
-     * (no session / spatial disabled / tracing compiled out).
+     * The machine's stall, energy and spatial counters, or nullptr
+     * (tracing off or compiled out).
      */
-    SpatialRegistry *
-    spatialRegistry()
-    {
-        return traceSession_ ? traceSession_->spatial() : nullptr;
-    }
+    MetricsRegistry *metricsRegistry() { return probe_.registry; }
 
     /**
      * The machine shape the spatial counters describe (mesh width,
-     * links, vault hosting), or an empty topology when no spatial
-     * registry is active.
+     * links, vault hosting), or an empty topology when the machine
+     * has no counter registry.
      */
-    SpatialTopology spatialTopology();
-
-    /**
-     * Cumulative spatial counters: the registry's link/vault/PE
-     * arrays plus the fabric's per-node injection counters (which
-     * live in the NoC stats, not the registry). Empty/invalid when
-     * no spatial registry is active.
-     */
-    SpatialSnapshot spatialSnapshot();
-
-    /**
-     * The activity energy counters of the active trace session, or
-     * nullptr (no session / energy disabled / tracing compiled out).
-     */
-    EnergyRegistry *
-    energyRegistry()
-    {
-        return traceSession_ ? traceSession_->energy() : nullptr;
-    }
+    SpatialTopology spatialTopology() const;
 
     /** Total operand-cache spills beyond sub-bank capacity. */
     uint64_t
@@ -194,9 +169,9 @@ class Neurocube
 
     /**
      * The engine the next pass will run on. Usually config().engine;
-     * while a trace-event recorder is live, ThreadedLanes demotes to
-     * Event (the recorder ring is single-producer, lane workers would
-     * race on it).
+     * while this machine's event recorder is live, ThreadedLanes
+     * demotes to Event (the recorder ring is single-threaded, lane
+     * workers would race on it).
      */
     SimEngine activeEngine() const;
 
@@ -257,8 +232,10 @@ class Neurocube
     NeurocubeConfig config_;
     StatGroup statGroup_;
 
-    /** Active tracing session (config_.trace.enabled only). */
+    /** Tracing session (config_.trace.enabled only). */
     std::unique_ptr<TraceSession> traceSession_;
+    /** The session's probe, or an empty one; every component's copy. */
+    Probe probe_;
 
     std::vector<std::unique_ptr<MemoryChannel>> channels_;
     std::unique_ptr<NocFabric> fabric_;

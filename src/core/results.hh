@@ -78,23 +78,23 @@ struct LayerResult
     uint64_t duplicationBytes = 0;
     /**
      * Stall-attribution bottleneck report for this layer. valid only
-     * when a metrics-enabled trace session was active for the run
-     * (config.trace.enabled && config.trace.metrics).
+     * when the machine ran with a trace session (config.trace.enabled
+     * in a NEUROCUBE_TRACE=ON build).
      */
     BottleneckReport bottleneck;
     /**
      * Activity counts for this layer's interval (energy accounting).
-     * valid only when an energy-enabled trace session was active
-     * (config.trace.enabled && config.trace.energy in a
-     * NEUROCUBE_TRACE=ON build); price with ActivityEnergyModel.
+     * valid only when the machine ran with a trace session
+     * (config.trace.enabled in a NEUROCUBE_TRACE=ON build); price
+     * with ActivityEnergyModel.
      */
     EnergyCounts energy;
     /**
      * Spatial counter delta for this layer's interval (per-link,
-     * per-vault, per-PE, per-node). valid only when a spatial-enabled
-     * trace session was active (config.trace.enabled &&
-     * config.trace.spatial in a NEUROCUBE_TRACE=ON build). Strictly
-     * observational — never feeds back into timing or energy.
+     * per-vault, per-PE, per-node). valid only when the machine ran
+     * with a trace session (config.trace.enabled in a
+     * NEUROCUBE_TRACE=ON build). Strictly observational — never
+     * feeds back into timing or energy.
      */
     SpatialSnapshot spatial;
     /** Roofline position (valid only when cycles were measured). */
@@ -195,7 +195,7 @@ struct RunResult
      * Machine-readable per-layer metrics as a JSON document: cycles,
      * ops, and each layer's bottleneck label, stall fractions, and
      * histogram summaries. Layers without a valid bottleneck report
-     * (metrics disabled) carry "bottleneck": null.
+     * (tracing off) carry "bottleneck": null.
      */
     std::string metricsJson() const;
 
@@ -215,9 +215,9 @@ struct RunResult
      * "roofline"|null, "spatial": <snapshot>}]}. Snapshots are
      * mesh-shaped matrices keyed by spatialTopology (see
      * spatialSnapshotJson). Empty-topology runs still produce a
-     * well-formed document with zero-length matrices. Deliberately
-     * avoids the "total_cycles"/"served"/"wall_ms" key names the
-     * bench.sh comparison gates grep for.
+     * well-formed document with zero-length matrices. Carries no
+     * "wall_ms" key, the one key scripts/bench.sh still greps (its
+     * trace-overhead gate sums every "wall_ms" of a bench JSON).
      */
     std::string spatialJson() const;
 

@@ -3,9 +3,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "trace/energy.hh"
-#include "trace/metrics.hh"
-#include "trace/spatial.hh"
 
 namespace neurocube
 {
@@ -18,8 +15,9 @@ constexpr size_t lookaheadWindow = 48;
 } // namespace
 
 MemoryChannel::MemoryChannel(const DramParams &params, StatGroup *parent,
-                             const std::string &name, uint16_t trace_id)
-    : params_(params), traceId_(trace_id),
+                             const std::string &name, uint16_t trace_id,
+                             Probe probe)
+    : params_(params), traceId_(trace_id), probe_(probe),
       openRow_(params.banksPerChannel, noRow),
       bankReady_(params.banksPerChannel, 0),
       pendingRow_(params.banksPerChannel, noRow),
@@ -62,9 +60,8 @@ MemoryChannel::enqueue(const MemRequest &req)
     if (req.write) {
         writeQueue_.push_back(stamped);
         ++bufferedWrites_[req.addr];
-        NC_TRACE(TraceComponent::Vault, traceId_,
-                 TraceEventType::DramQueueDepth, 1,
-                 writeQueue_.size());
+        NC_TRACE(probe_, TraceComponent::Vault, traceId_,
+                 TraceEventType::DramQueueDepth, 1, writeQueue_.size());
     } else {
         if (!bufferedWrites_.empty()
             && bufferedWrites_.count(req.addr)) {
@@ -73,7 +70,7 @@ MemoryChannel::enqueue(const MemRequest &req)
             hazardDrain_ = true;
         }
         queue_.push_back(stamped);
-        NC_TRACE(TraceComponent::Vault, traceId_,
+        NC_TRACE(probe_, TraceComponent::Vault, traceId_,
                  TraceEventType::DramQueueDepth, 0, queue_.size());
     }
 }
@@ -122,7 +119,7 @@ MemoryChannel::lookaheadActivate(Tick now,
             bankReady_[bank] = now + params_.activateTicks();
             ++pendingActivations_;
             statRowMisses_ += 1;
-            NC_TRACE(TraceComponent::Vault, traceId_,
+            NC_TRACE(probe_, TraceComponent::Vault, traceId_,
                      TraceEventType::DramRowActivate, bank, row);
             // One activation start per tick (command-bus limit). The
             // activation changed a bank's state, so stay stale.
@@ -197,20 +194,18 @@ MemoryChannel::serveWord(Tick now, Ring<MemRequest> &queue, size_t idx)
 
     // One controller transaction moved `packed` elements' bits over
     // the DRAM interface (duplicates ride the broadcast for free).
-    NC_ENERGY_EVENT(EnergyEventKind::VaultXact, traceId_, 1);
-    NC_ENERGY_EVENT(EnergyEventKind::DramBit, traceId_,
-                    uint64_t(packed) * 8 * bytesPerElement);
+    NC_COUNT(probe_, EnergyEventKind::VaultXact, traceId_, 1);
+    NC_COUNT(probe_, EnergyEventKind::DramBit, traceId_,
+             uint64_t(packed) * 8 * bytesPerElement);
     // Same expression as the DramBit publish divided by 8, so the
     // per-vault byte heatmap sums to EnergyCounts[DramBit]/8 exactly
     // (tests/test_spatial.cc asserts the identity).
-    NC_SPATIAL_EVENT(SpatialCounter::VaultByte, traceId_,
-                     uint64_t(packed) * bytesPerElement);
-    NC_TRACE(TraceComponent::Vault, traceId_,
-             TraceEventType::DramWord, is_write ? 1 : 0,
-             uint64_t(packed) * 8 * bytesPerElement);
-    NC_TRACE(TraceComponent::Vault, traceId_,
-             TraceEventType::DramQueueDepth, is_write ? 1 : 0,
-             queue.size());
+    NC_COUNT(probe_, SpatialCounter::VaultByte, traceId_,
+             uint64_t(packed) * bytesPerElement);
+    NC_TRACE(probe_, TraceComponent::Vault, traceId_, TraceEventType::DramWord,
+             is_write ? 1 : 0, uint64_t(packed) * 8 * bytesPerElement);
+    NC_TRACE(probe_, TraceComponent::Vault, traceId_,
+             TraceEventType::DramQueueDepth, is_write ? 1 : 0, queue.size());
 
     credit_ -= 1.0;
     statBusyTicks_ += 1;
@@ -237,8 +232,8 @@ MemoryChannel::tick(Tick now)
     // event engine only skips this channel while both queues are
     // empty, so skipped cycles would contribute zero and the
     // integral stays engine-invariant.
-    NC_SPATIAL_EVENT(SpatialCounter::VaultQueue, traceId_,
-                     queue_.size() + writeQueue_.size());
+    NC_COUNT(probe_, SpatialCounter::VaultQueue, traceId_,
+             queue_.size() + writeQueue_.size());
 
     // Promote completed activations to open rows.
     if (pendingActivations_ > 0) {
@@ -262,8 +257,9 @@ MemoryChannel::tick(Tick now)
         lookaheadArmed_ = true;
         if (gapRemaining_ > 0)
             --gapRemaining_;
-        NC_METRIC_CYCLE(TraceComponent::Vault, traceId_,
-                        StallClass::Idle);
+        NC_COUNT(probe_,
+                 Counter::stall(TraceComponent::Vault, StallClass::Idle),
+                 traceId_, 1);
         return;
     }
 
@@ -303,21 +299,23 @@ MemoryChannel::tick(Tick now)
     if (gapRemaining_ > 0) {
         --gapRemaining_;
         statStallTicks_ += 1;
-        NC_TRACE(TraceComponent::Vault, traceId_,
+        NC_TRACE(probe_, TraceComponent::Vault, traceId_,
                  TraceEventType::DramStall,
                  uint32_t(DramStallReason::BurstGap), gapRemaining_);
-        NC_METRIC_CYCLE(TraceComponent::Vault, traceId_,
-                        StallClass::StallDram);
+        NC_COUNT(probe_,
+                 Counter::stall(TraceComponent::Vault, StallClass::StallDram),
+                 traceId_, 1);
         return;
     }
 
     if (credit_ < 1.0) {
         statStallTicks_ += 1;
-        NC_TRACE(TraceComponent::Vault, traceId_,
+        NC_TRACE(probe_, TraceComponent::Vault, traceId_,
                  TraceEventType::DramStall,
                  uint32_t(DramStallReason::Bandwidth), 0);
-        NC_METRIC_CYCLE(TraceComponent::Vault, traceId_,
-                        StallClass::StallDram);
+        NC_COUNT(probe_,
+                 Counter::stall(TraceComponent::Vault, StallClass::StallDram),
+                 traceId_, 1);
         return;
     }
 
@@ -327,15 +325,18 @@ MemoryChannel::tick(Tick now)
         const unsigned bank = head.bank;
         if (now >= bankReady_[bank] && openRow_[bank] == head.row) {
             serveWord(now, writeQueue_, 0);
-            NC_METRIC_CYCLE(TraceComponent::Vault, traceId_,
-                            StallClass::Busy);
+            NC_COUNT(probe_,
+                     Counter::stall(TraceComponent::Vault, StallClass::Busy),
+                     traceId_, 1);
         } else {
             statStallTicks_ += 1;
-            NC_TRACE(TraceComponent::Vault, traceId_,
+            NC_TRACE(probe_, TraceComponent::Vault, traceId_,
                      TraceEventType::DramStall,
                      uint32_t(DramStallReason::RowConflict), bank);
-            NC_METRIC_CYCLE(TraceComponent::Vault, traceId_,
-                            StallClass::StallDram);
+            NC_COUNT(probe_,
+                     Counter::stall(TraceComponent::Vault,
+                                    StallClass::StallDram),
+                     traceId_, 1);
             lookaheadArmed_ = true;
         }
         return;
@@ -345,29 +346,31 @@ MemoryChannel::tick(Tick now)
         // Downstream (PNG / NoC) is not draining reads: stall so
         // the backpressure reaches the DRAM timing.
         statStallTicks_ += 1;
-        NC_TRACE(TraceComponent::Vault, traceId_,
+        NC_TRACE(probe_, TraceComponent::Vault, traceId_,
                  TraceEventType::DramStall,
-                 uint32_t(DramStallReason::Backpressure),
-                 responses_.size());
-        NC_METRIC_CYCLE(TraceComponent::Vault, traceId_,
-                        StallClass::StallNocCredit);
+                 uint32_t(DramStallReason::Backpressure), responses_.size());
+        NC_COUNT(probe_,
+                 Counter::stall(TraceComponent::Vault,
+                                StallClass::StallNocCredit),
+                 traceId_, 1);
         lookaheadArmed_ = true;
         return;
     }
     size_t idx = pickServeIndex(now);
     if (idx == SIZE_MAX) {
         statStallTicks_ += 1;
-        NC_TRACE(TraceComponent::Vault, traceId_,
+        NC_TRACE(probe_, TraceComponent::Vault, traceId_,
                  TraceEventType::DramStall,
-                 uint32_t(DramStallReason::RowConflict),
-                 queue_.size());
-        NC_METRIC_CYCLE(TraceComponent::Vault, traceId_,
-                        StallClass::StallDram);
+                 uint32_t(DramStallReason::RowConflict), queue_.size());
+        NC_COUNT(probe_,
+                 Counter::stall(TraceComponent::Vault, StallClass::StallDram),
+                 traceId_, 1);
         lookaheadArmed_ = true; // stalled: re-scan next tick
     } else {
         serveWord(now, queue_, idx);
-        NC_METRIC_CYCLE(TraceComponent::Vault, traceId_,
-                        StallClass::Busy);
+        NC_COUNT(probe_,
+                 Counter::stall(TraceComponent::Vault, StallClass::Busy),
+                 traceId_, 1);
     }
 }
 
@@ -409,8 +412,8 @@ MemoryChannel::skipTicks(Tick from, Tick to)
     gapRemaining_ = gapRemaining_ > Tick(n) ? gapRemaining_ - Tick(n)
                                             : 0;
     statIdleTicks_ += n;
-    NC_METRIC_CYCLES(TraceComponent::Vault, traceId_,
-                     StallClass::Idle, n);
+    NC_COUNT(probe_, Counter::stall(TraceComponent::Vault, StallClass::Idle),
+             traceId_, n);
     // The legacy loop would have left now_ at the last idle tick;
     // keep the stale stamp so enqueue timestamps match.
     now_ = to - 1;

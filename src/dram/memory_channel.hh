@@ -76,10 +76,13 @@ class MemoryChannel
      * @param params technology parameters
      * @param parent stat group to hang this channel's stats under
      * @param name stat path component, e.g. "vault3"
-     * @param trace_id vault/channel index used for trace events
+     * @param trace_id vault/channel index used for trace events and
+     *        counters
+     * @param probe the machine's instrumentation
      */
     MemoryChannel(const DramParams &params, StatGroup *parent,
-                  const std::string &name, uint16_t trace_id = 0);
+                  const std::string &name, uint16_t trace_id = 0,
+                  Probe probe = {});
 
     /** True while the request queues have room. */
     bool
@@ -237,6 +240,7 @@ class MemoryChannel
     BackingStore store_;
     /** Vault/channel index published with trace events. */
     uint16_t traceId_;
+    Probe probe_;
 
     /**
      * Request queues (and responses_ below): contiguous rings, since

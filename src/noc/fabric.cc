@@ -6,14 +6,13 @@
 #include <numeric>
 
 #include "common/logging.hh"
-#include "trace/energy.hh"
-#include "trace/spatial.hh"
 
 namespace neurocube
 {
 
-NocFabric::NocFabric(const Config &config, StatGroup *parent)
-    : config_(config),
+NocFabric::NocFabric(const Config &config, StatGroup *parent,
+                     Probe probe)
+    : config_(config), probe_(probe),
       pePort_(config.numNodes),
       memPort_(config.numNodes),
       peDelivery_(config.numNodes, Ring<Packet>(config.deliveryDepth)),
@@ -58,26 +57,18 @@ NocFabric::NocFabric(const Config &config, StatGroup *parent)
     std::iota(all_.nodes.begin(), all_.nodes.end(), 0u);
     all_.linkMask.assign((links_.size() + 63) / 64, ~uint64_t(0));
     accounted_.assign(config_.numNodes, 0);
-    publishSpatialTopology();
-}
 
-void
-NocFabric::publishSpatialTopology() const
-{
-    // The Neurocube top level constructs its TraceSession before the
-    // fabric, so an active spatial registry already knows the node/
-    // vault/PE extents; the fabric contributes the link list. One-
-    // time, not a hot path — no macro needed.
-    SpatialRegistry *registry = spatial::activeRegistry();
-    if (registry == nullptr)
-        return;
-    std::vector<SpatialLink> links;
-    links.reserve(links_.size());
-    for (const Link &link : links_) {
-        links.push_back({uint16_t(link.srcRouter),
-                         uint16_t(link.dstRouter)});
+    // The session sized the registry's node, vault and PE counters;
+    // the fabric contributes the link list. One-time, not a hot path.
+    if (probe_.registry != nullptr) {
+        std::vector<SpatialLink> links;
+        links.reserve(links_.size());
+        for (const Link &link : links_) {
+            links.push_back({uint16_t(link.srcRouter),
+                             uint16_t(link.dstRouter)});
+        }
+        probe_.registry->configureLinks(meshWidth_, std::move(links));
     }
-    registry->configureLinks(meshWidth_, std::move(links));
 }
 
 void
@@ -98,7 +89,7 @@ NocFabric::buildMesh()
 
     for (unsigned i = 0; i < n; ++i) {
         routers_.push_back(std::make_unique<Router>(
-            rc, &statGroup_, "router" + std::to_string(i), i));
+            rc, &statGroup_, "router" + std::to_string(i), i, probe_));
         pePort_[i] = PortPe;
         memPort_[i] = PortMem;
     }
@@ -171,7 +162,7 @@ NocFabric::buildFullyConnected()
 
     for (unsigned i = 0; i < n; ++i) {
         routers_.push_back(std::make_unique<Router>(
-            rc, &statGroup_, "router" + std::to_string(i), i));
+            rc, &statGroup_, "router" + std::to_string(i), i, probe_));
         pePort_[i] = pe_port;
         memPort_[i] = mem_port;
     }
@@ -214,13 +205,15 @@ NocFabric::buildFullyConnected()
 void
 NocFabric::accountInjection(unsigned node, const Packet &packet)
 {
-    // Per-node counters are the single accounting path: they are
-    // disjoint per node, so they need no lane-mode scratch detour,
-    // and the aggregate accessors sum them on demand.
-    if (packet.dst == node)
-        ++nodeLocal_[node];
-    else
-        ++nodeLateral_[node];
+    // Per-node counters are the fabric's single accounting path:
+    // they are disjoint per node, so they need no lane-mode scratch
+    // detour, and the aggregate accessors sum them on demand. The
+    // registry counts the same packet for the spatial export.
+    const bool local = packet.dst == node;
+    ++(local ? nodeLocal_ : nodeLateral_)[node];
+    NC_COUNT(probe_,
+             local ? SpatialCounter::NodeLocal : SpatialCounter::NodeLateral,
+             node, 1);
     if (!laneOf_.empty() && laneOf_[node] != laneOf_[packet.dst]) {
         if (laneMode_)
             ++scratch_[node].crossLane;
@@ -291,8 +284,7 @@ NocFabric::traverseLink(const Link &link, size_t index, Tick now)
     // link-cycle with a packet waiting. Empty FIFOs and the cycles
     // the event engine skips would contribute zero, so the integral
     // is engine-invariant without any bulk accounting.
-    NC_SPATIAL_EVENT(SpatialCounter::LinkOccupancy, index,
-                     out.size());
+    NC_COUNT(probe_, SpatialCounter::LinkOccupancy, index, out.size());
     // Phase 1 of this tick is over: a router it skipped was idle
     // through now.
     catchUpRouter(link.dstRouter, now + 1);
@@ -315,10 +307,10 @@ NocFabric::traverseLink(const Link &link, size_t index, Tick now)
             ++scratch_[link.srcRouter].linkFlits;
         else
             statLinkFlits_ += 1;
-        NC_SPATIAL_EVENT(SpatialCounter::LinkFlit, index, 1);
-        NC_ENERGY_EVENT(EnergyEventKind::NocLink, link.srcRouter,
-                        link.distance);
-        NC_TRACE(TraceComponent::Router, link.srcRouter,
+        NC_COUNT(probe_, SpatialCounter::LinkFlit, index, 1);
+        NC_COUNT(probe_, EnergyEventKind::NocLink, link.srcRouter,
+                 link.distance);
+        NC_TRACE(probe_, TraceComponent::Router, link.srcRouter,
                  TraceEventType::LinkFlit, link.dstRouter);
     }
     // Credit starvation: a packet wanted this link but the
@@ -326,7 +318,7 @@ NocFabric::traverseLink(const Link &link, size_t index, Tick now)
     // per executed cycle (a classification, not a flit count).
     if (budget > 0 && !out.empty()
         && dst.inputSpace(link.dstPort) == 0)
-        NC_SPATIAL_EVENT(SpatialCounter::LinkStall, index, 1);
+        NC_COUNT(probe_, SpatialCounter::LinkStall, index, 1);
 }
 
 void
@@ -351,9 +343,8 @@ NocFabric::ejectNode(unsigned node, Tick now)
                 statLatencySum_ += latency;
                 histLatency_.sample(latency);
             }
-            NC_TRACE(TraceComponent::Router, node,
-                     TraceEventType::PacketEject, is_mem ? 1 : 0,
-                     latency);
+            NC_TRACE(probe_, TraceComponent::Router, node,
+                     TraceEventType::PacketEject, is_mem ? 1 : 0, latency);
             sink.push_back(out.front());
             router.popOutput(port);
             --budget;

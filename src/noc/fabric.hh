@@ -60,8 +60,12 @@ class NocFabric
     /**
      * @param config structural parameters
      * @param parent stat group parent
+     * @param probe the machine's instrumentation, passed on to every
+     *        router; the fabric publishes its link list into the
+     *        probe's registry
      */
-    NocFabric(const Config &config, StatGroup *parent);
+    NocFabric(const Config &config, StatGroup *parent,
+              Probe probe = {});
 
     /** Space available for PNG injection at node v. */
     unsigned memInjectSpace(VaultId v) const;
@@ -155,8 +159,8 @@ class NocFabric
      * so concurrent per-lane tick() calls never touch shared
      * state. foldLaneStats() merges the scratch back (the fold is
      * exact: all quantities are integer-valued). Per-node stats
-     * (router objects, nodeLateral_/nodeLocal_) are already disjoint
-     * and stay direct.
+     * (router objects, nodeLateral_/nodeLocal_, registry counters)
+     * are already disjoint and stay direct.
      */
     void setLaneStatsMode(bool enabled);
 
@@ -277,8 +281,6 @@ class NocFabric
     void buildMesh();
     void buildFullyConnected();
     void accountInjection(unsigned node, const Packet &packet);
-    /** Publish link endpoints to an active SpatialRegistry. */
-    void publishSpatialTopology() const;
     /** The view a LaneView pointer names (nullptr: the fabric). */
     const LaneView &
     viewOrAll(const LaneView *view) const
@@ -315,6 +317,7 @@ class NocFabric
     };
 
     Config config_;
+    Probe probe_;
     unsigned meshWidth_ = 0;
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<Link> links_;
@@ -335,7 +338,8 @@ class NocFabric
     std::vector<Ring<Packet>> peDelivery_;
     std::vector<Ring<Packet>> memDelivery_;
 
-    /** Per node: lateral/local packets injected there. */
+    /** Per node: lateral/local packets injected there (kept apart
+     *  from the registry, which exists only while tracing). */
     std::vector<uint64_t> nodeLateral_;
     std::vector<uint64_t> nodeLocal_;
     /** Node -> lane assignment (empty = no checking). */

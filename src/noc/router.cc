@@ -4,15 +4,13 @@
 #include <bit>
 
 #include "common/logging.hh"
-#include "trace/energy.hh"
-#include "trace/metrics.hh"
 
 namespace neurocube
 {
 
 Router::Router(const Config &config, StatGroup *parent,
-               const std::string &name, unsigned trace_id)
-    : config_(config), traceId_(uint16_t(trace_id)),
+               const std::string &name, unsigned trace_id, Probe probe)
+    : config_(config), traceId_(uint16_t(trace_id)), probe_(probe),
       width_(config.numPorts, 1),
       inputQueue_(config.numPorts, Ring<Packet>(config.bufferDepth)),
       outputQueue_(config.numPorts, Ring<Packet>(config.bufferDepth)),
@@ -52,9 +50,8 @@ Router::pushInput(unsigned port, const Packet &packet)
     inputQueue_[port].push_back(packet);
     inMask_ |= uint64_t(1) << port;
     ++bufferedInputs_;
-    NC_TRACE(TraceComponent::Router, traceId_,
-             TraceEventType::FlitEnqueue, port,
-             inputQueue_[port].size());
+    NC_TRACE(probe_, TraceComponent::Router, traceId_,
+             TraceEventType::FlitEnqueue, port, inputQueue_[port].size());
 }
 
 void
@@ -62,8 +59,8 @@ Router::skipTicks(uint64_t n)
 {
     nc_assert(idle(), "router skipTicks while packets are buffered");
     priority_ = unsigned((priority_ + n) % config_.numPorts);
-    NC_METRIC_CYCLES(TraceComponent::Router, traceId_,
-                     StallClass::Idle, n);
+    NC_COUNT(probe_, Counter::stall(TraceComponent::Router, StallClass::Idle),
+             traceId_, n);
 }
 
 void
@@ -75,8 +72,11 @@ Router::tick()
         // Nothing to switch; just rotate the daisy chain. Output
         // FIFOs may still hold packets waiting for link slots, but
         // that wait is the link's cycle, not this crossbar's.
-        NC_METRIC_CYCLE(TraceComponent::Router, traceId_,
-                        idle() ? StallClass::Idle : StallClass::Busy);
+        NC_COUNT(probe_,
+                 Counter::stall(TraceComponent::Router,
+                                idle() ? StallClass::Idle
+                                       : StallClass::Busy),
+                 traceId_, 1);
         if (++priority_ == nports)
             priority_ = 0;
         return;
@@ -118,7 +118,7 @@ Router::tick()
                     // reorder behind the blocked head.
                     statBlocked_ += 1;
                     blocked = true;
-                    NC_TRACE(TraceComponent::Router, traceId_,
+                    NC_TRACE(probe_, TraceComponent::Router, traceId_,
                              TraceEventType::FlitBlocked, in);
                     break;
                 }
@@ -127,7 +127,7 @@ Router::tick()
                 outMask_ |= out_bit;
                 --outBudget_[out];
                 ++switched;
-                NC_TRACE(TraceComponent::Router, traceId_,
+                NC_TRACE(probe_, TraceComponent::Router, traceId_,
                          TraceEventType::FlitSwitch, out,
                          outputQueue_[out].size());
             }
@@ -138,15 +138,17 @@ Router::tick()
     bufferedInputs_ -= switched;
     bufferedOutputs_ += switched;
     statSwitched_ += switched;
-    NC_ENERGY_EVENT(EnergyEventKind::NocHop, traceId_, switched);
+    NC_COUNT(probe_, EnergyEventKind::NocHop, traceId_, switched);
 
     // Head-of-line blocking dominates the classification: a cycle
     // where any input sat behind a full output is the congestion
     // signal, even if other inputs still made progress. With no
     // block, a buffered input always switched (wormhole invariant).
-    NC_METRIC_CYCLE(TraceComponent::Router, traceId_,
-                    blocked ? StallClass::StallNocCredit
-                            : StallClass::Busy);
+    NC_COUNT(probe_,
+             Counter::stall(TraceComponent::Router,
+                            blocked ? StallClass::StallNocCredit
+                                    : StallClass::Busy),
+             traceId_, 1);
 
     // Rotate the daisy chain (priorities update every clock cycle).
     if (++priority_ == nports)

@@ -77,10 +77,12 @@ class Router
      * @param config structural parameters
      * @param parent stat group parent
      * @param name stat path component, e.g. "router5"
-     * @param trace_id node index used for trace events
+     * @param trace_id node index used for trace events and counters
+     * @param probe the machine's instrumentation
      */
     Router(const Config &config, StatGroup *parent,
-           const std::string &name, unsigned trace_id = 0);
+           const std::string &name, unsigned trace_id = 0,
+           Probe probe = {});
 
     /** Install the output port for a destination index. */
     void setRoute(unsigned route_index, unsigned out_port);
@@ -164,8 +166,9 @@ class Router
 
   private:
     Config config_;
-    /** Node index published with trace events. */
+    /** Node index published with trace events and counters. */
     uint16_t traceId_;
+    Probe probe_;
     /** Per-port width, resolved from config_.portWidth once. */
     std::vector<unsigned> width_;
     std::vector<Ring<Packet>> inputQueue_;

@@ -41,10 +41,11 @@ class OpCache
      * @param config structural parameters
      * @param parent stat group parent
      * @param trace_id owning PE index used for trace events
+     * @param probe the owning machine's instrumentation
      */
     OpCache(const Config &config, StatGroup *parent,
-            uint16_t trace_id = 0)
-        : config_(config), traceId_(trace_id),
+            uint16_t trace_id = 0, Probe probe = {})
+        : config_(config), traceId_(trace_id), probe_(probe),
           banks_(config.numSubBanks),
           statGroup_(parent, "cache"),
           statInserts_(&statGroup_, "inserts", "packets buffered"),
@@ -83,7 +84,7 @@ class OpCache
         SubBank &bank = banks_[subBankOf(packet.opId)];
         if (bank.occupancy >= config_.entriesPerSubBank) {
             statOverflows_ += 1;
-            NC_TRACE(TraceComponent::Pe, traceId_,
+            NC_TRACE(probe_, TraceComponent::Pe, traceId_,
                      TraceEventType::CacheOverflow, packet.opId,
                      bank.occupancy);
         }
@@ -92,9 +93,8 @@ class OpCache
         if (totalEntries_ > statPeakEntries_.count())
             statPeakEntries_.set(double(totalEntries_));
         statInserts_ += 1;
-        NC_TRACE(TraceComponent::Pe, traceId_,
-                 TraceEventType::CacheInsert, packet.opId,
-                 totalEntries_);
+        NC_TRACE(probe_, TraceComponent::Pe, traceId_,
+                 TraceEventType::CacheInsert, packet.opId, totalEntries_);
     }
 
     /** Entries inserted beyond the hardware sub-bank capacity. */
@@ -309,6 +309,7 @@ class OpCache
     Config config_;
     /** Owning PE index published with trace events. */
     uint16_t traceId_;
+    Probe probe_;
     std::vector<SubBank> banks_;
     unsigned totalEntries_ = 0;
 

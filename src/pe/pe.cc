@@ -3,18 +3,15 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "trace/energy.hh"
-#include "trace/metrics.hh"
-#include "trace/spatial.hh"
 
 namespace neurocube
 {
 
-Pe::Pe(PeId id, const PeParams &params, StatGroup *parent)
-    : id_(id), params_(params),
+Pe::Pe(PeId id, const PeParams &params, StatGroup *parent, Probe probe)
+    : id_(id), params_(params), probe_(probe),
       statGroup_(parent, "pe" + std::to_string(id)),
       temporal_(params.numMacs),
-      cache_(params.cache, &statGroup_, id),
+      cache_(params.cache, &statGroup_, id, probe),
       macs_(params.numMacs),
       statMacOps_(&statGroup_, "macOps",
                   "multiply-accumulate operations executed"),
@@ -87,7 +84,7 @@ Pe::stageOperand(const Packet &packet)
     if (packet.kind == PacketKind::State) {
         temporal_.putState(packet.mac, packet.data, packet.neuron,
                            packet.homeVault);
-        NC_ENERGY_EVENT(EnergyEventKind::BufferAccess, id_, 1);
+        NC_COUNT(probe_, EnergyEventKind::BufferAccess, id_, 1);
         if (!pass_.localWeights.empty()) {
             // Weight supplied by the PE weight memory, shared across
             // neurons and indexed by the OP-ID (Section III-B2);
@@ -103,15 +100,15 @@ Pe::stageOperand(const Packet &packet)
             }
             temporal_.putWeight(packet.mac, pass_.localWeights[idx],
                                 packet.neuron, packet.homeVault);
-            NC_ENERGY_EVENT(EnergyEventKind::WeightRegRead, id_, 1);
-            NC_ENERGY_EVENT(EnergyEventKind::BufferAccess, id_, 1);
+            NC_COUNT(probe_, EnergyEventKind::WeightRegRead, id_, 1);
+            NC_COUNT(probe_, EnergyEventKind::BufferAccess, id_, 1);
         }
     } else {
         nc_assert(packet.kind == PacketKind::Weight,
                   "unexpected packet kind at PE %u", unsigned(id_));
         temporal_.putWeight(packet.mac, packet.data, packet.neuron,
                             packet.homeVault);
-        NC_ENERGY_EVENT(EnergyEventKind::BufferAccess, id_, 1);
+        NC_COUNT(probe_, EnergyEventKind::BufferAccess, id_, 1);
     }
 }
 
@@ -122,12 +119,12 @@ Pe::drainCache(Tick now)
         return;
     matches_.clear();
     unsigned scanned = cache_.extract(group_, opCounter_, matches_);
-    NC_ENERGY_EVENT(EnergyEventKind::CacheRead, id_, scanned);
+    NC_COUNT(probe_, EnergyEventKind::CacheRead, id_, scanned);
     if (matches_.empty()) {
-        NC_TRACE(TraceComponent::Pe, id_, TraceEventType::CacheMiss,
+        NC_TRACE(probe_, TraceComponent::Pe, id_, TraceEventType::CacheMiss,
                  opCounter_, scanned);
     } else {
-        NC_TRACE(TraceComponent::Pe, id_, TraceEventType::CacheHit,
+        NC_TRACE(probe_, TraceComponent::Pe, id_, TraceEventType::CacheHit,
                  opCounter_, matches_.size());
     }
     for (const Packet &packet : matches_)
@@ -147,9 +144,8 @@ Pe::drainCache(Tick now)
     Tick ready = now + cost;
     if (ready > nextFlushAt_) {
         statSearchStallTicks_ += (ready - nextFlushAt_);
-        NC_TRACE(TraceComponent::Pe, id_,
-                 TraceEventType::SearchStall, opCounter_,
-                 ready - nextFlushAt_);
+        NC_TRACE(probe_, TraceComponent::Pe, id_, TraceEventType::SearchStall,
+                 opCounter_, ready - nextFlushAt_);
         nextFlushAt_ = ready;
     }
 }
@@ -166,10 +162,10 @@ Pe::flush(Tick now)
     }
     statMacOps_ += active;
     statFlushes_ += 1;
-    NC_SPATIAL_EVENT(SpatialCounter::PeMac, id_, active);
-    NC_ENERGY_EVENT(EnergyEventKind::MacOp, id_, active);
-    NC_TRACE(TraceComponent::Pe, id_, TraceEventType::MacBusy,
-             active, params_.numMacs);
+    NC_COUNT(probe_, SpatialCounter::PeMac, id_, active);
+    NC_COUNT(probe_, EnergyEventKind::MacOp, id_, active);
+    NC_TRACE(probe_, TraceComponent::Pe, id_, TraceEventType::MacBusy, active,
+             params_.numMacs);
     temporal_.flush();
 
     // MACs run at f_PE / numMacs: they are busy for numMacs ticks.
@@ -214,7 +210,8 @@ void
 Pe::tick(Tick now, NocFabric &fabric)
 {
     if (!pass_.enabled) {
-        NC_METRIC_CYCLE(TraceComponent::Pe, id_, StallClass::Idle);
+        NC_COUNT(probe_, Counter::stall(TraceComponent::Pe, StallClass::Idle),
+                 id_, 1);
         return;
     }
     histCacheOccupancy_.sample(cache_.totalEntries());
@@ -235,7 +232,7 @@ Pe::tick(Tick now, NocFabric &fabric)
             stageOperand(packet);
         } else {
             cache_.insert(packet.group, packet);
-            NC_ENERGY_EVENT(EnergyEventKind::CacheWrite, id_, 1);
+            NC_COUNT(probe_, EnergyEventKind::CacheWrite, id_, 1);
         }
         delivery.pop_front();
         ++accepted;
@@ -256,8 +253,8 @@ Pe::tick(Tick now, NocFabric &fabric)
         outbox_.pop_front();
         ++injected;
         statWriteBacks_ += 1;
-        NC_TRACE(TraceComponent::Pe, id_,
-                 TraceEventType::WriteBackOut, 0, outbox_.size());
+        NC_TRACE(probe_, TraceComponent::Pe, id_, TraceEventType::WriteBackOut,
+                 0, outbox_.size());
     }
 
     // Attribute the cycle, most-specific cause first. A flush this
@@ -280,7 +277,7 @@ Pe::tick(Tick now, NocFabric &fabric)
         // Ready to flush but operands have not arrived yet.
         cls = StallClass::StallInject;
     }
-    NC_METRIC_CYCLE(TraceComponent::Pe, id_, cls);
+    NC_COUNT(probe_, Counter::stall(TraceComponent::Pe, cls), id_, 1);
 }
 
 Tick
@@ -307,29 +304,31 @@ Pe::skipTicks(Tick from, Tick to)
 {
     nc_assert(from < to, "empty PE skip window");
     if (!pass_.enabled) {
-        NC_METRIC_CYCLES(TraceComponent::Pe, id_, StallClass::Idle,
-                         to - from);
+        NC_COUNT(probe_, Counter::stall(TraceComponent::Pe, StallClass::Idle),
+                 id_, to - from);
         return;
     }
     histCacheOccupancy_.sample(cache_.totalEntries(), to - from);
     Tick t = from;
     if (macBusyUntil_ > t) {
         Tick end = std::min(to, macBusyUntil_);
-        NC_METRIC_CYCLES(TraceComponent::Pe, id_, StallClass::Busy,
-                         end - t);
+        NC_COUNT(probe_, Counter::stall(TraceComponent::Pe, StallClass::Busy),
+                 id_, end - t);
         t = end;
     }
     if (t < to && !passComplete_ && nextFlushAt_ > t) {
         Tick end = std::min(to, nextFlushAt_);
-        NC_METRIC_CYCLES(TraceComponent::Pe, id_,
-                         StallClass::StallCache, end - t);
+        NC_COUNT(probe_,
+                 Counter::stall(TraceComponent::Pe, StallClass::StallCache),
+                 id_, end - t);
         t = end;
     }
     if (t < to) {
-        NC_METRIC_CYCLES(TraceComponent::Pe, id_,
-                         passComplete_ ? StallClass::Idle
-                                       : StallClass::StallInject,
-                         to - t);
+        NC_COUNT(probe_,
+                 Counter::stall(TraceComponent::Pe,
+                                passComplete_ ? StallClass::Idle
+                                              : StallClass::StallInject),
+                 id_, to - t);
     }
 }
 

@@ -89,8 +89,11 @@ class Pe
      * @param id node index (equals the home vault index)
      * @param params structural parameters
      * @param parent stat group parent
+     * @param probe the machine's instrumentation (shared with the
+     *        operand cache)
      */
-    Pe(PeId id, const PeParams &params, StatGroup *parent);
+    Pe(PeId id, const PeParams &params, StatGroup *parent,
+       Probe probe = {});
 
     /** Load a pass configuration; resets all sequencing state. */
     void configurePass(const PePassConfig &config);
@@ -168,6 +171,7 @@ class Pe
 
     PeId id_;
     PeParams params_;
+    Probe probe_;
     PePassConfig pass_;
 
     StatGroup statGroup_;

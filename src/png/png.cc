@@ -3,15 +3,14 @@
 #include <bit>
 
 #include "common/logging.hh"
-#include "trace/energy.hh"
-#include "trace/metrics.hh"
 
 namespace neurocube
 {
 
 Png::Png(VaultId id, const PngParams &params, MemoryChannel &channel,
-         NocFabric &fabric, StatGroup *parent)
+         NocFabric &fabric, StatGroup *parent, Probe probe)
     : id_(id), params_(params), channel_(channel), fabric_(fabric),
+      probe_(probe),
       lut_(&sharedLut(ActivationKind::Identity)),
       statGroup_(parent, "png" + std::to_string(id)),
       statIssued_(&statGroup_, "issued", "element reads issued"),
@@ -33,7 +32,7 @@ Png::tracePhase(PngFsmPhase phase, unsigned plane)
         return;
     tracePhase_ = phase;
     tracePlane_ = plane;
-    NC_TRACE(TraceComponent::Png, id_, TraceEventType::PngPhase,
+    NC_TRACE(probe_, TraceComponent::Png, id_, TraceEventType::PngPhase,
              uint32_t(phase), plane);
 #else
     (void)phase;
@@ -64,7 +63,8 @@ void
 Png::tick(Tick now)
 {
     if (!program_.enabled) {
-        NC_METRIC_CYCLE(TraceComponent::Png, id_, StallClass::Idle);
+        NC_COUNT(probe_, Counter::stall(TraceComponent::Png, StallClass::Idle),
+                 id_, 1);
         return;
     }
     histOutQueueDepth_.sample(outQueue_.size());
@@ -94,9 +94,9 @@ Png::tick(Tick now)
         statIssued_ += 1;
     }
     if (issued > 0) {
-        NC_ENERGY_EVENT(EnergyEventKind::PngOp, id_, issued);
-        NC_TRACE(TraceComponent::Png, id_, TraceEventType::PngIssue,
-                 0, issued);
+        NC_COUNT(probe_, EnergyEventKind::PngOp, id_, issued);
+        NC_TRACE(probe_, TraceComponent::Png, id_, TraceEventType::PngIssue, 0,
+                 issued);
     }
 
     // 2. Encapsulate returned data into packets. Completions may be
@@ -140,9 +140,8 @@ Png::tick(Tick now)
     }
     if (!outQueue_.empty() && injected == 0) {
         statInjectStallTicks_ += 1;
-        NC_TRACE(TraceComponent::Png, id_,
-                 TraceEventType::PngInjectStall, 0,
-                 outQueue_.size());
+        NC_TRACE(probe_, TraceComponent::Png, id_,
+                 TraceEventType::PngInjectStall, 0, outQueue_.size());
     }
 
     // 4. Absorb write-backs: activation LUT, then write to the vault.
@@ -174,7 +173,7 @@ Png::tick(Tick now)
         statWriteBacks_ += 1;
     }
     if (absorbed > 0) {
-        NC_ENERGY_EVENT(EnergyEventKind::PngOp, id_, absorbed);
+        NC_COUNT(probe_, EnergyEventKind::PngOp, id_, absorbed);
         if (perPlaneWb_ > 0) {
             allowedPlane_ = unsigned(wbReceived_ / perPlaneWb_)
                           + planeWindow;
@@ -201,7 +200,7 @@ Png::tick(Tick now)
     } else {
         cls = StallClass::Idle;
     }
-    NC_METRIC_CYCLE(TraceComponent::Png, id_, cls);
+    NC_COUNT(probe_, Counter::stall(TraceComponent::Png, cls), id_, 1);
 
 #if NEUROCUBE_TRACE_ENABLED
     // Counter-FSM phase for the trace: generating while addresses
@@ -250,8 +249,8 @@ Png::skipTicks(Tick from, Tick to)
     nc_assert(from < to, "empty PNG skip window");
     const uint64_t n = to - from;
     if (!program_.enabled) {
-        NC_METRIC_CYCLES(TraceComponent::Png, id_, StallClass::Idle,
-                         n);
+        NC_COUNT(probe_, Counter::stall(TraceComponent::Png, StallClass::Idle),
+                 id_, n);
         return;
     }
     // The sleep condition guarantees an empty out-queue and that no
@@ -268,7 +267,7 @@ Png::skipTicks(Tick from, Tick to)
     } else {
         cls = StallClass::Idle;
     }
-    NC_METRIC_CYCLES(TraceComponent::Png, id_, cls, n);
+    NC_COUNT(probe_, Counter::stall(TraceComponent::Png, cls), id_, n);
 }
 
 } // namespace neurocube

@@ -57,9 +57,10 @@ class Png
      * @param channel the vault controller / DRAM channel
      * @param fabric the NoC
      * @param parent stat group parent
+     * @param probe the machine's instrumentation
      */
     Png(VaultId id, const PngParams &params, MemoryChannel &channel,
-        NocFabric &fabric, StatGroup *parent);
+        NocFabric &fabric, StatGroup *parent, Probe probe = {});
 
     /** Load a pass program (host writes the configuration regs). */
     void configure(const PngProgram &program);
@@ -125,6 +126,7 @@ class Png
     PngParams params_;
     MemoryChannel &channel_;
     NocFabric &fabric_;
+    Probe probe_;
 
     /** Last FSM phase published to the trace bus. */
     PngFsmPhase tracePhase_ = PngFsmPhase::Idle;

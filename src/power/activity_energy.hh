@@ -5,7 +5,8 @@
  * The analytic model (energy_model.hh) integrates Table II block
  * power over wall-clock — it assumes every block switches at full
  * activity for the whole run. This model instead prices each
- * *counted* event (EnergyRegistry, trace/energy.hh) at a per-event
+ * *counted* event (the energy counters of the MetricsRegistry,
+ * trace/energy.hh and trace/metrics.hh) at a per-event
  * energy derived from the same Table I/II seeds: a block's pJ per
  * event is its dynamic power divided by its clock (one event per
  * cycle at full activity, the synthesis condition behind Table II).

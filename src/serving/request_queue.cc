@@ -1,13 +1,12 @@
 #include "serving/request_queue.hh"
 
 #include "common/logging.hh"
-#include "trace/trace.hh"
 
 namespace neurocube
 {
 
-RequestQueue::RequestQueue(size_t depth)
-    : depth_limit_(depth),
+RequestQueue::RequestQueue(size_t depth, Probe probe)
+    : depth_limit_(depth), probe_(probe),
       depth_(nullptr, "serveQueueDepth", "request queue depth")
 {
     nc_assert(depth >= 1, "request queue needs depth >= 1");
@@ -20,18 +19,16 @@ RequestQueue::offer(const Request &request, Tick now)
     if (queue_.size() >= depth_limit_) {
         ++dropped_;
         depth_.sample(queue_.size());
-        NC_TRACE(TraceComponent::Sim, 0,
+        NC_TRACE(probe_, TraceComponent::Sim, 0,
                  TraceEventType::ServeQueueDepth,
-                 unsigned(ServeQueueEvent::Drop),
-                 uint64_t(queue_.size()));
+                 unsigned(ServeQueueEvent::Drop), uint64_t(queue_.size()));
         return false;
     }
     queue_.push_back(request);
     ++admitted_;
     depth_.sample(queue_.size());
-    NC_TRACE(TraceComponent::Sim, 0, TraceEventType::ServeQueueDepth,
-             unsigned(ServeQueueEvent::Arrive),
-             uint64_t(queue_.size()));
+    NC_TRACE(probe_, TraceComponent::Sim, 0, TraceEventType::ServeQueueDepth,
+             unsigned(ServeQueueEvent::Arrive), uint64_t(queue_.size()));
     return true;
 }
 
@@ -43,9 +40,8 @@ RequestQueue::pop(Tick now)
     Request request = queue_.front();
     queue_.pop_front();
     depth_.sample(queue_.size());
-    NC_TRACE(TraceComponent::Sim, 0, TraceEventType::ServeQueueDepth,
-             unsigned(ServeQueueEvent::Dispatch),
-             uint64_t(queue_.size()));
+    NC_TRACE(probe_, TraceComponent::Sim, 0, TraceEventType::ServeQueueDepth,
+             unsigned(ServeQueueEvent::Dispatch), uint64_t(queue_.size()));
     return request;
 }
 

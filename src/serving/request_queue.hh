@@ -23,6 +23,7 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "trace/trace.hh"
 
 namespace neurocube
 {
@@ -40,8 +41,11 @@ struct Request
 class RequestQueue
 {
   public:
-    /** @param depth admission bound (offers beyond it are dropped) */
-    explicit RequestQueue(size_t depth);
+    /**
+     * @param depth admission bound (offers beyond it are dropped)
+     * @param probe the serving machine's instrumentation
+     */
+    explicit RequestQueue(size_t depth, Probe probe = {});
 
     /**
      * Offer a request at time @p now. Admitted when the queue has
@@ -71,6 +75,7 @@ class RequestQueue
 
   private:
     size_t depth_limit_;
+    Probe probe_;
     std::deque<Request> queue_;
     uint64_t admitted_ = 0;
     uint64_t dropped_ = 0;

@@ -4,15 +4,13 @@
 
 #include "common/logging.hh"
 #include "serving/spans.hh"
-#include "trace/metrics.hh"
-#include "trace/trace.hh"
 
 namespace neurocube
 {
 
 ServingSimulator::ServingSimulator(Neurocube &cube,
                                    const ServingConfig &config)
-    : cube_(cube), config_(config)
+    : cube_(cube), config_(config), probe_(cube.probe())
 {
 }
 
@@ -25,20 +23,15 @@ ServingSimulator::run(const ArrivalSchedule &arrivals,
     res.requests.resize(n);
     res.arrivalSpan = arrivals.span();
 
-    RequestQueue queue(config_.queueDepth);
+    RequestQueue queue(config_.queueDepth, probe_);
     BatchScheduler scheduler(config_.scheduler);
 
     const Tick start = cube_.now();
 
-    MetricsRegistry *metrics = cube_.metricsRegistry();
-    MetricsSnapshot metrics_before;
-    if (metrics)
-        metrics_before = metrics->snapshot();
-
-    SpatialRegistry *spatial = cube_.spatialRegistry();
-    SpatialSnapshot spatial_before;
-    if (spatial)
-        spatial_before = cube_.spatialSnapshot();
+    MetricsRegistry *registry = probe_.registry;
+    MetricsSnapshot before;
+    if (registry)
+        before = registry->snapshot();
 
     // Admit every arrival up to (and including) tick `upto`, in
     // arrival order. Arrivals that land while the cube is busy with
@@ -52,13 +45,13 @@ ServingSimulator::run(const ArrivalSchedule &arrivals,
             RequestRecord &rec = res.requests[next];
             rec.id = next;
             rec.arrival = at;
-            NC_TRACE_TICK(at);
+            NC_TRACE_TICK(probe_, at);
             if (!queue.offer({next, at}, at)) {
                 rec.dropped = true;
                 ++res.dropped;
-                NC_TRACE(TraceComponent::Sim, 0,
-                         TraceEventType::ServeRequestDone,
-                         unsigned(next), uint64_t(0));
+                NC_TRACE(probe_, TraceComponent::Sim, 0,
+                         TraceEventType::ServeRequestDone, unsigned(next),
+                         uint64_t(0));
             } else {
                 // Admission decides at the arrival tick, so an
                 // admitted request's admit stamp is its arrival.
@@ -99,16 +92,15 @@ ServingSimulator::run(const ArrivalSchedule &arrivals,
 
         cube_.setBatchLanes(lanes);
         const Tick dispatch = cube_.now();
-        NC_TRACE_TICK(dispatch);
+        NC_TRACE_TICK(probe_, dispatch);
         const unsigned batch_size =
             unsigned(std::min<size_t>(lanes, queue.size()));
         std::vector<uint64_t> ids(batch_size);
         for (unsigned i = 0; i < batch_size; ++i)
             ids[i] = queue.pop(dispatch).id;
         for (uint64_t id : ids) {
-            NC_TRACE(TraceComponent::Sim, 0,
-                     TraceEventType::ServeRequestDispatch,
-                     unsigned(id),
+            NC_TRACE(probe_, TraceComponent::Sim, 0,
+                     TraceEventType::ServeRequestDispatch, unsigned(id),
                      uint64_t(dispatch - res.requests[id].arrival));
         }
 
@@ -121,7 +113,7 @@ ServingSimulator::run(const ArrivalSchedule &arrivals,
         for (const RunResult &lane_run : batch.lanes)
             res.energy += lane_run.energyCounts();
 
-        NC_TRACE_TICK(done);
+        NC_TRACE_TICK(probe_, done);
         for (uint64_t id : ids) {
             RequestRecord &rec = res.requests[id];
             rec.dispatch = dispatch;
@@ -130,7 +122,7 @@ ServingSimulator::run(const ArrivalSchedule &arrivals,
             rec.lanes = lanes;
             res.latency.sample(done - rec.arrival);
             ++res.served;
-            NC_TRACE(TraceComponent::Sim, 0,
+            NC_TRACE(probe_, TraceComponent::Sim, 0,
                      TraceEventType::ServeRequestDone, unsigned(id),
                      uint64_t(done - rec.arrival));
         }
@@ -138,12 +130,10 @@ ServingSimulator::run(const ArrivalSchedule &arrivals,
 
     res.makespan = cube_.now() - start;
     res.queueDepth = queue.depthHistogram();
-    if (metrics) {
-        res.bottleneck = buildBottleneckReport(
-            metrics->snapshot().delta(metrics_before));
-    }
-    if (spatial) {
-        res.spatial = cube_.spatialSnapshot().delta(spatial_before);
+    if (registry) {
+        const MetricsSnapshot delta = registry->snapshot().delta(before);
+        res.bottleneck = buildBottleneckReport(delta);
+        res.spatial = delta.spatialCounts();
         res.spatialTopology = cube_.spatialTopology();
     }
     if (!config_.spansJsonlPath.empty())

@@ -139,7 +139,7 @@ struct ServingResult
     /**
      * Machine-level stall attribution over the run's executed
      * cycles (idle gaps are fast-forwarded, not ticked, so they do
-     * not appear here). valid only when the cube ran with metrics
+     * not appear here). valid only when the cube ran with tracing
      * enabled — identifies the dominant in-batch stall class, e.g.
      * what the machine is bound by past the saturation knee.
      */
@@ -148,7 +148,7 @@ struct ServingResult
     /**
      * Spatial counter delta over the whole run (heatmap export) and
      * the machine shape keying it. valid()/populated only when the
-     * cube ran with spatial accounting enabled.
+     * cube ran with tracing enabled.
      */
     SpatialSnapshot spatial;
     SpatialTopology spatialTopology;
@@ -181,6 +181,8 @@ class ServingSimulator
   private:
     Neurocube &cube_;
     ServingConfig config_;
+    /** The cube's instrumentation (serving spans, queue depth). */
+    Probe probe_;
 };
 
 } // namespace neurocube

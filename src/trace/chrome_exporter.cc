@@ -161,7 +161,7 @@ ChromeTraceExporter::flushWindow()
     if (sawEnergy_) {
         // Window energy over window wall-clock: pJ x 1e-12 / (ticks
         // / refclock). An estimate from the event stream — exact
-        // per-layer numbers come from the EnergyRegistry.
+        // per-layer numbers come from the registry counters.
         double watts =
             windowPj_ * 1e-12 * referenceClockHz / double(window_);
         emitCounter(trackPid(TraceComponent::Sim, 0), "power.W",

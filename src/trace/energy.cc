@@ -22,75 +22,6 @@ energyEventKindName(EnergyEventKind kind)
     return "unknown";
 }
 
-EnergySnapshot
-EnergySnapshot::delta(const EnergySnapshot &before) const
-{
-    EnergySnapshot out;
-    out.instances.resize(instances.size());
-    for (size_t i = 0; i < instances.size(); ++i) {
-        EnergyCounts &slot = out.instances[i];
-        slot.valid = instances[i].valid;
-        for (size_t k = 0; k < numEnergyEventKinds; ++k) {
-            uint64_t now = instances[i].n[k];
-            uint64_t then = i < before.instances.size()
-                ? before.instances[i].n[k] : 0;
-            slot.n[k] = now >= then ? now - then : 0;
-        }
-    }
-    return out;
-}
-
-EnergyCounts
-EnergySnapshot::sum(const std::vector<unsigned> *nodes) const
-{
-    EnergyCounts total;
-    if (nodes) {
-        for (unsigned node : *nodes) {
-            if (node < instances.size())
-                total += instances[node];
-        }
-        total.valid = !instances.empty();
-    } else {
-        for (const EnergyCounts &counts : instances)
-            total += counts;
-        total.valid = !instances.empty();
-    }
-    return total;
-}
-
-void
-EnergyRegistry::configure(unsigned instances)
-{
-    state_.instances.assign(instances, EnergyCounts{});
-    for (EnergyCounts &counts : state_.instances)
-        counts.valid = true;
-}
-
-void
-EnergyRegistry::reset()
-{
-    for (EnergyCounts &counts : state_.instances) {
-        counts.n.fill(0);
-        counts.valid = true;
-    }
-}
-
-namespace energy
-{
-
-namespace detail
-{
-EnergyRegistry *g_activeRegistry = nullptr;
-} // namespace detail
-
-void
-setActiveRegistry(EnergyRegistry *registry)
-{
-    detail::g_activeRegistry = registry;
-}
-
-} // namespace energy
-
 double
 tracePjOf(const TraceEvent &event, const EnergyPrices &prices)
 {
@@ -113,7 +44,7 @@ tracePjOf(const TraceEvent &event, const EnergyPrices &prices)
             return prices.nocHopPj;
         // Stream estimate: a LinkFlit event carries no link length,
         // so it prices as one unit-distance segment. Exact distance-
-        // weighted accounting is the EnergyRegistry path.
+        // weighted accounting is the registry's NocLink counter.
         if (type == TraceEventType::LinkFlit)
             return prices.nocLinkPj;
         return 0.0;

@@ -1,21 +1,21 @@
 /**
  * @file
- * Activity-based energy accounting: per-event counters and prices.
+ * Activity-based energy accounting: event kinds, counts and prices.
  *
  * Every simulated component publishes its energy-bearing activity
  * (MAC operations, operand-cache accesses, buffer writes, flit hops,
- * DRAM bits, ...) through the NC_ENERGY_EVENT macro into an
- * EnergyRegistry owned by the active TraceSession — the same
- * publish/snapshot/delta shape as the stall-attribution metrics in
- * trace/metrics.hh. Counting is a single array increment; pricing
- * (counts x pJ) happens at report time in power/activity_energy.hh,
- * so the same raw counts can be priced at either technology node.
+ * DRAM bits, ...) through the NC_COUNT macro into its machine's
+ * MetricsRegistry (trace/metrics.hh), one counter per kind and node
+ * next to the stall and spatial counters. Counting is a single array
+ * increment; a registry delta reads back as EnergyCounts
+ * (MetricsSnapshot::energyCounts), and pricing (counts x pJ) happens
+ * at report time in power/activity_energy.hh, so the same raw counts
+ * can be priced at either technology node.
  *
  * The accounting is observational only: recording an event never
- * alters component behaviour, so enabling energy accounting cannot
- * change simulated cycle counts (tests/test_golden_cycles.cc
- * asserts this). With -DNEUROCUBE_TRACE=OFF the macro compiles to
- * nothing and no EnergyRegistry is ever created.
+ * alters component behaviour, so energy accounting cannot change
+ * simulated cycle counts (tests/test_golden_cycles.cc asserts this).
+ * With -DNEUROCUBE_TRACE=OFF the macro compiles to nothing.
  */
 
 #ifndef NEUROCUBE_TRACE_ENERGY_HH
@@ -24,22 +24,18 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
 #include "trace/events.hh"
-
-#ifndef NEUROCUBE_TRACE_ENABLED
-#define NEUROCUBE_TRACE_ENABLED 1
-#endif
 
 namespace neurocube
 {
 
 /**
  * One kind of energy-bearing activity. Each kind is published by
- * exactly one component class, so a single node-indexed counter
- * table serves the whole machine.
+ * exactly one component class, so one node-indexed counter per kind
+ * serves the whole machine (vault channels count at their channel
+ * index, which batching requires to equal the hosting node).
  */
 enum class EnergyEventKind : uint8_t
 {
@@ -104,85 +100,6 @@ struct EnergyCounts
 };
 
 /**
- * A copy of every instance's counters at one point in time. Also the
- * storage the live EnergyRegistry mutates. Instances are node-indexed
- * (PE id, router id, PNG node, channel index — batching requires the
- * identity vault attachment, so one index space covers them all).
- */
-struct EnergySnapshot
-{
-    std::vector<EnergyCounts> instances;
-
-    /** Per-instance counter deltas since @p before. */
-    EnergySnapshot delta(const EnergySnapshot &before) const;
-
-    /**
-     * Sum counts over instances, restricted to @p nodes when non-null
-     * (per-lane attribution). valid iff any instance exists.
-     */
-    EnergyCounts sum(const std::vector<unsigned> *nodes = nullptr) const;
-};
-
-/**
- * The live activity counters, owned by the TraceSession and fed by
- * NC_ENERGY_EVENT. Instances must be sized with configure() before
- * counting; events for unknown instances are dropped (never
- * undefined behaviour).
- */
-class EnergyRegistry
-{
-  public:
-    /** Size the per-instance counter array (nodes on the mesh). */
-    void configure(unsigned instances);
-
-    /** Count @p amount units of one kind at one instance. */
-    void
-    add(EnergyEventKind kind, unsigned instance, uint64_t amount)
-    {
-        auto &vec = state_.instances;
-        if (instance < vec.size())
-            vec[instance].n[size_t(kind)] += amount;
-    }
-
-    /** The live counters (read-only view). */
-    const EnergySnapshot &state() const { return state_; }
-
-    /** Deep copy of the current counters. */
-    EnergySnapshot snapshot() const { return state_; }
-
-    /** Zero every counter (instance sizing is kept). */
-    void reset();
-
-  private:
-    EnergySnapshot state_;
-};
-
-namespace energy
-{
-
-namespace detail
-{
-/** Storage behind activeRegistry() (do not touch directly). */
-extern EnergyRegistry *g_activeRegistry;
-} // namespace detail
-
-/**
- * The process-wide registry NC_ENERGY_EVENT publishes to, or nullptr
- * while energy accounting is off (mirrors metrics::activeRegistry()).
- * Inline so the per-event sites reduce to one load + branch.
- */
-inline EnergyRegistry *
-activeRegistry()
-{
-    return detail::g_activeRegistry;
-}
-
-/** Install (or, with nullptr, remove) the active registry. */
-void setActiveRegistry(EnergyRegistry *registry);
-
-} // namespace energy
-
-/**
  * Per-event energy prices in picojoules, the flat plain-data form
  * the trace-layer exporters consume (power-over-time tracks). The
  * defaults are the 15 nm Table II derivation; ActivityEnergyModel
@@ -227,48 +144,10 @@ struct EnergyPrices
  * power.W counter track. This prices the event *stream*, which sees
  * slightly less than the registry (temporal-buffer and weight-
  * register accesses publish no trace events); the exact per-layer
- * accounting is the EnergyRegistry path.
+ * accounting is the MetricsRegistry's energy counters.
  */
 double tracePjOf(const TraceEvent &event, const EnergyPrices &prices);
 
 } // namespace neurocube
-
-#if NEUROCUBE_TRACE_ENABLED
-
-/**
- * Count energy-bearing activity: NC_ENERGY_EVENT(kind, instance,
- * amount). Compiles to a null-check while energy accounting is
- * inactive and to nothing with -DNEUROCUBE_TRACE=OFF.
- */
-#define NC_ENERGY_EVENT(kind, instance, amount) \
-    do { \
-        if (::neurocube::EnergyRegistry *nc_energy_r_ = \
-                ::neurocube::energy::activeRegistry()) { \
-            nc_energy_r_->add((kind), unsigned(instance), \
-                              uint64_t(amount)); \
-        } \
-    } while (0)
-
-#else
-
-namespace neurocube::energy::detail
-{
-/** Marks macro arguments as used in NEUROCUBE_TRACE=OFF builds. */
-template <typename... Args>
-inline void
-ignore(Args &&...)
-{
-}
-} // namespace neurocube::energy::detail
-
-#define NC_ENERGY_EVENT(kind, instance, amount) \
-    do { \
-        if (false) { \
-            ::neurocube::energy::detail::ignore( \
-                (kind), (instance), (amount)); \
-        } \
-    } while (0)
-
-#endif // NEUROCUBE_TRACE_ENABLED
 
 #endif // NEUROCUBE_TRACE_ENERGY_HH

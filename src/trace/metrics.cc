@@ -27,71 +27,176 @@ stallClassName(StallClass cls)
     return "?";
 }
 
+uint64_t
+MetricsSnapshot::total(Counter counter) const
+{
+    uint64_t sum = 0;
+    for (unsigned i = 0; i < instances(counter); ++i)
+        sum += at(counter, i);
+    return sum;
+}
+
+StallBreakdown
+MetricsSnapshot::stalls(TraceComponent component,
+                        unsigned instance) const
+{
+    StallBreakdown b;
+    for (size_t s = 0; s < numStallClasses; ++s)
+        b.ticks[s] = at(Counter::stall(component, StallClass(s)),
+                        instance);
+    return b;
+}
+
 MetricsSnapshot
 MetricsSnapshot::delta(const MetricsSnapshot &before) const
 {
-    MetricsSnapshot d;
-    for (size_t c = 0; c < comps.size(); ++c) {
-        const auto &now = comps[c];
-        const auto &then = before.comps[c];
-        d.comps[c].resize(now.size());
-        for (size_t i = 0; i < now.size(); ++i) {
-            d.comps[c][i] = i < then.size() ? now[i] - then[i]
-                                            : now[i];
-        }
-    }
+    MetricsSnapshot d = *this;
+    for (size_t i = 0; i < before.slots.size() && i < d.slots.size();
+         ++i)
+        d.slots[i] -= before.slots[i];
     return d;
 }
 
-void
-MetricsRegistry::configure(unsigned routers, unsigned pes,
-                           unsigned pngs, unsigned vaults)
+EnergyCounts
+MetricsSnapshot::energyCounts() const
 {
-    state_.comps[size_t(TraceComponent::Router)].assign(routers, {});
-    state_.comps[size_t(TraceComponent::Pe)].assign(pes, {});
-    state_.comps[size_t(TraceComponent::Png)].assign(pngs, {});
-    state_.comps[size_t(TraceComponent::Vault)].assign(vaults, {});
+    EnergyCounts counts;
+    counts.valid = instances(EnergyEventKind::MacOp) > 0;
+    for (size_t k = 0; k < numEnergyEventKinds; ++k)
+        counts.n[k] = total(EnergyEventKind(k));
+    return counts;
+}
+
+SpatialSnapshot
+MetricsSnapshot::spatialCounts() const
+{
+    auto of = [this](SpatialCounter counter) {
+        std::vector<uint64_t> v(instances(counter));
+        for (unsigned i = 0; i < v.size(); ++i)
+            v[i] = at(counter, i);
+        return v;
+    };
+    SpatialSnapshot s;
+    s.linkFlits = of(SpatialCounter::LinkFlit);
+    s.linkStalls = of(SpatialCounter::LinkStall);
+    s.linkOccupancy = of(SpatialCounter::LinkOccupancy);
+    s.vaultBytes = of(SpatialCounter::VaultByte);
+    s.vaultQueueTicks = of(SpatialCounter::VaultQueue);
+    s.peMacOps = of(SpatialCounter::PeMac);
+    s.nodeLateral = of(SpatialCounter::NodeLateral);
+    s.nodeLocal = of(SpatialCounter::NodeLocal);
+    return s;
 }
 
 void
-MetricsRegistry::reset()
+MetricsRegistry::configure(unsigned nodes, unsigned pes,
+                           unsigned vaults,
+                           std::vector<uint16_t> vault_node)
 {
-    for (auto &vec : state_.comps)
-        std::fill(vec.begin(), vec.end(), StallBreakdown{});
+    topology_.numNodes = nodes;
+    topology_.numPes = pes;
+    topology_.numVaults = vaults;
+    topology_.vaultNode = std::move(vault_node);
+    layOut();
 }
 
-namespace metrics::detail
+void
+MetricsRegistry::configureLinks(unsigned mesh_width,
+                                std::vector<SpatialLink> links)
 {
+    topology_.meshWidth = mesh_width;
+    topology_.links = std::move(links);
+    layOut();
+}
 
-/** The process-wide registry slot NC_METRIC_CYCLE loads. */
-MetricsRegistry *g_activeRegistry = nullptr;
+void
+MetricsRegistry::layOut()
+{
+    // Counters that share an instance space sit together, instance-
+    // major: one component instance's stall classes, or one node's
+    // energy kinds, are adjacent slots.
+    const unsigned nodes = topology_.numNodes;
+    const unsigned pes = topology_.numPes;
+    const unsigned vaults = topology_.numVaults;
+    uint32_t next = 0;
+    auto group = [&](Counter first, unsigned counters,
+                     InstanceSpace space, unsigned count) {
+        for (unsigned k = 0; k < counters; ++k) {
+            state_.layout[first.id() + k] = {next + k, counters, count,
+                                             space};
+        }
+        next += counters * count;
+    };
+    auto stalls = [&](TraceComponent c, InstanceSpace space,
+                      unsigned count) {
+        group(Counter::stall(c, StallClass(0)), numStallClasses, space,
+              count);
+    };
+    // PNGs publish their hosting node, vault channels their index.
+    stalls(TraceComponent::Router, InstanceSpace::Node, nodes);
+    stalls(TraceComponent::Pe, InstanceSpace::Node, pes);
+    stalls(TraceComponent::Png, InstanceSpace::Node, nodes);
+    stalls(TraceComponent::Vault, InstanceSpace::Vault, vaults);
+    group(EnergyEventKind(0), numEnergyEventKinds, InstanceSpace::Node,
+          std::max({nodes, pes, vaults}));
+    static_assert(size_t(SpatialCounter::CounterCount) == 8,
+                  "a new SpatialCounter needs a layout group");
+    group(SpatialCounter::LinkFlit, 3, InstanceSpace::Link,
+          unsigned(topology_.links.size()));
+    group(SpatialCounter::VaultByte, 2, InstanceSpace::Vault, vaults);
+    group(SpatialCounter::PeMac, 1, InstanceSpace::Node, pes);
+    group(SpatialCounter::NodeLateral, 2, InstanceSpace::Node, nodes);
+    state_.slots.assign(next, 0);
+}
 
-} // namespace metrics::detail
+MetricsSnapshot
+MetricsRegistry::filterToNodes(const MetricsSnapshot &delta,
+                               const std::vector<unsigned> &nodes) const
+{
+    std::vector<bool> in_set;
+    for (unsigned node : nodes) {
+        if (node >= in_set.size())
+            in_set.resize(node + 1, false);
+        in_set[node] = true;
+    }
+    auto selected = [&in_set](unsigned node) {
+        return node < in_set.size() && in_set[node];
+    };
+    auto kept = [&](InstanceSpace space, unsigned i) {
+        switch (space) {
+          case InstanceSpace::Vault:
+            return selected(i < topology_.vaultNode.size()
+                                ? topology_.vaultNode[i]
+                                : i);
+          case InstanceSpace::Link:
+            return selected(topology_.links[i].src)
+                && selected(topology_.links[i].dst);
+          case InstanceSpace::Node:
+            break;
+        }
+        return selected(i);
+    };
+    MetricsSnapshot out = delta;
+    for (const CounterSlots &c : out.layout) {
+        for (unsigned i = 0; i < c.count; ++i) {
+            if (!kept(c.space, i))
+                out.slots[c.base + size_t(i) * c.stride] = 0;
+        }
+    }
+    return out;
+}
 
 namespace
 {
 
-/** True when @p nodes is null or contains @p instance. */
-bool
-selected(const std::vector<unsigned> *nodes, size_t instance)
-{
-    if (nodes == nullptr)
-        return true;
-    return std::find(nodes->begin(), nodes->end(),
-                     unsigned(instance)) != nodes->end();
-}
-
-/** Sum the breakdowns of one component class (node-filtered). */
+/** One component class's stall cycles, summed over instances. */
 StallBreakdown
-sumComponent(const MetricsSnapshot &delta, TraceComponent c,
-             const std::vector<unsigned> *nodes)
+sumComponent(const MetricsSnapshot &delta, TraceComponent c)
 {
     StallBreakdown sum;
-    const auto &vec = delta.of(c);
-    for (size_t i = 0; i < vec.size(); ++i) {
-        if (selected(nodes, i))
-            sum += vec[i];
-    }
+    for (unsigned i = 0;
+         i < delta.instances(Counter::stall(c, StallClass(0))); ++i)
+        sum += delta.stalls(c, i);
     return sum;
 }
 
@@ -113,27 +218,14 @@ constexpr double kIdleFloor = 0.05;
 
 } // namespace
 
-namespace metrics
-{
-
-void
-setActiveRegistry(MetricsRegistry *registry)
-{
-    detail::g_activeRegistry = registry;
-}
-
-} // namespace metrics
-
 BottleneckReport
-buildBottleneckReport(const MetricsSnapshot &delta,
-                      const std::vector<unsigned> *nodes)
+buildBottleneckReport(const MetricsSnapshot &delta)
 {
     BottleneckReport report;
 
     StallBreakdown machine;
-    for (size_t c = 0; c < delta.comps.size(); ++c) {
-        StallBreakdown comp = sumComponent(
-            delta, TraceComponent(c), nodes);
+    for (size_t c = 0; c < size_t(TraceComponent::ComponentCount); ++c) {
+        StallBreakdown comp = sumComponent(delta, TraceComponent(c));
         machine += comp;
         uint64_t total = comp.total();
         for (size_t s = 0; s < numStallClasses; ++s) {
@@ -150,14 +242,10 @@ buildBottleneckReport(const MetricsSnapshot &delta,
                             / double(report.countedTicks);
     }
 
-    StallBreakdown pe =
-        sumComponent(delta, TraceComponent::Pe, nodes);
-    StallBreakdown router =
-        sumComponent(delta, TraceComponent::Router, nodes);
-    StallBreakdown png =
-        sumComponent(delta, TraceComponent::Png, nodes);
-    StallBreakdown vault =
-        sumComponent(delta, TraceComponent::Vault, nodes);
+    StallBreakdown pe = sumComponent(delta, TraceComponent::Pe);
+    StallBreakdown router = sumComponent(delta, TraceComponent::Router);
+    StallBreakdown png = sumComponent(delta, TraceComponent::Png);
+    StallBreakdown vault = sumComponent(delta, TraceComponent::Vault);
 
     report.peBusy = frac(pe, StallClass::Busy);
     report.peStallCache = frac(pe, StallClass::StallCache);

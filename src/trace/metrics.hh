@@ -1,24 +1,29 @@
 /**
  * @file
- * Stall-attribution metrics: cheap per-component cycle accounting.
+ * The counter registry: stall attribution, activity energy and
+ * spatial counters of one machine in one array.
  *
  * Every ticked component (router, PE, PNG, memory channel) classifies
- * each of its cycles into one StallClass through the NC_METRIC_CYCLE
- * macro. The counters live in a MetricsRegistry owned by the active
- * TraceSession; with no session (or with -DNEUROCUBE_TRACE=OFF, which
- * compiles the macro away) the accounting costs nothing.
+ * each of its cycles into one StallClass, and counts its
+ * energy-bearing activity (trace/energy.hh) and its spatially
+ * resolved traffic (trace/spatial.hh), all through the NC_COUNT macro
+ * (trace/trace.hh) into the MetricsRegistry of its machine's probe.
+ * With no registry (tracing off) a site costs a member load and a
+ * branch; with -DNEUROCUBE_TRACE=OFF it compiles to nothing.
  *
  * Unlike the event bus in trace/trace.hh, which records *what
- * happened*, this layer answers *where the cycles went*: snapshots
- * taken around a layer yield a per-layer (or per-lane) delta, and
- * buildBottleneckReport() turns that delta into a top-down bottleneck
- * classification — the paper's Fig. 12/15 question of whether a layer
- * is bound by MAC throughput, PNG injection, DRAM service, or NoC
- * saturation.
+ * happened*, the counters answer *where the cycles and the energy
+ * went*: snapshots taken around a layer yield a per-layer delta,
+ * filterToNodes() narrows it to one batch lane, and three read-outs
+ * turn it into result types. buildBottleneckReport() classifies the
+ * stall counters top-down — the paper's Fig. 12/15 question of
+ * whether a layer is bound by MAC throughput, PNG injection, DRAM
+ * service, or NoC saturation — energyCounts() sums the energy kinds,
+ * and spatialCounts() lists the spatial counters per instance.
  *
- * The accounting is observational only: classifying a cycle never
- * alters component behaviour, so enabling metrics cannot change
- * simulated cycle counts (tests/test_golden_cycles.cc asserts this).
+ * The accounting is observational only: counting never alters
+ * component behaviour, so tracing cannot change simulated cycle
+ * counts (tests/test_golden_cycles.cc asserts this).
  */
 
 #ifndef NEUROCUBE_TRACE_METRICS_HH
@@ -30,11 +35,9 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "trace/energy.hh"
 #include "trace/events.hh"
-
-#ifndef NEUROCUBE_TRACE_ENABLED
-#define NEUROCUBE_TRACE_ENABLED 1
-#endif
+#include "trace/spatial.hh"
 
 namespace neurocube
 {
@@ -100,113 +103,189 @@ struct StallBreakdown
             ticks[i] += other.ticks[i];
         return *this;
     }
-
-    /** Counter delta (counts are monotone, so this never wraps). */
-    StallBreakdown
-    operator-(const StallBreakdown &other) const
-    {
-        StallBreakdown d;
-        for (size_t i = 0; i < numStallClasses; ++i)
-            d.ticks[i] = ticks[i] - other.ticks[i];
-        return d;
-    }
 };
 
 /**
- * A copy of every component's counters at one point in time. Also the
- * storage the live MetricsRegistry mutates. Indexed by component
- * class, then instance.
+ * One counter of the registry: a stall class of one component class,
+ * an activity-energy kind, or a spatial counter. Built implicitly
+ * from an EnergyEventKind or a SpatialCounter, and by stall() for a
+ * stall class, so one NC_COUNT macro publishes all three families.
+ */
+class Counter
+{
+  public:
+    constexpr Counter(EnergyEventKind kind)
+        : id_(uint8_t(energyBase + size_t(kind)))
+    {
+    }
+
+    constexpr Counter(SpatialCounter counter)
+        : id_(uint8_t(spatialBase + size_t(counter)))
+    {
+    }
+
+    /** Cycles of one component class spent in one stall class. */
+    static constexpr Counter
+    stall(TraceComponent component, StallClass cls)
+    {
+        return Counter(size_t(component) * numStallClasses
+                       + size_t(cls));
+    }
+
+    /** Index into the registry's layout table. */
+    constexpr size_t id() const { return id_; }
+
+    /** Ids: the stall counters, then energy, then spatial. */
+    static constexpr size_t energyBase =
+        size_t(TraceComponent::ComponentCount) * numStallClasses;
+    static constexpr size_t spatialBase =
+        energyBase + numEnergyEventKinds;
+    static constexpr size_t count =
+        spatialBase + size_t(SpatialCounter::CounterCount);
+
+  private:
+    explicit constexpr Counter(size_t id) : id_(uint8_t(id)) {}
+
+    uint8_t id_;
+};
+
+/** Which index space a counter's instances live in. */
+enum class InstanceSpace : uint8_t
+{
+    /** Mesh nodes (routers, PEs, PNGs, and energy per node). */
+    Node,
+    /** Vault channels (hosted at MetricsRegistry::topology().vaultNode). */
+    Vault,
+    /** Router-to-router links (SpatialTopology::links order). */
+    Link,
+};
+
+/**
+ * Where one counter lives in the registry's slot array: instance i
+ * is slot base + i * stride, for i < count.
+ */
+struct CounterSlots
+{
+    uint32_t base = 0;
+    uint32_t stride = 1;
+    /** Instances; 0 while the counter is not sized. */
+    uint32_t count = 0;
+    InstanceSpace space = InstanceSpace::Node;
+};
+
+/**
+ * A copy of every counter at one point in time, or a delta of two
+ * such copies. Also the storage the live MetricsRegistry mutates. The
+ * layout travels with the slots, so a snapshot reads back on its own.
  */
 struct MetricsSnapshot
 {
-    std::array<std::vector<StallBreakdown>,
-               size_t(TraceComponent::ComponentCount)>
-        comps;
+    /** Per counter (Counter::id()), where its instances live. */
+    std::array<CounterSlots, Counter::count> layout{};
+    /** Every counter instance, zero-initialised by the registry. */
+    std::vector<uint64_t> slots;
 
-    /** Counters of one component class. */
-    const std::vector<StallBreakdown> &
-    of(TraceComponent c) const
+    /** Instances of one counter. */
+    unsigned
+    instances(Counter counter) const
     {
-        return comps[size_t(c)];
+        return layout[counter.id()].count;
     }
 
-    /** Per-instance counter deltas since @p before. */
+    /** One instance of one counter. @pre instance < instances() */
+    uint64_t
+    at(Counter counter, unsigned instance) const
+    {
+        const CounterSlots &c = layout[counter.id()];
+        return slots[c.base + size_t(instance) * c.stride];
+    }
+
+    /** One counter summed over its instances. */
+    uint64_t total(Counter counter) const;
+
+    /** Stall-class cycles of one component instance. */
+    StallBreakdown stalls(TraceComponent component,
+                          unsigned instance) const;
+
+    /** Slot-wise counter deltas since @p before (empty = zeros). */
     MetricsSnapshot delta(const MetricsSnapshot &before) const;
+
+    /**
+     * The energy counters summed over nodes; valid iff the registry
+     * sized them.
+     */
+    EnergyCounts energyCounts() const;
+
+    /** The spatial counters, one vector per counter. */
+    SpatialSnapshot spatialCounts() const;
 };
 
 /**
- * The live cycle-accounting counters, owned by the TraceSession and
- * fed by NC_METRIC_CYCLE. Instances must be sized with configure()
- * before counting; cycles reported for unknown instances are dropped
- * (never undefined behaviour).
+ * The live counters of one machine: every stall, energy and spatial
+ * counter in one array, owned by the TraceSession and fed by
+ * NC_COUNT. Sized with configure() and configureLinks() before
+ * counting; counts for instances outside a counter's range are
+ * dropped (never undefined behaviour).
  */
 class MetricsRegistry
 {
   public:
-    /** Size the per-instance counter arrays. */
-    void configure(unsigned routers, unsigned pes, unsigned pngs,
-                   unsigned vaults);
-
-    /** Classify one cycle of one component instance. */
-    void
-    cycle(TraceComponent component, unsigned instance, StallClass cls)
-    {
-        auto &vec = state_.comps[size_t(component)];
-        if (instance < vec.size())
-            ++vec[instance].ticks[size_t(cls)];
-    }
+    /**
+     * Size every counter but the link counters (TraceSession).
+     *
+     * @param nodes mesh nodes (routers; PNGs publish their node)
+     * @param pes processing elements
+     * @param vaults vault channels
+     * @param vault_node vault ordinal -> hosting mesh node (empty =
+     *        identity attachment)
+     */
+    void configure(unsigned nodes, unsigned pes, unsigned vaults,
+                   std::vector<uint16_t> vault_node = {});
 
     /**
-     * Classify @p n identical cycles in one update (the event engine
-     * accounting for a skipped idle/stall stretch in bulk; exactly
-     * equivalent to n cycle() calls).
+     * Publish the fabric's link list and size the link counters
+     * (the NocFabric constructor; the fabric is built after the
+     * session, so links arrive second).
+     *
+     * @param mesh_width mesh side length, 0 for non-mesh fabrics
+     * @param links directed links in counter-instance order
      */
-    void
-    cycles(TraceComponent component, unsigned instance, StallClass cls,
-           uint64_t n)
-    {
-        auto &vec = state_.comps[size_t(component)];
-        if (instance < vec.size())
-            vec[instance].ticks[size_t(cls)] += n;
-    }
+    void configureLinks(unsigned mesh_width,
+                        std::vector<SpatialLink> links);
 
-    /** The live counters (read-only view). */
-    const MetricsSnapshot &state() const { return state_; }
+    /** Count @p amount units of one counter at one instance. */
+    void
+    add(Counter counter, unsigned instance, uint64_t amount)
+    {
+        const CounterSlots &c = state_.layout[counter.id()];
+        if (instance < c.count)
+            state_.slots[c.base + size_t(instance) * c.stride] += amount;
+    }
 
     /** Deep copy of the current counters. */
     MetricsSnapshot snapshot() const { return state_; }
 
-    /** Zero every counter (instance sizing is kept). */
-    void reset();
+    /**
+     * Restrict a delta to one set of mesh nodes (batch-lane
+     * attribution): slots outside the set are zeroed and sizes are
+     * kept, so the filtered deltas of a partition sum back to the
+     * whole. Node slots follow their own index, vault slots their
+     * hosting node, and link slots stay when both endpoints are in
+     * the set.
+     */
+    MetricsSnapshot filterToNodes(const MetricsSnapshot &delta,
+                                  const std::vector<unsigned> &nodes) const;
+
+    /** The machine shape the spatial counters describe. */
+    const SpatialTopology &topology() const { return topology_; }
 
   private:
+    /** Rebuild the layout table and zero every slot. */
+    void layOut();
+
+    SpatialTopology topology_;
     MetricsSnapshot state_;
 };
-
-namespace metrics
-{
-
-namespace detail
-{
-/** Storage behind activeRegistry() (do not touch directly). */
-extern MetricsRegistry *g_activeRegistry;
-} // namespace detail
-
-/**
- * The process-wide registry NC_METRIC_CYCLE publishes to, or nullptr
- * while metrics are off (mirrors trace::activeRecorder()). Inline so
- * the per-tick instrumentation sites reduce to one load + branch.
- */
-inline MetricsRegistry *
-activeRegistry()
-{
-    return detail::g_activeRegistry;
-}
-
-/** Install (or, with nullptr, remove) the active registry. */
-void setActiveRegistry(MetricsRegistry *registry);
-
-} // namespace metrics
 
 /** Five-number summary of one Histogram (for reports/JSON). */
 struct HistogramSummary
@@ -285,74 +364,10 @@ struct BottleneckReport
  * fraction or "idle".
  *
  * @param delta counter delta covering the interval of interest
- * @param nodes when non-null, restrict to these node indices (per-
- *        lane attribution; router/PE/PNG/vault instances are node-
- *        indexed)
+ *        (filtered to a lane's nodes for per-lane attribution)
  */
-BottleneckReport
-buildBottleneckReport(const MetricsSnapshot &delta,
-                      const std::vector<unsigned> *nodes = nullptr);
+BottleneckReport buildBottleneckReport(const MetricsSnapshot &delta);
 
 } // namespace neurocube
-
-#if NEUROCUBE_TRACE_ENABLED
-
-/**
- * Classify one component cycle: NC_METRIC_CYCLE(component, instance,
- * stallClass). Compiles to a null-check while metrics are inactive
- * and to nothing with -DNEUROCUBE_TRACE=OFF.
- */
-#define NC_METRIC_CYCLE(component, instance, cls) \
-    do { \
-        if (::neurocube::MetricsRegistry *nc_metric_r_ = \
-                ::neurocube::metrics::activeRegistry()) { \
-            nc_metric_r_->cycle((component), unsigned(instance), \
-                                (cls)); \
-        } \
-    } while (0)
-
-/**
- * Classify @p n identical component cycles at once (bulk accounting
- * for skipped stretches): NC_METRIC_CYCLES(component, instance,
- * stallClass, n).
- */
-#define NC_METRIC_CYCLES(component, instance, cls, n) \
-    do { \
-        if (::neurocube::MetricsRegistry *nc_metric_r_ = \
-                ::neurocube::metrics::activeRegistry()) { \
-            nc_metric_r_->cycles((component), unsigned(instance), \
-                                 (cls), (n)); \
-        } \
-    } while (0)
-
-#else
-
-namespace neurocube::metrics::detail
-{
-/** Marks macro arguments as used in NEUROCUBE_TRACE=OFF builds. */
-template <typename... Args>
-inline void
-ignore(Args &&...)
-{
-}
-} // namespace neurocube::metrics::detail
-
-#define NC_METRIC_CYCLE(component, instance, cls) \
-    do { \
-        if (false) { \
-            ::neurocube::metrics::detail::ignore( \
-                (component), (instance), (cls)); \
-        } \
-    } while (0)
-
-#define NC_METRIC_CYCLES(component, instance, cls, n) \
-    do { \
-        if (false) { \
-            ::neurocube::metrics::detail::ignore( \
-                (component), (instance), (cls), (n)); \
-        } \
-    } while (0)
-
-#endif // NEUROCUBE_TRACE_ENABLED
 
 #endif // NEUROCUBE_TRACE_METRICS_HH

@@ -8,17 +8,6 @@ namespace neurocube
 namespace
 {
 
-/** Element-wise a - b (b empty = zeros; sizes otherwise match). */
-std::vector<uint64_t>
-subtract(const std::vector<uint64_t> &a,
-         const std::vector<uint64_t> &b)
-{
-    std::vector<uint64_t> d(a.size(), 0);
-    for (size_t i = 0; i < a.size(); ++i)
-        d[i] = a[i] - (i < b.size() ? b[i] : 0);
-    return d;
-}
-
 /** Element-wise a += b (a grows to fit). */
 void
 accumulate(std::vector<uint64_t> &a, const std::vector<uint64_t> &b)
@@ -49,22 +38,6 @@ appendArray(std::ostringstream &os, const char *name,
 }
 
 } // namespace
-
-SpatialSnapshot
-SpatialSnapshot::delta(const SpatialSnapshot &before) const
-{
-    SpatialSnapshot d;
-    d.linkFlits = subtract(linkFlits, before.linkFlits);
-    d.linkStalls = subtract(linkStalls, before.linkStalls);
-    d.linkOccupancy = subtract(linkOccupancy, before.linkOccupancy);
-    d.vaultBytes = subtract(vaultBytes, before.vaultBytes);
-    d.vaultQueueTicks =
-        subtract(vaultQueueTicks, before.vaultQueueTicks);
-    d.peMacOps = subtract(peMacOps, before.peMacOps);
-    d.nodeLateral = subtract(nodeLateral, before.nodeLateral);
-    d.nodeLocal = subtract(nodeLocal, before.nodeLocal);
-    return d;
-}
 
 SpatialSnapshot &
 SpatialSnapshot::operator+=(const SpatialSnapshot &other)
@@ -97,64 +70,6 @@ SpatialSnapshot::totalPeMacOps() const
 {
     return sumOf(peMacOps);
 }
-
-void
-SpatialRegistry::configure(unsigned nodes, unsigned vaults,
-                           unsigned pes,
-                           std::vector<uint16_t> vault_node)
-{
-    topology_.numNodes = nodes;
-    topology_.numVaults = vaults;
-    topology_.numPes = pes;
-    topology_.vaultNode = std::move(vault_node);
-    state_.vaultBytes.assign(vaults, 0);
-    state_.vaultQueueTicks.assign(vaults, 0);
-    state_.peMacOps.assign(pes, 0);
-}
-
-void
-SpatialRegistry::configureLinks(unsigned mesh_width,
-                                std::vector<SpatialLink> links)
-{
-    topology_.meshWidth = mesh_width;
-    topology_.links = std::move(links);
-    state_.linkFlits.assign(topology_.links.size(), 0);
-    state_.linkStalls.assign(topology_.links.size(), 0);
-    state_.linkOccupancy.assign(topology_.links.size(), 0);
-}
-
-void
-SpatialRegistry::reset()
-{
-    auto zero = [](std::vector<uint64_t> &v) {
-        v.assign(v.size(), 0);
-    };
-    zero(state_.linkFlits);
-    zero(state_.linkStalls);
-    zero(state_.linkOccupancy);
-    zero(state_.vaultBytes);
-    zero(state_.vaultQueueTicks);
-    zero(state_.peMacOps);
-}
-
-namespace spatial
-{
-
-namespace detail
-{
-
-/** The process-wide registry slot NC_SPATIAL_EVENT loads. */
-SpatialRegistry *g_activeRegistry = nullptr;
-
-} // namespace detail
-
-void
-setActiveRegistry(SpatialRegistry *registry)
-{
-    detail::g_activeRegistry = registry;
-}
-
-} // namespace spatial
 
 std::string
 spatialSnapshotJson(const SpatialTopology &topology,
@@ -201,60 +116,6 @@ spatialSnapshotJson(const SpatialTopology &topology,
        << ", \"vault_byte_sum\": " << snapshot.totalVaultBytes()
        << ", \"pe_mac_sum\": " << snapshot.totalPeMacOps() << "}";
     return os.str();
-}
-
-SpatialSnapshot
-filterSnapshotToNodes(const SpatialTopology &topology,
-                      const SpatialSnapshot &snapshot,
-                      const std::vector<unsigned> &nodes)
-{
-    auto selected = [&nodes](unsigned node) {
-        for (unsigned n : nodes) {
-            if (n == node)
-                return true;
-        }
-        return false;
-    };
-    auto by_index = [&selected](const std::vector<uint64_t> &v) {
-        std::vector<uint64_t> out(v.size(), 0);
-        for (size_t i = 0; i < v.size(); ++i) {
-            if (selected(unsigned(i)))
-                out[i] = v[i];
-        }
-        return out;
-    };
-    auto by_link = [&](const std::vector<uint64_t> &v) {
-        std::vector<uint64_t> out(v.size(), 0);
-        for (size_t i = 0; i < v.size(); ++i) {
-            if (i < topology.links.size()
-                && selected(topology.links[i].src)
-                && selected(topology.links[i].dst)) {
-                out[i] = v[i];
-            }
-        }
-        return out;
-    };
-    auto by_vault = [&](const std::vector<uint64_t> &v) {
-        std::vector<uint64_t> out(v.size(), 0);
-        for (size_t i = 0; i < v.size(); ++i) {
-            unsigned host = i < topology.vaultNode.size()
-                                ? topology.vaultNode[i]
-                                : unsigned(i);
-            if (selected(host))
-                out[i] = v[i];
-        }
-        return out;
-    };
-    SpatialSnapshot f;
-    f.linkFlits = by_link(snapshot.linkFlits);
-    f.linkStalls = by_link(snapshot.linkStalls);
-    f.linkOccupancy = by_link(snapshot.linkOccupancy);
-    f.vaultBytes = by_vault(snapshot.vaultBytes);
-    f.vaultQueueTicks = by_vault(snapshot.vaultQueueTicks);
-    f.peMacOps = by_index(snapshot.peMacOps);
-    f.nodeLateral = by_index(snapshot.nodeLateral);
-    f.nodeLocal = by_index(snapshot.nodeLocal);
-    return f;
 }
 
 } // namespace neurocube

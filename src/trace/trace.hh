@@ -1,40 +1,35 @@
 /**
  * @file
- * Trace event bus: the NC_TRACE publishing macro, the lock-free
- * ring-buffer recorder, the sink interface exporters implement, and
- * the session object the Neurocube top level owns.
+ * Trace event bus and the machine probe: the ring-buffer recorder,
+ * the sink interface exporters implement, the session object the
+ * Neurocube top level owns, the Probe each component holds, and the
+ * three publishing macros (NC_TRACE, NC_TRACE_TICK, NC_COUNT).
  *
  * Publishing is a macro so that a build with -DNEUROCUBE_TRACE=OFF
  * (NEUROCUBE_TRACE_ENABLED == 0) compiles every instrumentation site
  * to nothing — zero code, zero branches. When compiled in, each site
- * costs one load of the active-recorder pointer and a predictable
- * branch while tracing is off, and one ring-buffer store while on.
+ * costs one load of the probe member it uses and a predictable branch
+ * while that half of the probe is null, and one ring-buffer store or
+ * one counter increment while it is set.
  *
- * The recorder is a single-producer/single-consumer ring: the
- * simulation loop produces, drain() consumes and hands contiguous
- * batches to the registered sinks. By default draining happens inline
- * (same thread) when the ring fills and at finish(); with
- * startConsumerThread() a dedicated consumer drains continuously
- * instead — used for live streaming (TraceConfig::streamPath), where
- * a viewer should see events while the run is in flight. The index
- * protocol is the standard acquire/release SPSC one either way, and
- * no event is ever dropped inside the recording window: with a
- * running consumer a full ring makes the producer wait for space
- * rather than drain inline (sinks stay single-threaded).
+ * The recorder is a ring drained inline: the simulation loop pushes,
+ * and drain() hands contiguous batches to the registered sinks when
+ * the ring fills and at finish(), so no event is ever dropped inside
+ * the recording window. Only the simulation thread touches it, which
+ * is why ThreadedLanes demotes to Event while a recorder is live.
  */
 
 #ifndef NEUROCUBE_TRACE_TRACE_HH
 #define NEUROCUBE_TRACE_TRACE_HH
 
-#include <atomic>
 #include <cstddef>
 #include <iosfwd>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/types.hh"
 #include "trace/events.hh"
+#include "trace/metrics.hh"
 #include "trace/trace_config.hh"
 
 #ifndef NEUROCUBE_TRACE_ENABLED
@@ -45,9 +40,6 @@ namespace neurocube
 {
 
 class ChromeTraceExporter;
-class EnergyRegistry;
-class MetricsRegistry;
-class SpatialRegistry;
 class TimeSeriesCsvExporter;
 
 /** Consumer of recorded event batches (exporters derive from this). */
@@ -69,7 +61,7 @@ class TraceSink
     virtual void finish() {}
 };
 
-/** Lock-free SPSC ring buffer delivering events to sinks. */
+/** Ring buffer delivering events to sinks, drained inline. */
 class TraceRecorder
 {
   public:
@@ -78,8 +70,6 @@ class TraceRecorder
      *        power of two (minimum 64)
      */
     explicit TraceRecorder(size_t capacity = size_t(1) << 16);
-
-    ~TraceRecorder();
 
     TraceRecorder(const TraceRecorder &) = delete;
     TraceRecorder &operator=(const TraceRecorder &) = delete;
@@ -164,38 +154,11 @@ class TraceRecorder
     /** Append a fully formed event (tests, replay tools). */
     void push(const TraceEvent &event);
 
-    /**
-     * Deliver all pending events to the sinks. Producer-side calls
-     * are only legal while no consumer thread runs; the consumer
-     * thread calls this itself.
-     */
+    /** Deliver all pending events to the sinks. */
     void drain();
 
-    /**
-     * Drain and notify every sink that the trace is complete. Stops
-     * the consumer thread first when one is running.
-     */
+    /** Drain and notify every sink that the trace is complete. */
     void finish();
-
-    /**
-     * Start the dedicated consumer thread. From now on sinks run on
-     * that thread and a full ring makes the producer wait instead of
-     * draining inline. No-op when already running.
-     */
-    void startConsumerThread();
-
-    /**
-     * Stop and join the consumer thread, then drain whatever is
-     * left inline. No-op when not running.
-     */
-    void stopConsumerThread();
-
-    /** True while the dedicated consumer thread runs. */
-    bool
-    consumerRunning() const
-    {
-        return consumerRun_.load(std::memory_order_acquire);
-    }
 
     /** Events accepted so far (excluding window/mask rejects). */
     uint64_t recorded() const { return recorded_; }
@@ -203,21 +166,13 @@ class TraceRecorder
     /** Ring capacity in events (power of two). */
     size_t capacity() const { return ring_.size(); }
 
-    /** Events currently buffered and not yet delivered. */
-    size_t
-    pending() const
-    {
-        return size_t(head_.load(std::memory_order_relaxed)
-                      - tail_.load(std::memory_order_relaxed));
-    }
-
   private:
     std::vector<TraceEvent> ring_;
     size_t mask_;
-    /** Producer index (total events pushed). */
-    std::atomic<uint64_t> head_{0};
-    /** Consumer index (total events delivered). */
-    std::atomic<uint64_t> tail_{0};
+    /** Total events pushed. */
+    uint64_t head_ = 0;
+    /** Total events delivered. */
+    uint64_t tail_ = 0;
 
     Tick now_ = 0;
     Tick startTick_ = 0;
@@ -232,42 +187,20 @@ class TraceRecorder
     bool sampleOpen_ = true;
 
     std::vector<TraceSink *> sinks_;
-
-    /** Dedicated consumer (live streaming); joinable while running. */
-    std::thread consumer_;
-    std::atomic<bool> consumerRun_{false};
 };
 
-namespace trace
-{
-
-namespace detail
-{
-/** Storage behind activeRecorder() (do not touch directly). */
-extern TraceRecorder *g_activeRecorder;
-} // namespace detail
-
 /**
- * The process-wide active recorder NC_TRACE publishes to, or nullptr
- * while tracing is off. A single slot (rather than per-cube plumbing
- * through every constructor) keeps the instrumentation sites to one
- * expression; it is only installed/removed between runs, never while
- * components are ticking. The ring is single-producer, so the
- * threaded-lane engine demotes itself to the (single-threaded) Event
- * loop whenever a recorder is live — lane workers only ever read a
- * stable nullptr here. Inline so NC_TRACE sites reduce to one load +
- * branch.
+ * One machine's instrumentation, handed to each component when it is
+ * built and held by value: the machine's event recorder (null while
+ * no sink is configured) and its counter registry (null while tracing
+ * is off). A default Probe publishes nothing. Two machines never
+ * share a probe, so their events and counts never mix.
  */
-inline TraceRecorder *
-activeRecorder()
+struct Probe
 {
-    return detail::g_activeRecorder;
-}
-
-/** Install (or, with nullptr, remove) the active recorder. */
-void setActiveRecorder(TraceRecorder *recorder);
-
-} // namespace trace
+    TraceRecorder *recorder = nullptr;
+    MetricsRegistry *registry = nullptr;
+};
 
 /** Shape of the machine being traced (exporter track layout). */
 struct TraceTopology
@@ -294,20 +227,15 @@ struct TraceTopology
 };
 
 /**
- * One tracing session: the recorder plus the exporters selected by a
- * TraceConfig, activated on construction and finished/deactivated on
- * destruction. Owned by the Neurocube top level when config.trace
- * .enabled is set; only one session can be active at a time.
+ * One tracing session: the counter registry, plus the recorder and
+ * the exporters selected by a TraceConfig. Owned by the Neurocube top
+ * level when config.trace.enabled is set, and handed to its
+ * components as a Probe; any number of sessions can exist at once.
  *
- * Also owns the stall-attribution MetricsRegistry (when
- * config.metrics is set) and the activity EnergyRegistry (when
- * config.energy is set, in NEUROCUBE_TRACE=ON builds only) and
- * installs both as the process-wide active registries for
- * NC_METRIC_CYCLE / NC_ENERGY_EVENT. The event recorder is activated
- * only when at least one sink exists, so a counters-only session (no
- * output paths) costs nothing at NC_TRACE sites. When
- * config.streamPath is set, a consumer thread drains the ring into
- * the binary live stream continuously.
+ * The registry always exists and is sized from the topology (the
+ * NocFabric adds its links). The recorder and its ring exist only
+ * when the config names at least one sink, so a counters-only session
+ * (no output paths) leaves every NC_TRACE site at a null check.
  *
  * At destruction, when both the Chrome JSON and the timeseries CSV
  * exports are configured, the finished CSV is re-read through
@@ -329,24 +257,13 @@ class TraceSession
     TraceSession(const TraceSession &) = delete;
     TraceSession &operator=(const TraceSession &) = delete;
 
-    /** The session's recorder. */
-    TraceRecorder &recorder() { return recorder_; }
-
-    /** The session's metrics registry, or nullptr (metrics off). */
-    MetricsRegistry *metrics() { return metrics_.get(); }
-
-    /** The session's spatial registry, or nullptr (spatial off). */
-    SpatialRegistry *spatial() { return spatial_.get(); }
-
-    /** The session's energy registry, or nullptr (energy off, or
-     *  tracing compiled out). */
-    EnergyRegistry *energy() { return energy_.get(); }
+    /** The probe the machine's components publish through. */
+    Probe probe() { return {recorder_.get(), &registry_}; }
 
   private:
-    TraceRecorder recorder_;
-    std::unique_ptr<MetricsRegistry> metrics_;
-    std::unique_ptr<SpatialRegistry> spatial_;
-    std::unique_ptr<EnergyRegistry> energy_;
+    MetricsRegistry registry_;
+    /** Event recorder, or nullptr when no sink is configured. */
+    std::unique_ptr<TraceRecorder> recorder_;
     std::vector<std::unique_ptr<TraceSink>> sinks_;
     /** File streams backing the exporters (destroyed after sinks). */
     std::vector<std::unique_ptr<std::ofstream>> streams_;
@@ -362,61 +279,41 @@ class TraceSession
 
 } // namespace neurocube
 
-#if NEUROCUBE_TRACE_ENABLED
+/**
+ * Call `target->member(...)` when @p target is set. With
+ * NEUROCUBE_TRACE=OFF the `if constexpr` discards the call: it is
+ * still type-checked, so variables used only by a site stay "used",
+ * but it is never evaluated and no code is generated for it.
+ */
+#define NC_PROBE_CALL_(target, ...) \
+    do { \
+        if constexpr (NEUROCUBE_TRACE_ENABLED) { \
+            if (auto *nc_probe_target_ = (target)) \
+                nc_probe_target_->__VA_ARGS__; \
+        } \
+    } while (0)
 
 /**
- * Publish one trace event: NC_TRACE(component, instance, type[, arg
- * [, value]]). Compiles to a null-check while tracing is inactive.
+ * Publish one trace event to a probe's recorder:
+ * NC_TRACE(probe, component, instance, type[, arg[, value]]).
  */
-#define NC_TRACE(component, instance, type, ...) \
-    do { \
-        if (::neurocube::TraceRecorder *nc_trace_r_ = \
-                ::neurocube::trace::activeRecorder()) { \
-            nc_trace_r_->record((component), \
-                                uint16_t(instance), \
-                                (type) __VA_OPT__(,) __VA_ARGS__); \
-        } \
-    } while (0)
+#define NC_TRACE(probe, component, instance, type, ...) \
+    NC_PROBE_CALL_((probe).recorder, \
+                   record((component), uint16_t(instance), \
+                          (type) __VA_OPT__(, ) __VA_ARGS__))
 
-/** Stamp the tick applied to subsequent NC_TRACE events. */
-#define NC_TRACE_TICK(now) \
-    do { \
-        if (::neurocube::TraceRecorder *nc_trace_r_ = \
-                ::neurocube::trace::activeRecorder()) { \
-            nc_trace_r_->setNow(now); \
-        } \
-    } while (0)
+/** Stamp the tick applied to a probe's subsequent NC_TRACE events. */
+#define NC_TRACE_TICK(probe, now) \
+    NC_PROBE_CALL_((probe).recorder, setNow(now))
 
-#else
-
-namespace neurocube::trace::detail
-{
-/** Marks macro arguments as used in NEUROCUBE_TRACE=OFF builds. */
-template <typename... Args>
-inline void
-ignore(Args &&...)
-{
-}
-} // namespace neurocube::trace::detail
-
-// The arguments sit behind `if (false)`: never evaluated, no code
-// generated, but variables referenced only by NC_TRACE stay "used".
-#define NC_TRACE(component, instance, type, ...) \
-    do { \
-        if (false) { \
-            ::neurocube::trace::detail::ignore( \
-                (component), (instance), \
-                (type)__VA_OPT__(, ) __VA_ARGS__); \
-        } \
-    } while (0)
-
-#define NC_TRACE_TICK(now) \
-    do { \
-        if (false) { \
-            ::neurocube::trace::detail::ignore(now); \
-        } \
-    } while (0)
-
-#endif // NEUROCUBE_TRACE_ENABLED
+/**
+ * Count @p amount units of one counter at one instance in a probe's
+ * registry: NC_COUNT(probe, counter, instance, amount), where counter
+ * is an EnergyEventKind, a SpatialCounter, or Counter::stall(...).
+ */
+#define NC_COUNT(probe, counter, instance, amount) \
+    NC_PROBE_CALL_((probe).registry, \
+                   add((counter), unsigned(instance), \
+                       uint64_t(amount)))
 
 #endif // NEUROCUBE_TRACE_TRACE_HH

@@ -4,8 +4,8 @@
  *
  * Kept free of heavy includes so core/config.hh can embed it. The
  * compile-time switch is separate: building with -DNEUROCUBE_TRACE=OFF
- * removes every instrumentation site (the NC_TRACE macro expands to
- * nothing), in which case this struct is inert.
+ * removes every instrumentation site (the NC_TRACE and NC_COUNT
+ * macros expand to nothing), in which case this struct is inert.
  */
 
 #ifndef NEUROCUBE_TRACE_TRACE_CONFIG_HH
@@ -24,7 +24,13 @@ namespace neurocube
 /** Enable/output knobs for one tracing session. */
 struct TraceConfig
 {
-    /** Master runtime switch; false = no recorder is created. */
+    /**
+     * Master runtime switch. true creates the machine's counter
+     * registry (stall attribution, activity energy and spatial
+     * counters), which per-layer bottleneck, energy and spatial
+     * results need; the event recorder is created only when an
+     * output path below is set as well. false = neither.
+     */
     bool enabled = false;
 
     /** Chrome/Perfetto JSON output path; empty = no JSON export. */
@@ -32,40 +38,6 @@ struct TraceConfig
 
     /** Windowed time-series CSV output path; empty = no CSV export. */
     std::string timeseriesCsvPath;
-
-    /**
-     * Live binary stream output path (typically a named pipe); empty
-     * = no live stream. Unlike the exporters above, events written
-     * here are drained continuously by a consumer thread so a viewer
-     * on the other end sees them while the run is in flight.
-     */
-    std::string streamPath;
-
-    /**
-     * Stall-attribution cycle accounting (trace/metrics.hh). On by
-     * default: the counters are cheap, and per-layer bottleneck
-     * reports need them. Only honoured while `enabled` is true.
-     */
-    bool metrics = true;
-
-    /**
-     * Activity-based energy accounting (trace/energy.hh). On by
-     * default for the same reason as metrics: the counters are one
-     * array increment per event, and per-layer EnergyBreakdowns need
-     * them. Only honoured while `enabled` is true, and compiled out
-     * entirely with -DNEUROCUBE_TRACE=OFF.
-     */
-    bool energy = true;
-
-    /**
-     * Spatial observability counters (trace/spatial.hh): per-link
-     * flits/credit-stalls/occupancy, per-vault bytes/queue depth,
-     * per-PE MAC occupancy. On by default — one array increment per
-     * event, and heatmap/roofline exports need them. Only honoured
-     * while `enabled` is true, and compiled out entirely with
-     * -DNEUROCUBE_TRACE=OFF.
-     */
-    bool spatial = true;
 
     /**
      * Per-event prices used by the *exporters* to turn windowed

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/neurocube.hh"
 #include "nn/reference.hh"
 
@@ -405,9 +408,6 @@ TEST(Batch, OneLaneBatchMatchesUnbatchedForward)
         config.engine = engine;
         config.batch.lanes = 1;
         config.trace.enabled = true;
-        config.trace.metrics = true;
-        config.trace.energy = true;
-        config.trace.spatial = true;
 
         RunResult batched;
         {
@@ -479,22 +479,27 @@ TEST(Batch, ConfiguredStampFollowsTheConfigurationWindow)
     NetworkData data = NetworkData::randomized(net, 10);
     const Tensor x = laneInputs(net, 1, 1000)[0];
 
+    const std::string path = "batch_configured_stamp.trace.json";
     auto configured_ticks = [&](bool batched) {
-        TraceRecorder recorder(1024);
-        recorder.setComponentMask(1u << unsigned(TraceComponent::Png));
+        // A Chrome sink gives the machine a recorder; the test's own
+        // sink rides along on it and outlives the machine, whose
+        // session finishes every sink when it is destroyed.
+        NeurocubeConfig config;
+        config.trace.enabled = true;
+        config.trace.chromeJsonPath = path;
+        config.trace.componentMask = 1u << unsigned(TraceComponent::Png);
         CollectingSink sink;
-        recorder.addSink(&sink);
-        trace::setActiveRecorder(&recorder);
-        Neurocube cube((NeurocubeConfig()));
-        cube.loadNetwork(net, data);
-        if (batched) {
-            cube.runForwardBatch({x});
-        } else {
-            cube.setInput(x);
-            cube.runForward();
+        {
+            Neurocube cube(config);
+            cube.probe().recorder->addSink(&sink);
+            cube.loadNetwork(net, data);
+            if (batched) {
+                cube.runForwardBatch({x});
+            } else {
+                cube.setInput(x);
+                cube.runForward();
+            }
         }
-        trace::setActiveRecorder(nullptr);
-        recorder.finish();
         std::vector<Tick> ticks;
         for (const TraceEvent &e : sink.events) {
             if (e.type == TraceEventType::PngPhase
@@ -508,6 +513,7 @@ TEST(Batch, ConfiguredStampFollowsTheConfigurationWindow)
     ASSERT_FALSE(unbatched.empty());
     EXPECT_EQ(unbatched.front(), NeurocubeConfig().configTicksPerPass);
     EXPECT_EQ(configured_ticks(true), unbatched);
+    std::remove(path.c_str());
 }
 #endif
 

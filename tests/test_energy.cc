@@ -1,7 +1,7 @@
 /**
  * @file
- * Activity-based energy accounting tests: the EnergyRegistry counter
- * plumbing, the Table II price derivation, the event-stream pricing
+ * Activity-based energy accounting tests: the energy counters of the
+ * registry, the Table II price derivation, the event-stream pricing
  * the exporters use, and the headline cross-validation — on the
  * fig12 workload the activity-based total must agree with the
  * analytic accountEnergy() within a documented tolerance.
@@ -36,45 +36,43 @@ TEST(EnergyCountsTest, KindNamesAreUniqueAndLabeled)
                  "unknown");
 }
 
-TEST(EnergyRegistryTest, CountsSnapshotsAndDeltas)
+TEST(EnergyCountsTest, RegistryCountsSnapshotsAndDeltas)
 {
-    EnergyRegistry reg;
-    reg.configure(4);
+    MetricsRegistry reg;
+    reg.configure(4, 4, 4);
     reg.add(EnergyEventKind::MacOp, 0, 10);
     reg.add(EnergyEventKind::MacOp, 0, 5);
     reg.add(EnergyEventKind::DramBit, 3, 256);
     // Out-of-range instances are dropped, never UB.
     reg.add(EnergyEventKind::MacOp, 4, 1000);
 
-    EnergySnapshot before = reg.snapshot();
-    EXPECT_EQ(before.sum()[EnergyEventKind::MacOp], 15u);
-    EXPECT_EQ(before.sum()[EnergyEventKind::DramBit], 256u);
+    MetricsSnapshot before = reg.snapshot();
+    EXPECT_EQ(before.energyCounts()[EnergyEventKind::MacOp], 15u);
+    EXPECT_EQ(before.energyCounts()[EnergyEventKind::DramBit], 256u);
 
     reg.add(EnergyEventKind::MacOp, 1, 7);
-    EnergySnapshot delta = reg.snapshot().delta(before);
-    EXPECT_EQ(delta.sum()[EnergyEventKind::MacOp], 7u);
-    EXPECT_EQ(delta.sum()[EnergyEventKind::DramBit], 0u);
-    EXPECT_TRUE(delta.sum().valid);
-
-    reg.reset();
-    EXPECT_EQ(reg.snapshot().sum()[EnergyEventKind::MacOp], 0u);
-    EXPECT_TRUE(reg.snapshot().sum().valid);
+    EnergyCounts delta = reg.snapshot().delta(before).energyCounts();
+    EXPECT_EQ(delta[EnergyEventKind::MacOp], 7u);
+    EXPECT_EQ(delta[EnergyEventKind::DramBit], 0u);
+    EXPECT_TRUE(delta.valid);
 }
 
-TEST(EnergyRegistryTest, SnapshotSumFiltersNodes)
+TEST(EnergyCountsTest, FilterToNodesSumsOneLane)
 {
-    EnergyRegistry reg;
-    reg.configure(4);
+    MetricsRegistry reg;
+    reg.configure(4, 4, 4);
     reg.add(EnergyEventKind::NocHop, 0, 1);
     reg.add(EnergyEventKind::NocHop, 1, 2);
     reg.add(EnergyEventKind::NocHop, 2, 4);
 
-    std::vector<unsigned> nodes{1, 2};
-    EXPECT_EQ(reg.snapshot().sum(&nodes)[EnergyEventKind::NocHop], 6u);
-    EXPECT_EQ(reg.snapshot().sum()[EnergyEventKind::NocHop], 7u);
+    const MetricsSnapshot whole = reg.snapshot();
+    EXPECT_EQ(reg.filterToNodes(whole, {1, 2})
+                  .energyCounts()[EnergyEventKind::NocHop],
+              6u);
+    EXPECT_EQ(whole.energyCounts()[EnergyEventKind::NocHop], 7u);
 
-    // An empty snapshot sums to an invalid record.
-    EXPECT_FALSE(EnergySnapshot{}.sum().valid);
+    // A snapshot of no registry sums to an invalid record.
+    EXPECT_FALSE(MetricsSnapshot{}.energyCounts().valid);
 }
 
 /**
@@ -214,7 +212,6 @@ runFig12WithEnergy()
 
     NeurocubeConfig config;
     config.trace.enabled = true;
-    config.trace.energy = true;
     Neurocube cube(config);
     cube.loadNetwork(net, data);
     cube.setInput(input);
@@ -304,12 +301,11 @@ TEST(EnergyJsonTest, Fig12JsonCarriesBreakdown)
 /** Notrace builds: the macro counts nothing and runs stay invalid. */
 TEST(EnergyCrossValidationTest, NotraceRunsCarryNoCounts)
 {
-    EnergyRegistry reg;
-    reg.configure(1);
-    energy::setActiveRegistry(&reg);
-    NC_ENERGY_EVENT(EnergyEventKind::MacOp, 0, 5);
-    energy::setActiveRegistry(nullptr);
-    EXPECT_EQ(reg.snapshot().sum()[EnergyEventKind::MacOp], 0u);
+    MetricsRegistry reg;
+    reg.configure(1, 1, 1);
+    const Probe probe{nullptr, &reg};
+    NC_COUNT(probe, EnergyEventKind::MacOp, 0, 5);
+    EXPECT_EQ(reg.snapshot().energyCounts()[EnergyEventKind::MacOp], 0u);
 }
 
 #endif // NEUROCUBE_TRACE_ENABLED

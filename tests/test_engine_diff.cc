@@ -11,7 +11,10 @@
  *   - final cycle counts (total and per layer),
  *   - computed outputs (every layer tensor, bit for bit),
  *   - stall-class attribution totals (the full metrics JSON),
- *   - energy event counts (every EnergyEventKind counter).
+ *   - energy event counts (every EnergyEventKind counter),
+ *   - every slot of the counter registry at the end of the run
+ *     (each stall, energy and spatial counter of each instance),
+ *   - for batches, each lane's metrics and spatial JSON.
  *
  * The seed count defaults to 100 full-profile iterations; sanitizer
  * builds (asan/tsan) and CI quick runs drop to a handful via
@@ -133,14 +136,44 @@ randomConfig(Rng &rng, bool need_identity_channels)
     config.splitFullConvPasses = rng.below(4) == 0;
     config.mapping.weightsInPeMemory = rng.below(2) != 0;
 #if NEUROCUBE_TRACE_ENABLED
-    // Metrics + energy accounting on, no event sinks: the invariants
-    // under test include the stall and energy counters, and a
-    // sink-less session leaves every engine eligible.
+    // Counters on, no event sinks: the invariants under test include
+    // the stall, energy and spatial counters, and a sink-less session
+    // leaves every engine eligible.
     config.trace.enabled = true;
-    config.trace.metrics = true;
-    config.trace.energy = true;
 #endif
     return config;
+}
+
+/**
+ * Every slot of a machine's counter registry (empty without one): the
+ * per-instance stall, energy and spatial state a run leaves behind.
+ */
+std::vector<uint64_t>
+registrySlots(Neurocube &cube)
+{
+    MetricsRegistry *registry = cube.metricsRegistry();
+    return registry ? registry->snapshot().slots
+                    : std::vector<uint64_t>{};
+}
+
+/** Name the first registry slot two runs disagree on. */
+::testing::AssertionResult
+slotsEqual(const std::vector<uint64_t> &ref,
+           const std::vector<uint64_t> &got)
+{
+    if (ref.size() != got.size()) {
+        return ::testing::AssertionFailure()
+            << "counter registry size " << ref.size() << " vs "
+            << got.size();
+    }
+    for (size_t i = 0; i < ref.size(); ++i) {
+        if (ref[i] != got[i]) {
+            return ::testing::AssertionFailure()
+                << "counter registry slot " << i << ": " << ref[i]
+                << " vs " << got[i];
+        }
+    }
+    return ::testing::AssertionSuccess();
 }
 
 /** Everything one engine run produces that must be engine-invariant. */
@@ -152,6 +185,7 @@ struct RunSnapshot
     std::string metricsJson;
     std::string spatialJson;
     EnergyCounts energy;
+    std::vector<uint64_t> counters;
 };
 
 RunSnapshot
@@ -175,6 +209,7 @@ snapshotForward(const NeurocubeConfig &base, SimEngine engine,
     snap.metricsJson = run.metricsJson();
     snap.spatialJson = run.spatialJson();
     snap.energy = run.energyCounts();
+    snap.counters = registrySlots(cube);
     return snap;
 }
 
@@ -234,7 +269,7 @@ snapshotsEqual(const RunSnapshot &ref, const RunSnapshot &got)
                 << " vs " << got.energy.n[k];
         }
     }
-    return ::testing::AssertionSuccess();
+    return slotsEqual(ref.counters, got.counters);
 }
 
 TEST(EngineDiff, FuzzForwardLegacyVsEvent)
@@ -270,6 +305,8 @@ struct BatchSnapshot
     std::vector<Tensor> outputs; // lane-major, all layers
     std::vector<EnergyCounts> laneEnergy;
     std::vector<std::string> laneSpatial;
+    std::vector<std::string> laneMetrics;
+    std::vector<uint64_t> counters;
 };
 
 BatchSnapshot
@@ -291,11 +328,13 @@ snapshotBatch(const NeurocubeConfig &base, SimEngine engine,
         snap.laneCycles.push_back(lane.totalCycles());
         snap.laneEnergy.push_back(lane.energyCounts());
         snap.laneSpatial.push_back(lane.spatialJson());
+        snap.laneMetrics.push_back(lane.metricsJson());
     }
     for (unsigned l = 0; l < inputs.size(); ++l) {
         for (size_t i = 0; i < net.layers.size(); ++i)
             snap.outputs.push_back(cube.batchLayerOutput(l, i));
     }
+    snap.counters = registrySlots(cube);
     return snap;
 }
 
@@ -330,8 +369,12 @@ batchSnapshotsEqual(const BatchSnapshot &ref, const BatchSnapshot &got)
             return ::testing::AssertionFailure()
                 << "lane " << l << " spatial JSON differs";
         }
+        if (ref.laneMetrics[l] != got.laneMetrics[l]) {
+            return ::testing::AssertionFailure()
+                << "lane " << l << " metrics JSON differs";
+        }
     }
-    return ::testing::AssertionSuccess();
+    return slotsEqual(ref.counters, got.counters);
 }
 
 TEST(EngineDiff, FuzzBatchAllThreeEngines)
@@ -540,8 +583,6 @@ TEST(EngineDiff, ActiveEngineUnderLiveRecorder)
     NeurocubeConfig config;
     config.engine = SimEngine::Event;
     config.trace.enabled = true;
-    config.trace.metrics = true;
-    config.trace.energy = true;
     addSampledSinks(config, tag, 8);
     {
         Neurocube cube(config);
@@ -556,14 +597,12 @@ TEST(EngineDiff, ActiveEngineUnderLiveRecorder)
         EXPECT_EQ(cube.activeEngine(), SimEngine::Event);
     }
 
-    // A metrics-only session has no recorder: nothing demotes.
-    NeurocubeConfig metrics_only;
-    metrics_only.engine = SimEngine::ThreadedLanes;
-    metrics_only.trace.enabled = true;
-    metrics_only.trace.metrics = true;
-    metrics_only.trace.energy = true;
+    // A counters-only session has no recorder: nothing demotes.
+    NeurocubeConfig counters_only;
+    counters_only.engine = SimEngine::ThreadedLanes;
+    counters_only.trace.enabled = true;
     {
-        Neurocube cube(metrics_only);
+        Neurocube cube(counters_only);
         EXPECT_EQ(cube.activeEngine(), SimEngine::ThreadedLanes);
     }
     removeSinkFiles(tag);
@@ -602,8 +641,6 @@ tracedConfig(SimEngine engine)
     config.engine = engine;
 #if NEUROCUBE_TRACE_ENABLED
     config.trace.enabled = true;
-    config.trace.metrics = true;
-    config.trace.energy = true;
 #endif
     return config;
 }

@@ -53,11 +53,10 @@ threadedConfig(unsigned lanes)
     config.engine = SimEngine::ThreadedLanes;
     config.batch.lanes = lanes;
 #if NEUROCUBE_TRACE_ENABLED
-    // Metrics + energy on: the per-(component, instance) counter
-    // writes are exactly the shared arrays tsan must vet.
+    // Counters on: the lane workers' per-(counter, instance) writes
+    // into the one shared counter array are exactly what tsan must
+    // vet.
     config.trace.enabled = true;
-    config.trace.metrics = true;
-    config.trace.energy = true;
 #endif
     return config;
 }

@@ -152,20 +152,21 @@ TEST(GoldenCycles, Fig12LayerCyclesAreLocked)
 }
 
 /**
- * Stall-attribution metrics are observational: a metrics-enabled run
- * must reproduce the golden per-layer cycle counts exactly. Catches
- * any NC_METRIC_CYCLE classification that accidentally perturbs
- * component behaviour.
+ * The counter registry is observational: a traced run, with every
+ * stall, energy and spatial counter site live, must reproduce the
+ * golden per-layer cycle counts of the untraced run exactly. Catches
+ * any NC_COUNT site that accidentally perturbs component behaviour
+ * (e.g. by moving work across an early return).
  */
-TEST(GoldenCycles, MetricsDoNotChangeCycleCounts)
+TEST(GoldenCycles, CountersDoNotChangeCycleCounts)
 {
     if (std::getenv("NEUROCUBE_UPDATE_GOLDEN") != nullptr)
         GTEST_SKIP() << "regeneration run";
 
-    NeurocubeConfig with_metrics;
-    with_metrics.trace.enabled = true;
-    with_metrics.trace.metrics = true;
-    auto measured = measuredCycles(with_metrics);
+    NeurocubeConfig traced;
+    traced.trace.enabled = true;
+    auto measured = measuredCycles(traced);
+    EXPECT_EQ(measured, measuredCycles());
 
     auto golden = loadGolden();
     ASSERT_EQ(golden.size(), measured.size());
@@ -173,36 +174,8 @@ TEST(GoldenCycles, MetricsDoNotChangeCycleCounts)
         EXPECT_EQ(measured[i].first, golden[i].first) << "layer " << i;
         EXPECT_EQ(measured[i].second, golden[i].second)
             << "layer " << golden[i].first
-            << ": enabling metrics changed the cycle count; the "
-               "accounting must stay observational";
-    }
-}
-
-/**
- * Activity energy accounting is observational too: an energy-enabled
- * run must reproduce the golden per-layer cycle counts exactly.
- * Catches any NC_ENERGY_EVENT site that accidentally perturbs
- * component behaviour (e.g. by moving work across an early return).
- */
-TEST(GoldenCycles, EnergyDoesNotChangeCycleCounts)
-{
-    if (std::getenv("NEUROCUBE_UPDATE_GOLDEN") != nullptr)
-        GTEST_SKIP() << "regeneration run";
-
-    NeurocubeConfig with_energy;
-    with_energy.trace.enabled = true;
-    with_energy.trace.metrics = false;
-    with_energy.trace.energy = true;
-    auto measured = measuredCycles(with_energy);
-
-    auto golden = loadGolden();
-    ASSERT_EQ(golden.size(), measured.size());
-    for (size_t i = 0; i < golden.size(); ++i) {
-        EXPECT_EQ(measured[i].first, golden[i].first) << "layer " << i;
-        EXPECT_EQ(measured[i].second, golden[i].second)
-            << "layer " << golden[i].first
-            << ": enabling energy accounting changed the cycle "
-               "count; the accounting must stay observational";
+            << ": tracing changed the cycle count; the accounting "
+               "must stay observational";
     }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Stall-attribution metrics tests: registry counting and snapshots,
- * the NC_METRIC_CYCLE publishing macro, the top-down bottleneck
+ * the NC_COUNT publishing macro, the top-down bottleneck
  * classifier on hand-built deltas, per-lane node filtering, the phase
  * detector over synthetic CSVs, and two synthetic workloads on the
  * real machine with a known dominant stall (one DRAM-bound, one
@@ -30,14 +30,13 @@ void
 charge(MetricsRegistry &registry, TraceComponent component,
        unsigned instance, StallClass cls, uint64_t n)
 {
-    for (uint64_t i = 0; i < n; ++i)
-        registry.cycle(component, instance, cls);
+    registry.add(Counter::stall(component, cls), instance, n);
 }
 
 TEST(MetricsRegistry, CountsPerInstanceAndClass)
 {
     MetricsRegistry registry;
-    registry.configure(2, 2, 2, 2);
+    registry.configure(2, 2, 2);
 
     charge(registry, TraceComponent::Pe, 0, StallClass::Busy, 10);
     charge(registry, TraceComponent::Pe, 0, StallClass::Idle, 5);
@@ -45,35 +44,39 @@ TEST(MetricsRegistry, CountsPerInstanceAndClass)
     charge(registry, TraceComponent::Vault, 1, StallClass::StallDram,
            7);
 
-    const auto &pes = registry.state().of(TraceComponent::Pe);
-    ASSERT_EQ(pes.size(), 2u);
-    EXPECT_EQ(pes[0][StallClass::Busy], 10u);
-    EXPECT_EQ(pes[0][StallClass::Idle], 5u);
-    EXPECT_EQ(pes[0].total(), 15u);
-    EXPECT_EQ(pes[1][StallClass::StallCache], 3u);
-    EXPECT_EQ(registry.state()
-                  .of(TraceComponent::Vault)[1][StallClass::StallDram],
-              7u);
-
-    registry.reset();
-    EXPECT_EQ(registry.state().of(TraceComponent::Pe)[0].total(), 0u);
-    // Sizing survives a reset.
-    EXPECT_EQ(registry.state().of(TraceComponent::Pe).size(), 2u);
+    const MetricsSnapshot snap = registry.snapshot();
+    ASSERT_EQ(snap.instances(Counter::stall(TraceComponent::Pe,
+                                            StallClass::Busy)),
+              2u);
+    const StallBreakdown pe0 = snap.stalls(TraceComponent::Pe, 0);
+    EXPECT_EQ(pe0[StallClass::Busy], 10u);
+    EXPECT_EQ(pe0[StallClass::Idle], 5u);
+    EXPECT_EQ(pe0.total(), 15u);
+    EXPECT_EQ(snap.stalls(TraceComponent::Pe, 1)[StallClass::StallCache],
+              3u);
+    EXPECT_EQ(
+        snap.stalls(TraceComponent::Vault, 1)[StallClass::StallDram],
+        7u);
+    // Stall, energy and spatial counters share one array without
+    // aliasing: a neighbouring family is untouched.
+    EXPECT_EQ(snap.energyCounts()[EnergyEventKind::MacOp], 0u);
+    EXPECT_EQ(snap.spatialCounts().totalPeMacOps(), 0u);
 }
 
 TEST(MetricsRegistry, OutOfRangeInstanceIsDropped)
 {
     MetricsRegistry registry;
-    registry.configure(1, 1, 1, 1);
-    registry.cycle(TraceComponent::Router, 99, StallClass::Busy);
-    EXPECT_EQ(registry.state().of(TraceComponent::Router)[0].total(),
+    registry.configure(1, 1, 1);
+    charge(registry, TraceComponent::Router, 99, StallClass::Busy, 1);
+    EXPECT_EQ(registry.snapshot().stalls(TraceComponent::Router, 0)
+                  .total(),
               0u);
 }
 
 TEST(MetricsRegistry, SnapshotDeltaIsolatesAnInterval)
 {
     MetricsRegistry registry;
-    registry.configure(1, 1, 1, 1);
+    registry.configure(1, 1, 1);
     charge(registry, TraceComponent::Pe, 0, StallClass::Busy, 4);
 
     MetricsSnapshot before = registry.snapshot();
@@ -82,33 +85,36 @@ TEST(MetricsRegistry, SnapshotDeltaIsolatesAnInterval)
            2);
 
     MetricsSnapshot delta = registry.snapshot().delta(before);
-    const auto &pe = delta.of(TraceComponent::Pe)[0];
+    const StallBreakdown pe = delta.stalls(TraceComponent::Pe, 0);
     EXPECT_EQ(pe[StallClass::Busy], 6u);
     EXPECT_EQ(pe[StallClass::StallInject], 2u);
     EXPECT_EQ(pe.total(), 8u);
 }
 
 #if NEUROCUBE_TRACE_ENABLED
-TEST(MetricsRegistry, MacroPublishesToActiveRegistry)
+TEST(MetricsRegistry, MacroPublishesToProbeRegistry)
 {
-    // No active registry: the macro must be a safe no-op.
-    NC_METRIC_CYCLE(TraceComponent::Pe, 0, StallClass::Busy);
+    // An empty probe: the macro must be a safe no-op.
+    const Probe none;
+    NC_COUNT(none, Counter::stall(TraceComponent::Pe, StallClass::Busy),
+             0, 1);
 
     MetricsRegistry registry;
-    registry.configure(1, 1, 1, 1);
-    metrics::setActiveRegistry(&registry);
-    NC_METRIC_CYCLE(TraceComponent::Pe, 0, StallClass::Busy);
-    NC_METRIC_CYCLE(TraceComponent::Vault, 0,
-                    StallClass::StallDram);
-    metrics::setActiveRegistry(nullptr);
-    NC_METRIC_CYCLE(TraceComponent::Pe, 0, StallClass::Busy);
+    registry.configure(1, 1, 1);
+    const Probe probe{nullptr, &registry};
+    NC_COUNT(probe, Counter::stall(TraceComponent::Pe, StallClass::Busy),
+             0, 1);
+    NC_COUNT(probe,
+             Counter::stall(TraceComponent::Vault, StallClass::StallDram),
+             0, 1);
+    NC_COUNT(none, Counter::stall(TraceComponent::Pe, StallClass::Busy),
+             0, 1);
 
-    EXPECT_EQ(registry.state()
-                  .of(TraceComponent::Pe)[0][StallClass::Busy],
-              1u);
-    EXPECT_EQ(registry.state()
-                  .of(TraceComponent::Vault)[0][StallClass::StallDram],
-              1u);
+    const MetricsSnapshot snap = registry.snapshot();
+    EXPECT_EQ(snap.stalls(TraceComponent::Pe, 0)[StallClass::Busy], 1u);
+    EXPECT_EQ(
+        snap.stalls(TraceComponent::Vault, 0)[StallClass::StallDram],
+        1u);
 }
 #endif
 
@@ -125,7 +131,7 @@ fractionSum(const BottleneckReport &report)
 TEST(BottleneckReport, EmptyDeltaIsInvalid)
 {
     MetricsRegistry registry;
-    registry.configure(1, 1, 1, 1);
+    registry.configure(1, 1, 1);
     BottleneckReport report =
         buildBottleneckReport(registry.snapshot());
     EXPECT_FALSE(report.valid);
@@ -135,7 +141,7 @@ TEST(BottleneckReport, EmptyDeltaIsInvalid)
 TEST(BottleneckReport, MacBoundDeltaLabelsMac)
 {
     MetricsRegistry registry;
-    registry.configure(1, 1, 1, 1);
+    registry.configure(1, 1, 1);
     charge(registry, TraceComponent::Pe, 0, StallClass::Busy, 80);
     charge(registry, TraceComponent::Pe, 0, StallClass::Idle, 20);
     charge(registry, TraceComponent::Router, 0, StallClass::Busy, 100);
@@ -153,7 +159,7 @@ TEST(BottleneckReport, MacBoundDeltaLabelsMac)
 TEST(BottleneckReport, NocBlockingOutranksInjectAndDram)
 {
     MetricsRegistry registry;
-    registry.configure(1, 1, 1, 1);
+    registry.configure(1, 1, 1);
     // PE mostly starved, router heavily blocked, PNG can't inject,
     // vault stalled: head-of-line blocking explains the rest.
     charge(registry, TraceComponent::Pe, 0, StallClass::StallInject,
@@ -180,7 +186,7 @@ TEST(BottleneckReport, NocBlockingOutranksInjectAndDram)
 TEST(BottleneckReport, DramBoundDeltaLabelsDram)
 {
     MetricsRegistry registry;
-    registry.configure(1, 1, 1, 1);
+    registry.configure(1, 1, 1);
     charge(registry, TraceComponent::Pe, 0, StallClass::StallInject,
            80);
     charge(registry, TraceComponent::Pe, 0, StallClass::Busy, 20);
@@ -203,7 +209,7 @@ TEST(BottleneckReport, DramBoundDeltaLabelsDram)
 TEST(BottleneckReport, NodeFilterAttributesPerLane)
 {
     MetricsRegistry registry;
-    registry.configure(2, 2, 2, 2);
+    registry.configure(2, 2, 2);
     // Node 0 is compute-bound, node 1 is NoC-bound.
     charge(registry, TraceComponent::Pe, 0, StallClass::Busy, 100);
     charge(registry, TraceComponent::Pe, 1, StallClass::StallInject,
@@ -215,12 +221,14 @@ TEST(BottleneckReport, NodeFilterAttributesPerLane)
     const std::vector<unsigned> lane1{1};
     MetricsSnapshot delta = registry.snapshot();
 
-    BottleneckReport r0 = buildBottleneckReport(delta, &lane0);
+    BottleneckReport r0 =
+        buildBottleneckReport(registry.filterToNodes(delta, lane0));
     ASSERT_TRUE(r0.valid);
     EXPECT_STREQ(r0.label, "mac");
     EXPECT_EQ(r0.countedTicks, 100u);
 
-    BottleneckReport r1 = buildBottleneckReport(delta, &lane1);
+    BottleneckReport r1 =
+        buildBottleneckReport(registry.filterToNodes(delta, lane1));
     ASSERT_TRUE(r1.valid);
     EXPECT_STREQ(r1.label, "noc");
     EXPECT_EQ(r1.countedTicks, 200u);
@@ -330,7 +338,6 @@ BottleneckReport
 runWithMetrics(NeurocubeConfig config, const NetworkDesc &net)
 {
     config.trace.enabled = true;
-    config.trace.metrics = true;
 
     NetworkData data = NetworkData::randomized(net, 11);
     Tensor input(net.inputMaps(), net.inputHeight(),

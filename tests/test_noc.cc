@@ -359,9 +359,8 @@ class FabricSkipDiff
     {
         std::vector<Delivery> delivered;
         Tick final = 0;
-        std::vector<StallBreakdown> routerCycles;
-        std::vector<EnergyCounts> energy;
-        std::vector<uint64_t> linkFlits, linkStalls, linkOccupancy;
+        /** The fabric's whole counter registry at the end. */
+        MetricsSnapshot counters;
         uint64_t linkFlitStat = 0;
         uint64_t ejected = 0;
         uint64_t latencyMin = 0, latencyMax = 0;
@@ -379,20 +378,13 @@ class FabricSkipDiff
         c.bufferDepth = 4;
         c.deliveryDepth = 4;
 
-        MetricsRegistry metrics;
-        metrics.configure(c.numNodes, c.numNodes, c.numNodes, c.numNodes);
-        EnergyRegistry energy;
-        energy.configure(c.numNodes);
-        SpatialRegistry spatial;
-        spatial.configure(c.numNodes, c.numNodes, c.numNodes);
-        metrics::setActiveRegistry(&metrics);
-        energy::setActiveRegistry(&energy);
-        spatial::setActiveRegistry(&spatial);
+        MetricsRegistry registry;
+        registry.configure(c.numNodes, c.numNodes, c.numNodes);
 
         Outcome o;
         {
             StatGroup root(nullptr, "t");
-            NocFabric fabric(c, &root);
+            NocFabric fabric(c, &root, Probe{nullptr, &registry});
             Rng rng(seed);
             uint32_t next_id = 0;
             Tick quiet_until = 0;
@@ -457,11 +449,7 @@ class FabricSkipDiff
             o.final = t + 1;
             fabric.catchUp(o.final);
 
-            o.routerCycles = metrics.state().of(TraceComponent::Router);
-            o.energy = energy.state().instances;
-            o.linkFlits = spatial.state().linkFlits;
-            o.linkStalls = spatial.state().linkStalls;
-            o.linkOccupancy = spatial.state().linkOccupancy;
+            o.counters = registry.snapshot();
             o.linkFlitStat = fabric.linkFlits();
             o.ejected = fabric.ejectedPackets();
             const Histogram &h = fabric.latencyHistogram();
@@ -472,9 +460,6 @@ class FabricSkipDiff
             o.latencyP99 = h.p99();
             EXPECT_EQ(o.ejected, next_id);
         }
-        metrics::setActiveRegistry(nullptr);
-        energy::setActiveRegistry(nullptr);
-        spatial::setActiveRegistry(nullptr);
         return o;
     }
 };
@@ -501,37 +486,44 @@ TEST_P(FabricSkipDiff, SkippingMatchesTickAll)
         // Every router is accounted for every tick, ticked or not.
         // The stimulus must reach every regime: idle stretches,
         // switching, and head-of-line blocking behind full FIFOs.
-        ASSERT_EQ(all.routerCycles.size(), 16u);
+        const MetricsSnapshot &a = all.counters;
+        const MetricsSnapshot &k = skip.counters;
+        ASSERT_EQ(k.instances(Counter::stall(TraceComponent::Router,
+                                             StallClass::Idle)),
+                  16u);
         StallBreakdown sum;
-        for (size_t r = 0; r < all.routerCycles.size(); ++r) {
-            EXPECT_EQ(all.routerCycles[r].ticks,
-                      skip.routerCycles[r].ticks)
+        for (unsigned r = 0; r < 16; ++r) {
+            EXPECT_EQ(a.stalls(TraceComponent::Router, r).ticks,
+                      k.stalls(TraceComponent::Router, r).ticks)
                 << "router " << r;
-            EXPECT_EQ(skip.routerCycles[r].total(), skip.final);
-            for (size_t k = 0; k < sum.ticks.size(); ++k)
-                sum.ticks[k] += skip.routerCycles[r].ticks[k];
+            EXPECT_EQ(k.stalls(TraceComponent::Router, r).total(),
+                      skip.final);
+            sum += k.stalls(TraceComponent::Router, r);
         }
         EXPECT_GT(sum[StallClass::Idle], 0u);
         EXPECT_GT(sum[StallClass::Busy], 0u);
         EXPECT_GT(sum[StallClass::StallNocCredit], 0u);
-        ASSERT_EQ(all.energy.size(), skip.energy.size());
         uint64_t hops = 0;
-        for (size_t r = 0; r < all.energy.size(); ++r) {
+        for (unsigned r = 0; r < 16; ++r) {
             for (EnergyEventKind kind :
                  {EnergyEventKind::NocHop, EnergyEventKind::NocLink}) {
-                EXPECT_EQ(all.energy[r][kind], skip.energy[r][kind])
+                EXPECT_EQ(a.at(kind, r), k.at(kind, r))
                     << "router " << r;
             }
-            hops += skip.energy[r][EnergyEventKind::NocHop];
+            hops += k.at(EnergyEventKind::NocHop, r);
         }
         EXPECT_GT(hops, 0u);
-        EXPECT_EQ(all.linkFlits, skip.linkFlits);
-        EXPECT_EQ(all.linkStalls, skip.linkStalls);
-        EXPECT_EQ(all.linkOccupancy, skip.linkOccupancy);
+        const SpatialSnapshot as = a.spatialCounts();
+        const SpatialSnapshot ks = k.spatialCounts();
+        EXPECT_EQ(as.linkFlits, ks.linkFlits);
+        EXPECT_EQ(as.linkStalls, ks.linkStalls);
+        EXPECT_EQ(as.linkOccupancy, ks.linkOccupancy);
         uint64_t stalls = 0;
-        for (uint64_t n : skip.linkStalls)
+        for (uint64_t n : ks.linkStalls)
             stalls += n;
         EXPECT_GT(stalls, 0u);
+        // Beyond the asserts above: every counter slot agrees.
+        EXPECT_EQ(a.slots, k.slots);
 #endif
         EXPECT_EQ(all.linkFlitStat, skip.linkFlitStat);
         EXPECT_GT(skip.linkFlitStat, 0u);

@@ -1,10 +1,10 @@
 /**
  * @file
- * Spatial observability tests: the SpatialRegistry counter plumbing,
+ * Spatial observability tests: the registry's spatial counters,
  * the conservation invariants tying the per-instance heatmap counters
  * to the aggregate statistics the rest of the stack already reports,
- * the observational-only guarantee (cycles identical with spatial
- * accounting on and off), roofline attribution sanity, and the
+ * the observational-only guarantee (cycles identical with the counter
+ * registry on and off), roofline attribution sanity, and the
  * byte-determinism of the spatialJson / HTML report exports.
  */
 
@@ -68,9 +68,9 @@ tracedConfig()
     return config;
 }
 
-TEST(SpatialRegistryTest, CountsSnapshotsAndDeltas)
+TEST(SpatialCountersTest, CountsSnapshotsAndDeltas)
 {
-    SpatialRegistry reg;
+    MetricsRegistry reg;
     reg.configure(4, 4, 4);
     reg.configureLinks(2, {{0, 1}, {1, 0}});
     reg.add(SpatialCounter::PeMac, 0, 10);
@@ -81,23 +81,25 @@ TEST(SpatialRegistryTest, CountsSnapshotsAndDeltas)
     reg.add(SpatialCounter::PeMac, 4, 1000);
     reg.add(SpatialCounter::LinkFlit, 2, 1000);
 
-    SpatialSnapshot before = reg.snapshot();
+    const MetricsSnapshot before_all = reg.snapshot();
+    SpatialSnapshot before = before_all.spatialCounts();
     EXPECT_EQ(before.totalPeMacOps(), 15u);
     EXPECT_EQ(before.totalVaultBytes(), 256u);
     EXPECT_EQ(before.totalLinkFlits(), 7u);
     EXPECT_TRUE(before.valid());
 
     reg.add(SpatialCounter::PeMac, 1, 8);
-    SpatialSnapshot delta = reg.snapshot().delta(before);
+    SpatialSnapshot delta =
+        reg.snapshot().delta(before_all).spatialCounts();
     EXPECT_EQ(delta.totalPeMacOps(), 8u);
     EXPECT_EQ(delta.totalVaultBytes(), 0u);
 
     EXPECT_FALSE(SpatialSnapshot{}.valid());
 }
 
-TEST(SpatialRegistryTest, FilterToNodesPartitionsSumBack)
+TEST(SpatialCountersTest, FilterToNodesPartitionsSumBack)
 {
-    SpatialRegistry reg;
+    MetricsRegistry reg;
     reg.configure(4, 4, 4, {0, 1, 2, 3});
     // Intra-partition links only: {0,1} and {2,3}.
     reg.configureLinks(2, {{0, 1}, {2, 3}});
@@ -108,11 +110,10 @@ TEST(SpatialRegistryTest, FilterToNodesPartitionsSumBack)
     reg.add(SpatialCounter::LinkFlit, 0, 5);
     reg.add(SpatialCounter::LinkFlit, 1, 9);
 
-    SpatialSnapshot whole = reg.snapshot();
-    SpatialSnapshot lo = filterSnapshotToNodes(reg.topology(), whole,
-                                               {0, 1});
-    SpatialSnapshot hi = filterSnapshotToNodes(reg.topology(), whole,
-                                               {2, 3});
+    const MetricsSnapshot all = reg.snapshot();
+    SpatialSnapshot whole = all.spatialCounts();
+    SpatialSnapshot lo = reg.filterToNodes(all, {0, 1}).spatialCounts();
+    SpatialSnapshot hi = reg.filterToNodes(all, {2, 3}).spatialCounts();
     // Sizes are kept, entries outside the set are zeroed.
     ASSERT_EQ(lo.peMacOps.size(), whole.peMacOps.size());
     EXPECT_EQ(lo.totalPeMacOps(), 21u);
@@ -138,7 +139,9 @@ TEST(SpatialConservationTest, CountersMatchAggregateStatistics)
     cube.setInput(netInput(net, 4));
     RunResult run = cube.runForward();
 
-    SpatialSnapshot snap = cube.spatialSnapshot();
+    ASSERT_NE(cube.metricsRegistry(), nullptr);
+    SpatialSnapshot snap =
+        cube.metricsRegistry()->snapshot().spatialCounts();
     ASSERT_TRUE(snap.valid());
 
     // Per-link flits sum to the fabric's aggregate flit counter.
@@ -177,40 +180,35 @@ TEST(SpatialConservationTest, CountersMatchAggregateStatistics)
 /** Notrace builds: the macro counts nothing and runs stay invalid. */
 TEST(SpatialConservationTest, NotraceRunsCarryNoCounts)
 {
-    SpatialRegistry reg;
+    MetricsRegistry reg;
     reg.configure(1, 1, 1);
-    spatial::setActiveRegistry(&reg);
-    NC_SPATIAL_EVENT(SpatialCounter::PeMac, 0, 5);
-    spatial::setActiveRegistry(nullptr);
-    EXPECT_EQ(reg.snapshot().totalPeMacOps(), 0u);
+    const Probe probe{nullptr, &reg};
+    NC_COUNT(probe, SpatialCounter::PeMac, 0, 5);
+    EXPECT_EQ(reg.snapshot().spatialCounts().totalPeMacOps(), 0u);
 }
 
 #endif // NEUROCUBE_TRACE_ENABLED
 
 TEST(SpatialConservationTest, ObservationalOnly)
 {
+    // A traced run (counter registry live at every spatial site) and
+    // an untraced one (no registry) simulate the same cycles.
     NetworkDesc net = convFcNet();
-
-    auto cycles = [&net](bool spatial) {
+    auto run = [&net](bool traced) {
         NeurocubeConfig config;
-        config.trace.enabled = true;
-        config.trace.spatial = spatial;
+        config.trace.enabled = traced;
         Neurocube cube(config);
         cube.loadNetwork(net, NetworkData::randomized(net, 3));
         cube.setInput(netInput(net, 4));
-        return cube.runForward().totalCycles();
+        EXPECT_EQ(cube.metricsRegistry() != nullptr,
+                  traced && NEUROCUBE_TRACE_ENABLED);
+        return cube.runForward();
     };
-    EXPECT_EQ(cycles(true), cycles(false));
-
-    // And with tracing off entirely, the registry is absent but the
-    // cycle count still matches.
-    NeurocubeConfig off;
-    Neurocube cube(off);
-    cube.loadNetwork(net, NetworkData::randomized(net, 3));
-    cube.setInput(netInput(net, 4));
-    EXPECT_EQ(cube.spatialRegistry(), nullptr);
-    EXPECT_EQ(cube.runForward().totalCycles(), cycles(true));
-    EXPECT_FALSE(cube.spatialSnapshot().valid());
+    const RunResult on = run(true);
+    const RunResult off = run(false);
+    EXPECT_EQ(on.totalCycles(), off.totalCycles());
+    EXPECT_EQ(on.spatialSnapshot().valid(), bool(NEUROCUBE_TRACE_ENABLED));
+    EXPECT_FALSE(off.spatialSnapshot().valid());
 }
 
 TEST(SpatialRooflineTest, LayerPointsAreUnderTheCeilings)

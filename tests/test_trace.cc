@@ -3,8 +3,9 @@
  * Trace subsystem tests: recorder ring behaviour (wraparound,
  * ordering, window/mask filtering), the NC_TRACE publishing macro,
  * Chrome-JSON well-formedness (re-parsed with a standalone JSON
- * parser), and an end-to-end run of the machine with tracing enabled
- * producing loadable JSON and CSV files.
+ * parser), an end-to-end run of the machine with tracing enabled
+ * producing loadable JSON and CSV files, and several traced machines
+ * in one process keeping their events and counters apart.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +24,6 @@
 #include "trace/chrome_exporter.hh"
 #include "trace/energy.hh"
 #include "trace/phase_detector.hh"
-#include "trace/stream_exporter.hh"
 #include "trace/timeseries_exporter.hh"
 #include "trace/trace.hh"
 
@@ -395,19 +395,20 @@ TEST(TraceRecorder, SamplePeriodOneRecordsEverything)
 }
 
 #if NEUROCUBE_TRACE_ENABLED
-TEST(TraceRecorder, MacroPublishesToActiveRecorder)
+TEST(TraceRecorder, MacroPublishesToProbeRecorder)
 {
-    // No active recorder: the macro must be a safe no-op.
-    NC_TRACE(TraceComponent::Pe, 0, TraceEventType::MacBusy, 1, 2);
+    // An empty probe: the macro must be a safe no-op.
+    const Probe none;
+    NC_TRACE(none, TraceComponent::Pe, 0, TraceEventType::MacBusy, 1, 2);
 
     TraceRecorder recorder(64);
     CollectingSink sink;
     recorder.addSink(&sink);
-    trace::setActiveRecorder(&recorder);
-    NC_TRACE_TICK(Tick(42));
-    NC_TRACE(TraceComponent::Pe, 7, TraceEventType::MacBusy, 3, 16);
-    trace::setActiveRecorder(nullptr);
-    NC_TRACE(TraceComponent::Pe, 0, TraceEventType::MacBusy, 1, 2);
+    const Probe probe{&recorder, nullptr};
+    NC_TRACE_TICK(probe, Tick(42));
+    NC_TRACE(probe, TraceComponent::Pe, 7, TraceEventType::MacBusy, 3,
+             16);
+    NC_TRACE(none, TraceComponent::Pe, 0, TraceEventType::MacBusy, 1, 2);
     recorder.finish();
 
     ASSERT_EQ(sink.events.size(), 1u);
@@ -477,148 +478,6 @@ TEST(ChromeExporter, TrackPidsAreDisjointPerComponent)
               3000u);
     EXPECT_EQ(ChromeTraceExporter::trackPid(TraceComponent::Vault, 9),
               4009u);
-}
-
-TEST(TraceRecorder, ThreadedConsumerDrainsConcurrently)
-{
-    // Many more events than the ring holds: the producer must wait
-    // for the consumer thread instead of losing or reordering events
-    // (run under the tsan preset to check the handoff).
-    TraceRecorder recorder(64);
-    CollectingSink sink;
-    recorder.addSink(&sink);
-    recorder.startConsumerThread();
-
-    constexpr uint64_t total = 50000;
-    for (uint64_t i = 0; i < total; ++i) {
-        recorder.setNow(Tick(i));
-        recorder.record(TraceComponent::Pe, uint16_t(i % 16),
-                        TraceEventType::MacBusy, uint32_t(i), i);
-    }
-    recorder.finish();
-
-    ASSERT_EQ(sink.events.size(), total);
-    EXPECT_TRUE(sink.finished);
-    for (uint64_t i = 0; i < total; ++i) {
-        ASSERT_EQ(sink.events[i].value, i);
-        ASSERT_EQ(sink.events[i].tick, Tick(i));
-    }
-}
-
-TEST(TraceRecorder, ConsumerThreadStopIsIdempotent)
-{
-    TraceRecorder recorder(64);
-    CollectingSink sink;
-    recorder.addSink(&sink);
-    recorder.startConsumerThread();
-    recorder.startConsumerThread(); // second start is a no-op
-    recorder.record(TraceComponent::Pe, 0, TraceEventType::MacBusy);
-    recorder.stopConsumerThread();
-    recorder.stopConsumerThread(); // second stop is a no-op
-    recorder.finish();
-    EXPECT_EQ(sink.events.size(), 1u);
-}
-
-TEST(StreamExporter, RoundTripPreservesEvents)
-{
-    std::stringstream buffer(std::ios::in | std::ios::out
-                             | std::ios::binary);
-    TraceTopology topology;
-    topology.numRouters = 16;
-    topology.numPes = 16;
-    topology.numVaults = 16;
-    TraceStreamWriter writer(buffer, topology);
-
-    for (Tick t = 0; t < 100; ++t) {
-        feed(writer, t, TraceComponent::Router, uint16_t(t % 16),
-             TraceEventType::LinkFlit, uint32_t(t), t * 3);
-    }
-    writer.finish();
-
-    TraceStreamReader reader(buffer);
-    ASSERT_TRUE(reader.valid());
-    EXPECT_EQ(reader.header().version, 1u);
-    EXPECT_EQ(reader.header().eventBytes, sizeof(TraceEvent));
-    EXPECT_EQ(reader.header().numPes, 16u);
-
-    TraceEvent event;
-    size_t n = 0;
-    while (reader.next(event)) {
-        EXPECT_EQ(event.tick, Tick(n));
-        EXPECT_EQ(event.component, TraceComponent::Router);
-        EXPECT_EQ(event.value, n * 3);
-        ++n;
-    }
-    EXPECT_EQ(n, 100u);
-}
-
-TEST(StreamExporter, ReaderRejectsForeignStream)
-{
-    std::stringstream garbage("this is not a trace stream at all");
-    TraceStreamReader reader(garbage);
-    EXPECT_FALSE(reader.valid());
-    TraceEvent event;
-    EXPECT_FALSE(reader.next(event));
-}
-
-/** A complete binary stream with @p events records, as raw bytes. */
-std::string
-wellFormedStream(size_t events)
-{
-    std::stringstream buffer(std::ios::in | std::ios::out
-                             | std::ios::binary);
-    TraceTopology topology;
-    topology.numRouters = 16;
-    topology.numPes = 16;
-    topology.numVaults = 16;
-    TraceStreamWriter writer(buffer, topology);
-    for (Tick t = 0; t < Tick(events); ++t) {
-        feed(writer, t, TraceComponent::Pe, 0,
-             TraceEventType::MacBusy, 1, t);
-    }
-    writer.finish();
-    return buffer.str();
-}
-
-TEST(StreamExporter, ReaderToleratesTruncatedHeader)
-{
-    // A viewer can attach to a FIFO whose writer dies mid-header:
-    // every truncation point must yield invalid, never a crash or a
-    // garbage header accepted as valid.
-    std::string full = wellFormedStream(1);
-    for (size_t len = 0; len < sizeof(TraceStreamHeader); ++len) {
-        std::stringstream cut(full.substr(0, len),
-                              std::ios::in | std::ios::binary);
-        TraceStreamReader reader(cut);
-        EXPECT_FALSE(reader.valid()) << "header cut at " << len;
-        TraceEvent event;
-        EXPECT_FALSE(reader.next(event));
-    }
-}
-
-TEST(StreamExporter, ReaderStopsCleanlyAtTruncatedEvent)
-{
-    // Writer killed mid-record: the reader must deliver every
-    // complete event and stop at the partial tail without returning
-    // a half-filled record.
-    std::string full = wellFormedStream(3);
-    size_t two_and_a_half =
-        sizeof(TraceStreamHeader) + 2 * sizeof(TraceEvent)
-        + sizeof(TraceEvent) / 2;
-    std::stringstream cut(full.substr(0, two_and_a_half),
-                          std::ios::in | std::ios::binary);
-
-    TraceStreamReader reader(cut);
-    ASSERT_TRUE(reader.valid());
-    TraceEvent event;
-    size_t delivered = 0;
-    while (reader.next(event)) {
-        EXPECT_EQ(event.tick, Tick(delivered));
-        EXPECT_EQ(event.value, delivered);
-        ++delivered;
-    }
-    EXPECT_EQ(delivered, 2u);
-    EXPECT_FALSE(reader.next(event)); // stays at end, no crash
 }
 
 TEST(TimeSeriesExporter, OneRowPerActiveWindow)
@@ -824,12 +683,13 @@ TEST(ChromeExporter, EmitsPhaseAnnotationTrack)
     EXPECT_EQ(json.find("\"quiescent\""), std::string::npos);
 }
 
-/** One tiny conv layer on the real machine with tracing on. */
-TEST(TraceIntegration, MachineEmitsLoadableTraceFiles)
+/**
+ * Load one 20x16, 3x3 conv from 2 to 4 maps on @p cube and return its
+ * input (seeds 7/8).
+ */
+Tensor
+loadTinyConv(Neurocube &cube)
 {
-    const std::string json_path = "test_trace_out.json";
-    const std::string csv_path = "test_trace_out.csv";
-
     NetworkDesc net;
     net.name = "trace-test";
     LayerDesc conv;
@@ -845,10 +705,26 @@ TEST(TraceIntegration, MachineEmitsLoadableTraceFiles)
     net.layers.push_back(conv);
     net.validate();
 
-    NetworkData data = NetworkData::randomized(net, 7);
     Tensor input(conv.inMaps, conv.inHeight, conv.inWidth);
     Rng rng(8);
     input.randomize(rng);
+    cube.loadNetwork(net, NetworkData::randomized(net, 7));
+    return input;
+}
+
+/** Run the tiny conv on @p cube. */
+RunResult
+runTinyConv(Neurocube &cube)
+{
+    cube.setInput(loadTinyConv(cube));
+    return cube.runForward();
+}
+
+/** One tiny conv layer on the real machine with tracing on. */
+TEST(TraceIntegration, MachineEmitsLoadableTraceFiles)
+{
+    const std::string json_path = "test_trace_out.json";
+    const std::string csv_path = "test_trace_out.csv";
 
     {
         NeurocubeConfig config;
@@ -857,9 +733,7 @@ TEST(TraceIntegration, MachineEmitsLoadableTraceFiles)
         config.trace.timeseriesCsvPath = csv_path;
         config.trace.windowTicks = 64;
         Neurocube cube(config);
-        cube.loadNetwork(net, data);
-        cube.setInput(input);
-        cube.runForward();
+        runTinyConv(cube);
         // The session flushes when the cube is destroyed.
     }
 
@@ -901,6 +775,17 @@ TEST(TraceIntegration, MachineEmitsLoadableTraceFiles)
 }
 
 #if NEUROCUBE_TRACE_ENABLED
+/** A file's contents, after which the file is removed. */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    std::remove(path.c_str());
+    return text.str();
+}
+
 /** One traced run of a tiny conv machine; returns {json, csv}. */
 std::pair<std::string, std::string>
 sampledRunExports(uint64_t sample_period, const char *tag)
@@ -908,26 +793,6 @@ sampledRunExports(uint64_t sample_period, const char *tag)
     const std::string json_path =
         std::string(tag) + ".sampled.json";
     const std::string csv_path = std::string(tag) + ".sampled.csv";
-
-    NetworkDesc net;
-    net.name = "sample-test";
-    LayerDesc conv;
-    conv.type = LayerType::Conv2D;
-    conv.name = "conv";
-    conv.inWidth = 20;
-    conv.inHeight = 16;
-    conv.inMaps = 2;
-    conv.outMaps = 4;
-    conv.kernel = 3;
-    conv.channelwise = true;
-    conv.activation = ActivationKind::Tanh;
-    net.layers.push_back(conv);
-    net.validate();
-    NetworkData data = NetworkData::randomized(net, 7);
-    Tensor input(conv.inMaps, conv.inHeight, conv.inWidth);
-    Rng rng(8);
-    input.randomize(rng);
-
     {
         NeurocubeConfig config;
         config.trace.enabled = true;
@@ -936,18 +801,8 @@ sampledRunExports(uint64_t sample_period, const char *tag)
         config.trace.windowTicks = 64;
         config.trace.samplePeriod = sample_period;
         Neurocube cube(config);
-        cube.loadNetwork(net, data);
-        cube.setInput(input);
-        cube.runForward();
+        runTinyConv(cube);
     }
-
-    auto slurp = [](const std::string &path) {
-        std::ifstream in(path);
-        std::stringstream text;
-        text << in.rdbuf();
-        std::remove(path.c_str());
-        return text.str();
-    };
     return {slurp(json_path), slurp(csv_path)};
 }
 
@@ -973,60 +828,97 @@ TEST(TraceIntegration, SampledExportsAreDeterministic)
     EXPECT_LT(sampled_json.traceEvents(), full_json.traceEvents());
 }
 
-/** The live stream end to end: machine -> consumer thread -> file. */
-TEST(TraceIntegration, StreamPathProducesReadableBinaryStream)
+/** The counter-derived exports of one run. */
+struct CounterExports
 {
-    const std::string stream_path = "test_trace_stream.bin";
+    std::string metrics;
+    std::string energy;
+    std::string spatial;
 
-    NetworkDesc net;
-    net.name = "stream-test";
-    LayerDesc conv;
-    conv.type = LayerType::Conv2D;
-    conv.name = "conv";
-    conv.inWidth = 20;
-    conv.inHeight = 16;
-    conv.inMaps = 2;
-    conv.outMaps = 4;
-    conv.kernel = 3;
-    conv.channelwise = true;
-    conv.activation = ActivationKind::Tanh;
-    net.layers.push_back(conv);
-    net.validate();
+    explicit CounterExports(const RunResult &run)
+        : metrics(run.metricsJson()), energy(run.energyJson()),
+          spatial(run.spatialJson())
+    {
+    }
 
-    NetworkData data = NetworkData::randomized(net, 7);
-    Tensor input(conv.inMaps, conv.inHeight, conv.inWidth);
-    Rng rng(8);
-    input.randomize(rng);
+    bool operator==(const CounterExports &) const = default;
+};
+
+TEST(TraceIsolation, TracedMachinesKeepTheirOwnCounters)
+{
+    NeurocubeConfig traced;
+    traced.trace.enabled = true;
+    const CounterExports solo = [&] {
+        Neurocube cube(traced);
+        return CounterExports(runTinyConv(cube));
+    }();
+    // The solo run really counted: a valid bottleneck, energy and
+    // spatial counters.
+    EXPECT_EQ(solo.metrics.find("\"bottleneck\": null"),
+              std::string::npos);
+    EXPECT_NE(solo.energy.find("\"valid\":true"), std::string::npos);
+    EXPECT_EQ(solo.spatial.find("\"pe_mac_sum\": 0"),
+              std::string::npos);
+
+    // Two traced machines alive at once, run one after the other.
+    {
+        Neurocube first(traced);
+        Neurocube second(traced);
+        EXPECT_TRUE(CounterExports(runTinyConv(first)) == solo);
+        EXPECT_TRUE(CounterExports(runTinyConv(second)) == solo);
+    }
+    // A second machine built and destroyed before the first runs.
+    {
+        Neurocube first(traced);
+        {
+            Neurocube second(traced);
+        }
+        EXPECT_TRUE(CounterExports(runTinyConv(first)) == solo);
+    }
+}
+
+TEST(TraceIsolation, CountersOnlyThreadedMachineBesideAChromeSink)
+{
+    const std::string path = "test_trace_idle_neighbour.json";
+    NeurocubeConfig chrome;
+    chrome.trace.enabled = true;
+    chrome.trace.chromeJsonPath = path;
+    const std::string idle_alone = [&] {
+        {
+            Neurocube idle(chrome);
+        }
+        return slurp(path);
+    }();
+    ASSERT_FALSE(idle_alone.empty());
+
+    // A counters-only batch machine on ThreadedLanes: its lane
+    // workers run while the neighbour's recorder is live.
+    NeurocubeConfig counters;
+    counters.engine = SimEngine::ThreadedLanes;
+    counters.trace.enabled = true;
+    counters.batch.lanes = 2;
+    auto run_batch = [](Neurocube &cube) {
+        const Tensor x = loadTinyConv(cube);
+        std::vector<CounterExports> lanes;
+        for (const RunResult &lane : cube.runForwardBatch({x, x}).lanes)
+            lanes.emplace_back(lane);
+        return lanes;
+    };
+    const std::vector<CounterExports> busy_alone = [&] {
+        Neurocube busy(counters);
+        return run_batch(busy);
+    }();
 
     {
-        NeurocubeConfig config;
-        config.trace.enabled = true;
-        config.trace.streamPath = stream_path;
-        Neurocube cube(config);
-        cube.loadNetwork(net, data);
-        cube.setInput(input);
-        cube.runForward();
+        Neurocube idle(chrome);
+        Neurocube busy(counters);
+        EXPECT_EQ(busy.activeEngine(), SimEngine::ThreadedLanes);
+        EXPECT_TRUE(run_batch(busy) == busy_alone);
     }
-
-    std::ifstream in(stream_path, std::ios::binary);
-    ASSERT_TRUE(in.good());
-    TraceStreamReader reader(in);
-    ASSERT_TRUE(reader.valid());
-    EXPECT_EQ(reader.header().numPes, 16u);
-    EXPECT_EQ(reader.header().numVaults, 16u);
-
-    TraceEvent event;
-    size_t events = 0;
-    Tick last = 0;
-    while (reader.next(event)) {
-        EXPECT_GE(event.tick, last); // ring order is time order
-        last = event.tick;
-        ++events;
-    }
-    EXPECT_GT(events, 100u);
-
-    std::remove(stream_path.c_str());
+    // The idle machine recorded nothing of its neighbour's run.
+    EXPECT_EQ(slurp(path), idle_alone);
 }
+
 #endif
 
 } // namespace
