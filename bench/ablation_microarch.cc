@@ -11,8 +11,6 @@
  *  - host configuration cost per pass.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hh"
 
 namespace
@@ -39,19 +37,6 @@ runConfig(const NeurocubeConfig &config)
     }
     return total;
 }
-
-void
-BM_BurstGap(benchmark::State &state)
-{
-    NeurocubeConfig config;
-    config.dram.burstGapTicks = Tick(state.range(0));
-    for (auto _ : state) {
-        LayerResult r = runConfig(config);
-        state.counters["GOPs/s@5GHz"] = r.gopsPerSecond();
-    }
-}
-BENCHMARK(BM_BurstGap)->Arg(0)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
 
 void
 printAblations()
@@ -122,13 +107,8 @@ printAblations()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    if (neurocube::bench::wantsGoogleBenchmark(argc, argv)) {
-        ::benchmark::Initialize(&argc, argv);
-        ::benchmark::RunSpecifiedBenchmarks();
-        return 0;
-    }
     printAblations();
     return 0;
 }

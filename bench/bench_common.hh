@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/stats.hh"
 #include "core/manifest.hh"
 #include "core/neurocube.hh"
@@ -150,31 +151,6 @@ inferenceInputSize(unsigned &w, unsigned &h)
 }
 
 /**
- * Per-phase energy rollup of an exported time-series CSV: detect
- * phases, join them with the avg_power_w track, serialize. Empty
- * string when the CSV is absent (no NEUROCUBE_TRACE_EXPORT).
- */
-inline std::string
-phaseEnergyFromCsv(const NeurocubeConfig &cfg)
-{
-    if (cfg.trace.timeseriesCsvPath.empty())
-        return "";
-    PhaseDetectorConfig pd;
-    pd.windowTicks = cfg.trace.windowTicks;
-    pd.numPes = cfg.numPes;
-    pd.numPngs = cfg.dram.numChannels;
-    pd.numRouters = cfg.numPes;
-    pd.numVaults = cfg.dram.numChannels;
-    std::ifstream detect(cfg.trace.timeseriesCsvPath);
-    if (!detect.is_open())
-        return "";
-    std::vector<PhaseSegment> segments = detectPhases(detect, pd);
-    std::ifstream join(cfg.trace.timeseriesCsvPath);
-    return phaseEnergyJson(joinPhaseEnergy(segments, join, pd),
-                           pd.windowTicks);
-}
-
-/**
  * Run a full forward pass of a network on a machine config.
  *
  * When @p manifest is non-null it is filled with the run's identity
@@ -182,9 +158,8 @@ phaseEnergyFromCsv(const NeurocubeConfig &cfg)
  * for the caller/writeBenchJson to label). NEUROCUBE_TRACE_EXPORT
  * and NEUROCUBE_TRACE_SAMPLE apply here (see applyTraceExportFromEnv).
  * When @p phases_json is non-null and the run exported a time-series
- * CSV, it receives the per-phase energy rollup (phaseEnergyJson) —
- * joined after the machine is torn down, since the trace session
- * flushes the CSV in its destructor.
+ * CSV, it receives the per-phase energy rollup (phaseEnergyJson) of
+ * the phases the CSV exporter segmented.
  */
 inline RunResult
 runForward(const NeurocubeConfig &config, const NetworkDesc &net,
@@ -210,21 +185,21 @@ runForward(const NeurocubeConfig &config, const NetworkDesc &net,
         cfg, "forward" + std::to_string(run_ordinal++));
     cfg.engine = engineFromEnv(cfg.engine);
     cfg.planCache = planCacheFromEnv(cfg.planCache);
-    RunResult run;
-    {
-        Neurocube cube(cfg);
-        cube.loadNetwork(net, data);
-        cube.setInput(input);
-        WallTimer timer;
-        run = cube.runForward();
-        run.wallMs = timer.elapsedMs();
-        if (manifest != nullptr) {
-            *manifest = buildRunManifest(cfg, cube.activeEngine(), "",
-                                         quickMode());
-        }
-    } // trace session torn down here: the time-series CSV is flushed
-    if (phases_json != nullptr)
-        *phases_json = phaseEnergyFromCsv(cfg);
+    Neurocube cube(cfg);
+    cube.loadNetwork(net, data);
+    cube.setInput(input);
+    WallTimer timer;
+    RunResult run = cube.runForward();
+    run.wallMs = timer.elapsedMs();
+    if (manifest != nullptr) {
+        *manifest = buildRunManifest(cfg, cube.activeEngine(), "",
+                                     quickMode());
+    }
+    if (phases_json != nullptr) {
+        std::vector<PhaseSegment> phases = cube.tracePhases();
+        if (!phases.empty())
+            *phases_json = phaseEnergyJson(phases, cfg.trace.windowTicks);
+    }
     return run;
 }
 
@@ -340,6 +315,15 @@ benchOutputPath(const std::string &filename)
     return filename;
 }
 
+/** A JSON document without its trailing newlines and spaces. */
+inline std::string
+trimmed(std::string doc)
+{
+    while (!doc.empty() && (doc.back() == '\n' || doc.back() == ' '))
+        doc.pop_back();
+    return doc;
+}
+
 /**
  * One labelled run for writeBenchJson/writeBenchProm. Constructible
  * from the legacy {name, &run} pair (no manifest: the JSON carries
@@ -394,17 +378,10 @@ writeBenchJson(const std::string &filename,
                      path.c_str());
         return;
     }
-    auto trimmed = [](std::string doc) {
-        while (!doc.empty()
-               && (doc.back() == '\n' || doc.back() == ' ')) {
-            doc.pop_back();
-        }
-        return doc;
-    };
     out << "{\n\"quick\": " << (quickMode() ? "true" : "false")
         << ",\n\"runs\": {\n";
     for (size_t i = 0; i < runs.size(); ++i) {
-        out << "\"" << runs[i].name << "\": {\"wall_ms\": "
+        out << jsonString(runs[i].name) << ": {\"wall_ms\": "
             << formatDouble(runs[i].run->wallMs, 1)
             << ",\n\"manifest\": "
             << (runs[i].hasManifest
@@ -460,13 +437,6 @@ writeBenchHtml(const std::string &filename, const std::string &title,
                      path.c_str());
         return;
     }
-    auto trimmed = [](std::string doc) {
-        while (!doc.empty()
-               && (doc.back() == '\n' || doc.back() == ' ')) {
-            doc.pop_back();
-        }
-        return doc;
-    };
     std::vector<ReportRun> report;
     report.reserve(runs.size());
     for (const NamedRun &r : runs) {
@@ -482,22 +452,6 @@ writeBenchHtml(const std::string &filename, const std::string &title,
     }
     out << renderRunReport(title, report);
     std::printf("wrote %s\n", path.c_str());
-}
-
-/**
- * Standard bench entry: with any --benchmark_* flag the registered
- * google-benchmark timings run; the bare invocation prints the
- * paper-table reproduction instead (what `ctest`-style batch runs
- * and EXPERIMENTS.md use).
- */
-inline bool
-wantsGoogleBenchmark(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]).rfind("--benchmark", 0) == 0)
-            return true;
-    }
-    return false;
 }
 
 } // namespace neurocube::bench

@@ -11,8 +11,6 @@
  * tiles, and degrades as tiles shrink.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hh"
 #include "core/multi_cube.hh"
 
@@ -21,20 +19,6 @@ namespace
 
 using namespace neurocube;
 using namespace neurocube::bench;
-
-void
-BM_MultiCubeEstimate(benchmark::State &state)
-{
-    NetworkDesc net = sceneLabelingNetwork(640, 480);
-    MultiCubeConfig config;
-    config.numCubes = unsigned(state.range(0));
-    for (auto _ : state) {
-        MultiCubeEstimate est =
-            multiCubeNetworkEstimate(net, config);
-        benchmark::DoNotOptimize(est.totalCycles());
-    }
-}
-BENCHMARK(BM_MultiCubeEstimate)->Arg(1)->Arg(4)->Arg(16);
 
 void
 printFigure()
@@ -74,13 +58,8 @@ printFigure()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    if (neurocube::bench::wantsGoogleBenchmark(argc, argv)) {
-        ::benchmark::Initialize(&argc, argv);
-        ::benchmark::RunSpecifiedBenchmarks();
-        return 0;
-    }
     printFigure();
     return 0;
 }

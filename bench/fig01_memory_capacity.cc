@@ -8,8 +8,6 @@
  * realistic image sizes on chip, motivating the in-memory design.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <vector>
 
@@ -52,18 +50,6 @@ figurePoints()
 }
 
 void
-BM_FootprintModel(benchmark::State &state)
-{
-    for (auto _ : state) {
-        uint64_t total = 0;
-        for (const Point &p : figurePoints())
-            total += p.bytes;
-        benchmark::DoNotOptimize(total);
-    }
-}
-BENCHMARK(BM_FootprintModel);
-
-void
 printFigure()
 {
     std::printf("\n=== Fig. 1: required memory vs on-chip capacity "
@@ -91,10 +77,8 @@ printFigure()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    ::benchmark::Initialize(&argc, argv);
-    ::benchmark::RunSpecifiedBenchmarks();
     printFigure();
     return 0;
 }

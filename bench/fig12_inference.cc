@@ -11,8 +11,6 @@
  * inference at 17.52 frames/s (28 nm) and 292.14 frames/s (15 nm).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hh"
 #include "power/power_model.hh"
 
@@ -29,36 +27,6 @@ workload()
     inferenceInputSize(w, h);
     return sceneLabelingNetwork(w, h);
 }
-
-void
-BM_InferenceDuplicated(benchmark::State &state)
-{
-    NetworkDesc net = workload();
-    for (auto _ : state) {
-        NeurocubeConfig config;
-        RunResult run = runForward(config, net);
-        state.counters["GOPs/s@5GHz"] = run.gopsPerSecond();
-        state.counters["cycles"] = double(run.totalCycles());
-    }
-}
-BENCHMARK(BM_InferenceDuplicated)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void
-BM_InferenceNoDuplication(benchmark::State &state)
-{
-    NetworkDesc net = workload();
-    for (auto _ : state) {
-        NeurocubeConfig config;
-        config.mapping.duplicateConvHalo = false;
-        config.mapping.duplicateFcInput = false;
-        RunResult run = runForward(config, net);
-        state.counters["GOPs/s@5GHz"] = run.gopsPerSecond();
-        state.counters["cycles"] = double(run.totalCycles());
-    }
-}
-BENCHMARK(BM_InferenceNoDuplication)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
 
 void
 printFigure()
@@ -109,13 +77,8 @@ printFigure()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    if (neurocube::bench::wantsGoogleBenchmark(argc, argv)) {
-        ::benchmark::Initialize(&argc, argv);
-        ::benchmark::RunSpecifiedBenchmarks();
-        return 0;
-    }
     printFigure();
     return 0;
 }

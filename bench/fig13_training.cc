@@ -9,8 +9,6 @@
  * (28 nm) and 4542.14 epochs/s (15 nm); ~48% duplication overhead.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hh"
 #include "core/training.hh"
 #include "power/power_model.hh"
@@ -47,17 +45,6 @@ runTraining(bool include_gradient)
     run.wallMs = timer.elapsedMs();
     return run;
 }
-
-void
-BM_TrainingIteration(benchmark::State &state)
-{
-    for (auto _ : state) {
-        RunResult run = runTraining(false);
-        state.counters["GOPs/s@5GHz"] = run.gopsPerSecond();
-    }
-}
-BENCHMARK(BM_TrainingIteration)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
 
 void
 printFigure()
@@ -103,13 +90,8 @@ printFigure()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    if (neurocube::bench::wantsGoogleBenchmark(argc, argv)) {
-        ::benchmark::Initialize(&argc, argv);
-        ::benchmark::RunSpecifiedBenchmarks();
-        return 0;
-    }
     printFigure();
     return 0;
 }

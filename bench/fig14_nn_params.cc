@@ -16,8 +16,6 @@
  *      matrix grows.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hh"
 #include "core/analytic_model.hh"
 
@@ -57,20 +55,6 @@ runFc(unsigned hidden, bool duplicate)
     // hidden width).
     return run.layers[0];
 }
-
-void
-BM_ConvKernelSweep(benchmark::State &state)
-{
-    for (auto _ : state) {
-        LayerResult r = runConv(unsigned(state.range(0)),
-                                state.range(1) != 0);
-        state.counters["GOPs/s@5GHz"] = r.gopsPerSecond();
-    }
-}
-BENCHMARK(BM_ConvKernelSweep)
-    ->ArgsProduct({{3, 7, 11}, {0, 1}})
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
 
 void
 printConvPanel(bool duplicate)
@@ -140,13 +124,8 @@ printFigure()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    if (neurocube::bench::wantsGoogleBenchmark(argc, argv)) {
-        ::benchmark::Initialize(&argc, argv);
-        ::benchmark::RunSpecifiedBenchmarks();
-        return 0;
-    }
     printFigure();
     return 0;
 }

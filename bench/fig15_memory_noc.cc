@@ -12,8 +12,6 @@
  *      fully connected layers (at the cost of 17-port routers).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hh"
 
 namespace
@@ -59,21 +57,6 @@ equalBandwidthChannels(unsigned channels, double total_gbps)
     p.peakBandwidthGBps = total_gbps / channels;
     return p;
 }
-
-void
-BM_MemoryTechnology(benchmark::State &state)
-{
-    bool ddr = state.range(0) != 0;
-    for (auto _ : state) {
-        RunResult run = runMemoryConfig(
-            ddr ? DramParams::ddr3() : DramParams::hmcInternal(),
-            true);
-        state.counters["GOPs/s@5GHz"] =
-            run.layers[0].gopsPerSecond();
-    }
-}
-BENCHMARK(BM_MemoryTechnology)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
 
 void
 printPanelA()
@@ -177,13 +160,8 @@ printPanelB()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    if (neurocube::bench::wantsGoogleBenchmark(argc, argv)) {
-        ::benchmark::Initialize(&argc, argv);
-        ::benchmark::RunSpecifiedBenchmarks();
-        return 0;
-    }
     std::printf("\n=== Fig. 15: memory technology and NoC topology "
                 "===\n");
     printPanelA();

@@ -10,8 +10,6 @@
  * negligible (~1.3 W compute+logic).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -23,21 +21,6 @@ namespace
 
 using namespace neurocube;
 using namespace neurocube::bench;
-
-void
-BM_ThermalSolve(benchmark::State &state)
-{
-    ThermalParams params;
-    ThermalModel model(params);
-    PowerModel m15(TechNode::Nm15);
-    auto map = model.floorplanPowerMap(m15.pePowerW(),
-                                       m15.hmcLogicDiePowerW(), 16);
-    for (auto _ : state) {
-        ThermalResult r = model.solve(map, m15.dramPowerW());
-        benchmark::DoNotOptimize(r.maxLogicK);
-    }
-}
-BENCHMARK(BM_ThermalSolve)->Unit(benchmark::kMillisecond);
 
 void
 printFigure()
@@ -88,13 +71,8 @@ printFigure()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    if (neurocube::bench::wantsGoogleBenchmark(argc, argv)) {
-        ::benchmark::Initialize(&argc, argv);
-        ::benchmark::RunSpecifiedBenchmarks();
-        return 0;
-    }
     printFigure();
     return 0;
 }

@@ -19,8 +19,6 @@
  * cycle tolerance used for the figure benches).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hh"
 #include "serving/server.hh"
 #include "serving/slo.hh"
@@ -288,36 +286,11 @@ printFigure()
     writeServeHtml(points);
 }
 
-void
-BM_ServeMidLoad(benchmark::State &state)
-{
-    NetworkDesc net = servingNet();
-    NetworkData data = NetworkData::randomized(net, 7);
-    Tensor input(net.inputMaps(), net.inputHeight(),
-                 net.inputWidth());
-    Rng rng(8);
-    input.randomize(rng);
-    const Tick batch4 = calibrateBatch4(net, data, input);
-    for (auto _ : state) {
-        SweepPoint point = runPoint(2, batch4, net, data, input);
-        state.counters["goodput_per_sec"] =
-            point.report.goodputPerSec;
-        state.counters["p99_ticks"] = point.report.p99Ticks;
-    }
-}
-BENCHMARK(BM_ServeMidLoad)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    if (neurocube::bench::wantsGoogleBenchmark(argc, argv)) {
-        ::benchmark::Initialize(&argc, argv);
-        ::benchmark::RunSpecifiedBenchmarks();
-        return 0;
-    }
     printFigure();
     return 0;
 }

@@ -7,8 +7,6 @@
  * activity/technology scaling.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_common.hh"
@@ -20,17 +18,6 @@ namespace
 
 using namespace neurocube;
 using namespace neurocube::bench;
-
-void
-BM_PowerRollup(benchmark::State &state)
-{
-    for (auto _ : state) {
-        PowerModel m28(TechNode::Nm28), m15(TechNode::Nm15);
-        benchmark::DoNotOptimize(m28.totalPowerW());
-        benchmark::DoNotOptimize(m15.totalPowerW());
-    }
-}
-BENCHMARK(BM_PowerRollup);
 
 std::string
 sci(double v)
@@ -106,13 +93,8 @@ printTable()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    if (neurocube::bench::wantsGoogleBenchmark(argc, argv)) {
-        ::benchmark::Initialize(&argc, argv);
-        ::benchmark::RunSpecifiedBenchmarks();
-        return 0;
-    }
     printTable();
     return 0;
 }

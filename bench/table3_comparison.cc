@@ -11,8 +11,6 @@
  * GPU's power efficiency while remaining programmable.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hh"
 #include "power/power_model.hh"
 
@@ -31,17 +29,6 @@ measureInference()
     NeurocubeConfig config;
     return runForward(config, net);
 }
-
-void
-BM_SimulatedThroughput(benchmark::State &state)
-{
-    for (auto _ : state) {
-        double gops = measureInference().gopsPerSecond();
-        state.counters["GOPs/s@5GHz"] = gops;
-    }
-}
-BENCHMARK(BM_SimulatedThroughput)->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
 
 void
 printTable()
@@ -121,13 +108,8 @@ printTable()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    if (neurocube::bench::wantsGoogleBenchmark(argc, argv)) {
-        ::benchmark::Initialize(&argc, argv);
-        ::benchmark::RunSpecifiedBenchmarks();
-        return 0;
-    }
     printTable();
     return 0;
 }

@@ -10,7 +10,8 @@
 #   outdir  where BENCH_*.{json,prom,html} and the captured stdout
 #           logs land (default: bench-results)
 #   bench   bench binary names to run (default: fig12_inference
-#           fig13_training fig15_memory_noc serve_sweep)
+#           fig13_training fig15_memory_noc serve_sweep
+#           table3_comparison)
 #
 # --compare diffs the fresh BENCH_*.json against the committed
 # baselines in <baseline-dir> (see bench/baselines/). The simulator
@@ -49,7 +50,7 @@ shift || true
 benches=("$@")
 if [ ${#benches[@]} -eq 0 ]; then
     benches=(fig12_inference fig13_training fig15_memory_noc
-             serve_sweep)
+             serve_sweep table3_comparison)
 fi
 
 build="${NEUROCUBE_BUILD:-build}"

@@ -155,6 +155,13 @@ Neurocube::activeEngine() const
     return config_.engine;
 }
 
+std::vector<PhaseSegment>
+Neurocube::tracePhases()
+{
+    return traceSession_ ? traceSession_->phases()
+                         : std::vector<PhaseSegment>{};
+}
+
 SpatialTopology
 Neurocube::spatialTopology() const
 {

@@ -151,6 +151,16 @@ class Neurocube
     MetricsRegistry *metricsRegistry() { return probe_.registry; }
 
     /**
+     * The run's phases so far, as the time-series CSV export
+     * segments them (trace/phase_detector.hh): the still-open window
+     * is counted but not flushed, so the CSV and the Chrome trace
+     * come out byte-identical whether or not this is called. At the
+     * end of a run these are the segments the session writes into
+     * the Chrome "phases" track. Empty without a CSV export.
+     */
+    std::vector<PhaseSegment> tracePhases();
+
+    /**
      * The machine shape the spatial counters describe (mesh width,
      * links, vault hosting), or an empty topology when the machine
      * has no counter registry.

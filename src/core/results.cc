@@ -1,39 +1,14 @@
 #include "core/results.hh"
 
-#include <iomanip>
 #include <sstream>
+
+#include "common/json.hh"
 
 namespace neurocube
 {
 
 namespace
 {
-
-/** JSON-format a double (plain decimal; NaN/inf become 0). */
-std::string
-jsonNumber(double value)
-{
-    if (!(value == value) || value > 1e300 || value < -1e300)
-        return "0";
-    std::ostringstream os;
-    // Enough digits that per-class fractions re-sum to ~1.0 exactly.
-    os << std::setprecision(12) << value;
-    return os.str();
-}
-
-/** Escape a string for a JSON literal (our names are tame). */
-std::string
-jsonString(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
 
 void
 appendFractions(std::ostringstream &os,

@@ -285,20 +285,6 @@ struct BatchRunResult
         return double(lanes.size()) * clock_ghz * 1e9
              / double(cycles);
     }
-
-    /**
-     * Activity-based energy of the whole batch in joules, summed
-     * over lanes and priced at 15 nm. 0 when the run carried no
-     * energy accounting. Defined in src/power/activity_energy.cc —
-     * callers link nc_power.
-     */
-    double totalEnergyJ() const;
-
-    /** Activity-based efficiency, GOPS/W ( = GOPs per joule). */
-    double gopsPerWatt() const;
-
-    /** Activity-based energy per completed input, joules. */
-    double energyPerInferenceJ() const;
 };
 
 } // namespace neurocube

@@ -106,9 +106,6 @@ class Router
     /** Deposit a packet into an input FIFO. @pre inputSpace(port)>0 */
     void pushInput(unsigned port, const Packet &packet);
 
-    /** Total packets currently waiting in input FIFOs. */
-    unsigned bufferedInputs() const { return bufferedInputs_; }
-
     /** Packets waiting in an output FIFO. */
     const Ring<Packet> &outputQueue(unsigned port) const
     {
@@ -151,9 +148,6 @@ class Router
     {
         return bufferedInputs_ == 0 && bufferedOutputs_ == 0;
     }
-
-    /** Total packets currently waiting in output FIFOs. */
-    unsigned bufferedOutputs() const { return bufferedOutputs_; }
 
     /** Packets switched so far. */
     uint64_t packetsSwitched() const { return statSwitched_.count(); }

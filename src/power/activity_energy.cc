@@ -1,9 +1,8 @@
 #include "power/activity_energy.hh"
 
-#include <cmath>
-#include <iomanip>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/types.hh"
 #include "core/manifest.hh"
 #include "power/energy_model.hh"
@@ -162,16 +161,6 @@ compareWithAnalytic(const RunResult &run, const PowerModel &model)
 namespace
 {
 
-std::string
-jsonNumber(double value)
-{
-    if (std::isnan(value) || std::isinf(value))
-        value = 0.0;
-    std::ostringstream os;
-    os << std::setprecision(12) << value;
-    return os.str();
-}
-
 void
 appendComponents(std::ostringstream &os, const EnergyBreakdown &b)
 {
@@ -235,7 +224,7 @@ RunResult::energyJson() const
         EnergyBreakdown lb = model.price(layer.energy);
         if (i)
             os << ",";
-        os << "{\"name\":\"" << layer.name << "\"";
+        os << "{\"name\":" << jsonString(layer.name);
         os << ",\"total_j\":" << jsonNumber(lb.totalJ());
         os << ",\"components\":";
         appendComponents(os, lb);
@@ -284,10 +273,10 @@ aggregateStalls(const RunResult &run)
 void
 appendManifestFields(std::ostringstream &os, const RunManifest &m)
 {
-    os << "\"name\":\"" << m.name << "\"";
-    os << ",\"git_describe\":\"" << m.gitDescribe << "\"";
-    os << ",\"engine\":\"" << m.engine << "\"";
-    os << ",\"config_hash\":\"" << m.configHash << "\"";
+    os << "\"name\":" << jsonString(m.name);
+    os << ",\"git_describe\":" << jsonString(m.gitDescribe);
+    os << ",\"engine\":" << jsonString(m.engine);
+    os << ",\"config_hash\":" << jsonString(m.configHash);
     os << ",\"quick\":" << (m.quick ? "true" : "false");
 }
 
@@ -406,30 +395,6 @@ runMetricsTextfile(const RunManifest &manifest, const RunResult &run)
         }
     }
     return os.str();
-}
-
-double
-BatchRunResult::totalEnergyJ() const
-{
-    ActivityEnergyModel model;
-    double total = 0.0;
-    for (const RunResult &lane : lanes)
-        total += model.price(lane).totalJ();
-    return total;
-}
-
-double
-BatchRunResult::gopsPerWatt() const
-{
-    double joules = totalEnergyJ();
-    return joules > 0.0 ? double(totalOps()) / 1e9 / joules : 0.0;
-}
-
-double
-BatchRunResult::energyPerInferenceJ() const
-{
-    return lanes.empty() ? 0.0
-                         : totalEnergyJ() / double(lanes.size());
 }
 
 } // namespace neurocube

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hh"
 #include "power/activity_energy.hh"
 
 namespace neurocube
@@ -93,7 +94,7 @@ servingReportJson(const ServingReport &report)
         << ", \"utilization\": " << num(report.utilization)
         << ", \"energy_per_request_j\": "
         << num(report.energyPerRequestJ)
-        << ", \"bottleneck\": \"" << report.bottleneckLabel << "\""
+        << ", \"bottleneck\": " << jsonString(report.bottleneckLabel)
         << "}";
     return out.str();
 }
@@ -108,10 +109,10 @@ servingManifestJson(const RunManifest &manifest,
         return std::string(buf);
     };
     std::ostringstream out;
-    out << "{\"name\":\"" << manifest.name << "\""
-        << ",\"git_describe\":\"" << manifest.gitDescribe << "\""
-        << ",\"engine\":\"" << manifest.engine << "\""
-        << ",\"config_hash\":\"" << manifest.configHash << "\""
+    out << "{\"name\":" << jsonString(manifest.name)
+        << ",\"git_describe\":" << jsonString(manifest.gitDescribe)
+        << ",\"engine\":" << jsonString(manifest.engine)
+        << ",\"config_hash\":" << jsonString(manifest.configHash)
         << ",\"quick\":" << (manifest.quick ? "true" : "false")
         << ",\"wall_ms\":" << num(wall_ms) << ",\"report\":"
         << servingReportJson(report) << "}";

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "trace/energy.hh"
 
 namespace neurocube
 {
@@ -21,6 +22,9 @@ constexpr uint32_t pidBase[] = {
     4000, // Vault
 };
 
+/** The power.W track prices the event stream at 15 nm. */
+const EnergyPrices tracePrices{};
+
 } // namespace
 
 uint32_t
@@ -32,10 +36,9 @@ ChromeTraceExporter::trackPid(TraceComponent component,
 
 ChromeTraceExporter::ChromeTraceExporter(std::ostream &os,
                                          const TraceTopology &topology,
-                                         Tick windowTicks,
-                                         EnergyPrices prices)
+                                         Tick windowTicks)
     : os_(os), topology_(topology),
-      window_(windowTicks > 0 ? windowTicks : 1), prices_(prices),
+      window_(windowTicks > 0 ? windowTicks : 1),
       pngPhase_(topology.numVaults)
 {
     // PNG events are keyed by hosting node; fold them back onto the
@@ -197,7 +200,7 @@ ChromeTraceExporter::handle(const TraceEvent &event)
     advanceWindow(event.tick);
     lastTick_ = std::max(lastTick_, event.tick);
 
-    double pj = tracePjOf(event, prices_);
+    double pj = tracePjOf(event, tracePrices);
     if (pj > 0.0) {
         windowPj_ += pj;
         sawEnergy_ = true;

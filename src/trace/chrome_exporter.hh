@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/energy.hh"
 #include "trace/phase_detector.hh"
 #include "trace/trace.hh"
 
@@ -40,12 +39,10 @@ class ChromeTraceExporter : public TraceSink
      * @param os destination stream (kept open until finish())
      * @param topology machine shape (track pre-registration)
      * @param windowTicks counter-track sampling period
-     * @param prices per-event energies backing the power.W track
      */
     ChromeTraceExporter(std::ostream &os,
                         const TraceTopology &topology,
-                        Tick windowTicks,
-                        EnergyPrices prices = EnergyPrices{});
+                        Tick windowTicks);
 
     void consume(const TraceEvent *events, size_t count) override;
     void finish() override;
@@ -54,8 +51,8 @@ class ChromeTraceExporter : public TraceSink
      * Write detected run phases as a top-level "phases" annotation
      * track: one named slice per segment. Call after the run's
      * events are consumed and before finish() (the TraceSession
-     * destructor does this with the segments detectPhases() finds
-     * in the finished timeseries CSV).
+     * destructor does this with the segments the time-series
+     * exporter found).
      */
     void emitPhases(const std::vector<PhaseSegment> &segments);
 
@@ -112,7 +109,6 @@ class ChromeTraceExporter : public TraceSink
     std::ostream &os_;
     TraceTopology topology_;
     Tick window_;
-    EnergyPrices prices_;
     Tick windowStart_ = 0;
     Tick lastTick_ = 0;
     bool firstEvent_ = true;

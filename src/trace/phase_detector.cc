@@ -1,12 +1,41 @@
 #include "trace/phase_detector.hh"
 
-#include <cstdlib>
-#include <iomanip>
-#include <istream>
 #include <sstream>
+
+#include "common/json.hh"
 
 namespace neurocube
 {
+
+namespace
+{
+
+/** PE utilization (%) at or above which a window is compute-bound. */
+constexpr double computeUtilPct = 45.0;
+
+/**
+ * Per-instance stall fraction below which a stall signal is noise; a
+ * window where every signal is below this (and PE utilization is
+ * negligible) is quiescent.
+ */
+constexpr double stallFloor = 0.05;
+
+/** Merge @p next into the last segment when they abut and agree. */
+void
+mergeOrPush(std::vector<PhaseSegment> &segments, const PhaseSegment &next)
+{
+    if (!segments.empty() && segments.back().kind == next.kind
+        && segments.back().endTick == next.startTick) {
+        PhaseSegment &last = segments.back();
+        last.endTick = next.endTick;
+        last.windows += next.windows;
+        last.joules += next.joules;
+        return;
+    }
+    segments.push_back(next);
+}
+
+} // namespace
 
 const char *
 phaseKindName(PhaseKind kind)
@@ -26,49 +55,11 @@ phaseKindName(PhaseKind kind)
     return "?";
 }
 
-namespace
-{
-
-/** Split one CSV line (no quoting in our format). */
-std::vector<std::string>
-splitCsv(const std::string &line)
-{
-    std::vector<std::string> cells;
-    std::string cell;
-    std::istringstream ss(line);
-    while (std::getline(ss, cell, ','))
-        cells.push_back(cell);
-    return cells;
-}
-
-/** Index of @p name in @p header, or -1. */
-int
-columnOf(const std::vector<std::string> &header,
-         const std::string &name)
-{
-    for (size_t i = 0; i < header.size(); ++i) {
-        if (header[i] == name)
-            return int(i);
-    }
-    return -1;
-}
-
-/** Cell as double; missing/short rows read as 0. */
-double
-cellAt(const std::vector<std::string> &cells, int column)
-{
-    if (column < 0 || size_t(column) >= cells.size())
-        return 0.0;
-    return std::strtod(cells[size_t(column)].c_str(), nullptr);
-}
-
-/** Classify one CSV window. */
 PhaseKind
 classifyWindow(double peUtilPct, double nocFrac, double injectFrac,
-               double dramFrac, double activity,
-               const PhaseDetectorConfig &config)
+               double dramFrac, double activity)
 {
-    if (peUtilPct >= config.computeUtilPct)
+    if (peUtilPct >= computeUtilPct)
         return PhaseKind::Compute;
 
     // Pick the dominant stall signal; ties resolve in top-down
@@ -84,184 +75,47 @@ classifyWindow(double peUtilPct, double nocFrac, double injectFrac,
         best = dramFrac;
         kind = PhaseKind::DramBound;
     }
-    if (best >= config.stallFloor)
+    if (best >= stallFloor)
         return kind;
 
     // No stall signal above the noise floor: the machine is either
     // doing (light) compute or nothing at all.
-    if (peUtilPct > 100.0 * config.stallFloor || activity > 0.0)
+    if (peUtilPct > 100.0 * stallFloor || activity > 0.0)
         return PhaseKind::Compute;
     return PhaseKind::Quiescent;
 }
 
-/** Append a window to the segment list, merging when possible. */
 void
-appendWindow(std::vector<PhaseSegment> &segments, Tick start,
-             Tick window, PhaseKind kind)
+appendPhaseWindow(std::vector<PhaseSegment> &segments, Tick start,
+                  Tick window, PhaseKind kind, double joules)
 {
-    if (!segments.empty() && segments.back().kind == kind
-        && segments.back().endTick == start) {
-        segments.back().endTick = start + window;
-        ++segments.back().windows;
-        return;
+    if (!segments.empty() && segments.back().endTick < start) {
+        const Tick gapStart = segments.back().endTick;
+        mergeOrPush(segments,
+                    {gapStart, start, PhaseKind::Quiescent,
+                     unsigned((start - gapStart) / window), 0.0});
     }
-    segments.push_back({start, start + window, kind, 1});
-}
-
-} // namespace
-
-std::vector<PhaseSegment>
-detectPhases(std::istream &csv, const PhaseDetectorConfig &config)
-{
-    std::vector<PhaseSegment> segments;
-
-    std::string line;
-    if (!std::getline(csv, line))
-        return segments;
-    const auto header = splitCsv(line);
-
-    const int colStart = columnOf(header, "window_start");
-    const int colFlits = columnOf(header, "noc_flits_per_cycle");
-    const int colPeUtil = columnOf(header, "pe_util_pct");
-    const int colPngStall = columnOf(header, "png_stall_ticks");
-    const int colNocBlocked = columnOf(header, "noc_blocked_ticks");
-    const int colDramStall = columnOf(header, "dram_stall_ticks");
-    const int colDramBytes = columnOf(header, "dram_bytes_per_cycle");
-    if (colStart < 0 || colPeUtil < 0 || colPngStall < 0
-        || colDramStall < 0) {
-        return segments; // not a time-series CSV we understand
-    }
-
-    const Tick window = config.windowTicks > 0 ? config.windowTicks : 1;
-    const double windowD = double(window);
-    bool first = true;
-    Tick expected = 0;
-
-    while (std::getline(csv, line)) {
-        if (line.empty())
-            continue;
-        const auto cells = splitCsv(line);
-        const Tick start = Tick(cellAt(cells, colStart));
-
-        // The exporter skips empty windows entirely; reinstate them
-        // as quiescent segments so phases stay contiguous.
-        if (!first) {
-            for (Tick gap = expected; gap < start; gap += window)
-                appendWindow(segments, gap, window,
-                             PhaseKind::Quiescent);
-        }
-        first = false;
-        expected = start + window;
-
-        const double injectFrac =
-            config.numPngs
-                ? cellAt(cells, colPngStall)
-                      / (windowD * double(config.numPngs))
-                : 0.0;
-        const double nocFrac =
-            config.numRouters
-                ? cellAt(cells, colNocBlocked)
-                      / (windowD * double(config.numRouters))
-                : 0.0;
-        const double dramFrac =
-            config.numVaults
-                ? cellAt(cells, colDramStall)
-                      / (windowD * double(config.numVaults))
-                : 0.0;
-        const double activity = cellAt(cells, colFlits)
-                              + cellAt(cells, colDramBytes);
-
-        appendWindow(segments, start, window,
-                     classifyWindow(cellAt(cells, colPeUtil), nocFrac,
-                                    injectFrac, dramFrac, activity,
-                                    config));
-    }
-    return segments;
+    mergeOrPush(segments, {start, start + window, kind, 1, joules});
 }
 
 std::string
-phaseReport(const std::vector<PhaseSegment> &segments)
-{
-    std::ostringstream os;
-    for (const PhaseSegment &s : segments) {
-        os << "  [" << s.startTick << ", " << s.endTick << ") "
-           << phaseKindName(s.kind) << " (" << s.windows
-           << (s.windows == 1 ? " window)" : " windows)") << "\n";
-    }
-    return os.str();
-}
-
-std::vector<PhaseEnergy>
-joinPhaseEnergy(const std::vector<PhaseSegment> &segments,
-                std::istream &csv,
-                const PhaseDetectorConfig &config)
-{
-    std::vector<PhaseEnergy> phases;
-    phases.reserve(segments.size());
-    for (const PhaseSegment &s : segments)
-        phases.push_back({s, 0.0, 0.0});
-    if (phases.empty())
-        return phases;
-
-    std::string line;
-    if (std::getline(csv, line)) {
-        const auto header = splitCsv(line);
-        const int colStart = columnOf(header, "window_start");
-        const int colPower = columnOf(header, "avg_power_w");
-        const Tick window =
-            config.windowTicks > 0 ? config.windowTicks : 1;
-        const double window_s = double(window) / referenceClockHz;
-        size_t seg = 0;
-        while (colStart >= 0 && colPower >= 0
-               && std::getline(csv, line)) {
-            if (line.empty())
-                continue;
-            const auto cells = splitCsv(line);
-            const Tick start = Tick(cellAt(cells, colStart));
-            // Segments and CSV rows are both time-ordered, so one
-            // forward cursor joins them.
-            while (seg < phases.size()
-                   && phases[seg].segment.endTick <= start)
-                ++seg;
-            if (seg >= phases.size())
-                break;
-            if (start >= phases[seg].segment.startTick)
-                phases[seg].joules +=
-                    cellAt(cells, colPower) * window_s;
-        }
-    }
-    for (PhaseEnergy &p : phases) {
-        const Tick ticks = p.segment.endTick - p.segment.startTick;
-        p.avgPowerW = ticks > 0
-            ? p.joules / (double(ticks) / referenceClockHz)
-            : 0.0;
-    }
-    return phases;
-}
-
-std::string
-phaseEnergyJson(const std::vector<PhaseEnergy> &phases,
+phaseEnergyJson(const std::vector<PhaseSegment> &segments,
                 Tick windowTicks)
 {
-    auto num = [](double value) {
-        std::ostringstream ns;
-        if (!(value == value) || value > 1e300 || value < -1e300)
-            value = 0.0;
-        ns << std::setprecision(12) << value;
-        return ns.str();
-    };
     std::ostringstream os;
     os << "{\"window_ticks\": " << windowTicks << ", \"segments\": [";
-    for (size_t i = 0; i < phases.size(); ++i) {
-        const PhaseEnergy &p = phases[i];
-        os << (i ? ", " : "") << "{\"kind\": \""
-           << phaseKindName(p.segment.kind)
-           << "\", \"start\": " << p.segment.startTick
-           << ", \"end\": " << p.segment.endTick << ", \"ticks\": "
-           << (p.segment.endTick - p.segment.startTick)
-           << ", \"windows\": " << p.segment.windows
-           << ", \"joules\": " << num(p.joules)
-           << ", \"avg_power_w\": " << num(p.avgPowerW) << "}";
+    for (size_t i = 0; i < segments.size(); ++i) {
+        const PhaseSegment &s = segments[i];
+        const Tick ticks = s.endTick - s.startTick;
+        const double avgPowerW =
+            ticks > 0 ? s.joules / (double(ticks) / referenceClockHz)
+                      : 0.0;
+        os << (i ? ", " : "") << "{\"kind\": \"" << phaseKindName(s.kind)
+           << "\", \"start\": " << s.startTick << ", \"end\": "
+           << s.endTick << ", \"ticks\": " << ticks
+           << ", \"windows\": " << s.windows
+           << ", \"joules\": " << jsonNumber(s.joules)
+           << ", \"avg_power_w\": " << jsonNumber(avgPowerW) << "}";
     }
     os << "]}";
     return os.str();

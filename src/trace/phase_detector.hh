@@ -1,26 +1,23 @@
 /**
  * @file
- * Windowed phase detection over the time-series CSV.
+ * Windowed phase detection.
  *
- * Reads the CSV written by TimeSeriesCsvExporter and segments the run
- * into execution phases: compute-bound stretches (high PE
- * utilization), inject-bound stretches (PNG packets ready but the
- * router memory port full), DRAM-bound stretches (channels stalled on
- * activation/bandwidth), NoC-bound stretches (head-of-line blocking
- * inside routers), and quiescent gaps (windows the exporter skipped
- * because no event fell into them). Adjacent windows of the same kind
- * merge into one segment, so a typical layer reads as a handful of
- * phases instead of thousands of rows.
- *
- * Columns are located by header name, so the detector tolerates
- * column reordering and additions in the exporter.
+ * Segments a run into execution phases, one aggregation window at a
+ * time: compute-bound stretches (high PE utilization), inject-bound
+ * stretches (PNG packets ready but the router memory port full),
+ * DRAM-bound stretches (channels stalled on activation/bandwidth),
+ * NoC-bound stretches (head-of-line blocking inside routers), and
+ * quiescent gaps (windows without a single event). Adjacent windows
+ * of the same kind merge into one segment, so a typical layer reads
+ * as a handful of phases instead of thousands of windows. The
+ * time-series exporter (trace/timeseries_exporter.hh) feeds this
+ * with the windows it writes as CSV rows.
  */
 
 #ifndef NEUROCUBE_TRACE_PHASE_DETECTOR_HH
 #define NEUROCUBE_TRACE_PHASE_DETECTOR_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -55,84 +52,41 @@ struct PhaseSegment
     PhaseKind kind = PhaseKind::Quiescent;
     /** Aggregation windows merged into this segment. */
     unsigned windows = 0;
-};
-
-/** Detection knobs. */
-struct PhaseDetectorConfig
-{
-    /**
-     * Aggregation window of the CSV in reference ticks; must match
-     * the TraceConfig::windowTicks the CSV was produced with.
-     */
-    Tick windowTicks = 1024;
-    /** PE MAC instances (scales pe_util; topology default). */
-    unsigned numPes = 16;
-    /** PNG instances (scales png_stall_ticks). */
-    unsigned numPngs = 16;
-    /** Router instances (scales noc_blocked_ticks). */
-    unsigned numRouters = 16;
-    /** Vault instances (scales dram_stall_ticks). */
-    unsigned numVaults = 16;
-    /** PE utilization (%) above which a window is compute-bound. */
-    double computeUtilPct = 45.0;
-    /**
-     * Per-instance stall fraction below which a stall signal is
-     * noise; a window where every signal is below this (and PE
-     * utilization is negligible) is quiescent.
-     */
-    double stallFloor = 0.05;
-};
-
-/**
- * Segment a time-series CSV into phases.
- *
- * @param csv the CSV stream (header row first)
- * @param config detection knobs; windowTicks must match the CSV
- * @return segments in time order, covering [firstWindow, lastWindow)
- *         with quiescent segments filling exporter gaps; empty when
- *         the CSV has no data rows or the header is missing required
- *         columns
- */
-std::vector<PhaseSegment>
-detectPhases(std::istream &csv, const PhaseDetectorConfig &config);
-
-/** Render segments as one human-readable line each. */
-std::string phaseReport(const std::vector<PhaseSegment> &segments);
-
-/** One detected phase joined with the power track. */
-struct PhaseEnergy
-{
-    PhaseSegment segment;
-    /** Energy spent inside the segment, joules. */
+    /** Energy the event stream priced into its windows, joules. */
     double joules = 0.0;
-    /** Mean power over the segment, watts. */
-    double avgPowerW = 0.0;
 };
 
 /**
- * Join detected phases with the CSV's avg_power_w column: each CSV
- * window's energy (avg_power_w x window seconds at the reference
- * clock) is charged to the segment containing it; windows the
- * exporter skipped contribute nothing (they are quiescent).
+ * Classify one window from its signals.
  *
- * @param segments detectPhases output (time-ordered)
- * @param csv the same CSV, rewound (header row first)
- * @param config the knobs detectPhases ran with
- * @return one entry per segment, in segment order; joules all 0 when
- *         the CSV has no avg_power_w column (energy accounting off)
+ * @param peUtilPct PE MAC utilization, percent
+ * @param nocFrac router blocked ticks per router-tick
+ * @param injectFrac PNG inject-stall ticks per PNG-tick
+ * @param dramFrac DRAM stall ticks per vault-tick
+ * @param activity flits plus DRAM bytes per cycle (> 0: not idle)
  */
-std::vector<PhaseEnergy>
-joinPhaseEnergy(const std::vector<PhaseSegment> &segments,
-                std::istream &csv,
-                const PhaseDetectorConfig &config);
+PhaseKind classifyWindow(double peUtilPct, double nocFrac,
+                         double injectFrac, double dramFrac,
+                         double activity);
+
+/**
+ * Append the window [start, start + window) to time-ordered
+ * segments, merging it into the last one when that has the same kind
+ * and ends at @p start. Windows skipped since the last segment
+ * (nothing happened in them) are reinstated as quiescent first, so
+ * the segments stay contiguous.
+ */
+void appendPhaseWindow(std::vector<PhaseSegment> &segments, Tick start,
+                       Tick window, PhaseKind kind, double joules);
 
 /**
  * Serialize a phase-energy rollup as a JSON document:
  * {"window_ticks": N, "segments": [{"kind", "start", "end",
- * "ticks", "windows", "joules", "avg_power_w"}, ...]}.
- * Deterministic (fixed field order, setprecision(12) numbers).
+ * "ticks", "windows", "joules", "avg_power_w"}, ...]}, where
+ * avg_power_w is the segment's joules over its span at the reference
+ * clock. Deterministic (fixed field order, jsonNumber numbers).
  */
-std::string phaseEnergyJson(const std::vector<PhaseEnergy> &phases,
+std::string phaseEnergyJson(const std::vector<PhaseSegment> &segments,
                             Tick windowTicks);
 
 } // namespace neurocube

@@ -2,30 +2,13 @@
 
 #include <sstream>
 
+#include "common/json.hh"
+
 namespace neurocube
 {
 
 namespace
 {
-
-/** Escape a string for a JSON literal embedded in a <script> data
- *  block; '<' is emitted as a \u escape so a "script" close tag can
- *  never appear inside the block. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '<') {
-            out += "\\u003c";
-            continue;
-        }
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
 
 /** Escape a string for HTML text content. */
 std::string
@@ -61,7 +44,7 @@ appendRun(std::ostringstream &os, const ReportRun &run)
         os << "\"" << name
            << "\":" << (json.empty() ? "null" : json);
     };
-    os << "{\"name\":\"" << jsonEscape(run.name) << "\"";
+    os << "{\"name\":" << jsonString(run.name);
     field("manifest", run.manifestJson);
     field("metrics", run.metricsJson);
     field("energy", run.energyJson);
@@ -470,7 +453,7 @@ renderRunReport(const std::string &title,
 {
     std::ostringstream os;
     os << kHead << htmlEscape(title) << kStyle;
-    os << "{\"title\":\"" << jsonEscape(title) << "\",\"runs\":[";
+    os << "{\"title\":" << jsonString(title) << ",\"runs\":[";
     for (size_t i = 0; i < runs.size(); ++i) {
         if (i)
             os << ",";

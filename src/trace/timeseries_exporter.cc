@@ -3,15 +3,23 @@
 #include <ostream>
 
 #include "common/logging.hh"
+#include "trace/energy.hh"
 
 namespace neurocube
 {
 
+namespace
+{
+
+/** The avg_power_w column prices the event stream at 15 nm. */
+const EnergyPrices tracePrices{};
+
+} // namespace
+
 TimeSeriesCsvExporter::TimeSeriesCsvExporter(
-    std::ostream &os, const TraceTopology &topology, Tick windowTicks,
-    EnergyPrices prices)
+    std::ostream &os, const TraceTopology &topology, Tick windowTicks)
     : os_(os), topology_(topology),
-      window_(windowTicks > 0 ? windowTicks : 1), prices_(prices),
+      window_(windowTicks > 0 ? windowTicks : 1),
       vaultBits_(topology.numVaults, 0)
 {
     os_ << "window_start,noc_flits_per_cycle,ejected_per_cycle,"
@@ -39,34 +47,74 @@ TimeSeriesCsvExporter::resetAccumulators()
     sawEvent_ = false;
 }
 
+double
+TimeSeriesCsvExporter::peUtilPct() const
+{
+    const double pe_ticks = double(window_) * double(topology_.numPes);
+    return pe_ticks > 0.0 ? 100.0 * double(macBusyTicks_) / pe_ticks
+                          : 0.0;
+}
+
+uint64_t
+TimeSeriesCsvExporter::windowBits() const
+{
+    uint64_t total_bits = 0;
+    for (uint64_t bits : vaultBits_)
+        total_bits += bits;
+    return total_bits;
+}
+
+PhaseKind
+TimeSeriesCsvExporter::windowKind() const
+{
+    const double w = double(window_);
+    // Stall ticks per instance-tick of the stalling component.
+    auto fraction = [w](uint64_t ticks, unsigned instances) {
+        return instances ? double(ticks) / (w * double(instances))
+                         : 0.0;
+    };
+    return classifyWindow(
+        peUtilPct(), fraction(nocBlockedTicks_, topology_.numRouters),
+        fraction(pngStallTicks_, topology_.numVaults),
+        fraction(dramStallTicks_, topology_.numVaults),
+        double(linkFlits_) / w + double(windowBits()) / 8.0 / w);
+}
+
 void
 TimeSeriesCsvExporter::flushWindow()
 {
     if (!sawEvent_)
         return;
 
-    uint64_t total_bits = 0;
-    for (uint64_t bits : vaultBits_)
-        total_bits += bits;
-
     const double w = double(window_);
-    const double pe_ticks = w * double(topology_.numPes);
     const double mean_latency =
         ejected_ ? double(ejectLatencySum_) / double(ejected_) : 0.0;
 
     os_ << windowStart_ << ',' << double(linkFlits_) / w << ','
         << double(ejected_) / w << ',' << mean_latency << ','
-        << (pe_ticks > 0.0 ? 100.0 * double(macBusyTicks_) / pe_ticks
-                           : 0.0)
-        << ',' << pngStallTicks_ << ',' << nocBlockedTicks_ << ','
-        << dramStallTicks_ << ',' << double(total_bits) / 8.0 / w
-        << ',' << windowPj_ * 1e-12 * referenceClockHz / w << ','
+        << peUtilPct() << ',' << pngStallTicks_ << ','
+        << nocBlockedTicks_ << ',' << dramStallTicks_ << ','
+        << double(windowBits()) / 8.0 / w << ','
+        << windowPj_ * 1e-12 * referenceClockHz / w << ','
         << serveQueueDepth_ << ',' << skippedTicks_;
     for (uint64_t bits : vaultBits_)
         os_ << ',' << bits / 8;
     os_ << "\n";
 
+    appendPhaseWindow(phases_, windowStart_, window_, windowKind(),
+                      windowPj_ * 1e-12);
     resetAccumulators();
+}
+
+std::vector<PhaseSegment>
+TimeSeriesCsvExporter::phases() const
+{
+    std::vector<PhaseSegment> segments = phases_;
+    if (sawEvent_) {
+        appendPhaseWindow(segments, windowStart_, window_, windowKind(),
+                          windowPj_ * 1e-12);
+    }
+    return segments;
 }
 
 void
@@ -82,7 +130,7 @@ void
 TimeSeriesCsvExporter::handle(const TraceEvent &event)
 {
     advanceWindow(event.tick);
-    windowPj_ += tracePjOf(event, prices_);
+    windowPj_ += tracePjOf(event, tracePrices);
     switch (event.type) {
       case TraceEventType::LinkFlit:
         ++linkFlits_;

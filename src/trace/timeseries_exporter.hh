@@ -8,8 +8,9 @@
  * ejected per cycle and their mean latency, MAC-array utilization,
  * PNG inject-stall ticks, router head-of-line blocked ticks, DRAM
  * bytes per cycle, and per-vault byte counts. Ready for plotting with
- * any spreadsheet/pandas/gnuplot, and consumed by the phase detector
- * (trace/phase_detector.hh) to segment a run into bottleneck phases.
+ * any spreadsheet/pandas/gnuplot. Each window it writes also goes
+ * through the phase detector (trace/phase_detector.hh), so the
+ * exporter segments the run into bottleneck phases as it goes.
  */
 
 #ifndef NEUROCUBE_TRACE_TIMESERIES_EXPORTER_HH
@@ -18,7 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "trace/energy.hh"
+#include "trace/phase_detector.hh"
 #include "trace/trace.hh"
 
 namespace neurocube
@@ -30,21 +31,32 @@ class TimeSeriesCsvExporter : public TraceSink
   public:
     /**
      * @param os destination stream (kept open until finish())
-     * @param topology machine shape (per-vault columns, PE count)
+     * @param topology machine shape (per-vault columns and the PE,
+     *        router and vault counts that scale the phase signals)
      * @param windowTicks aggregation window in reference ticks
-     * @param prices per-event energies backing the avg_power_w
-     *        column (an event-stream estimate; see tracePjOf)
      */
     TimeSeriesCsvExporter(std::ostream &os,
                           const TraceTopology &topology,
-                          Tick windowTicks,
-                          EnergyPrices prices = EnergyPrices{});
+                          Tick windowTicks);
 
     void consume(const TraceEvent *events, size_t count) override;
     void finish() override;
 
+    /**
+     * The run's phases so far: the written windows, segmented, plus
+     * the window still open. The open window is classified but not
+     * flushed, so calling this mid-run leaves the CSV unchanged.
+     */
+    std::vector<PhaseSegment> phases() const;
+
   private:
     void handle(const TraceEvent &event);
+    /** PE MAC utilization of the current window, percent. */
+    double peUtilPct() const;
+    /** DRAM bits moved in the current window, all vaults. */
+    uint64_t windowBits() const;
+    /** Phase kind of the current window. */
+    PhaseKind windowKind() const;
     /** Write the current window's row (if it saw any event). */
     void flushWindow();
     void advanceWindow(Tick tick);
@@ -53,7 +65,6 @@ class TimeSeriesCsvExporter : public TraceSink
     std::ostream &os_;
     TraceTopology topology_;
     Tick window_;
-    EnergyPrices prices_;
     Tick windowStart_ = 0;
     bool sawEvent_ = false;
 
@@ -72,6 +83,9 @@ class TimeSeriesCsvExporter : public TraceSink
     uint64_t serveQueueDepth_ = 0;
     /** Component-ticks the wake-list engine bulk-skipped. */
     uint64_t skippedTicks_ = 0;
+
+    /** Phases of the windows written so far. */
+    std::vector<PhaseSegment> phases_;
 };
 
 } // namespace neurocube

@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "trace/chrome_exporter.hh"
-#include "trace/phase_detector.hh"
 #include "trace/timeseries_exporter.hh"
 
 namespace neurocube
@@ -148,14 +147,6 @@ TraceRecorder::addSink(TraceSink *sink)
 }
 
 void
-TraceRecorder::setWindow(Tick start, Tick end)
-{
-    nc_assert(start <= end, "inverted trace window");
-    startTick_ = start;
-    endTick_ = end;
-}
-
-void
 TraceRecorder::push(const TraceEvent &event)
 {
     if (head_ - tail_ == ring_.size())
@@ -197,12 +188,6 @@ TraceSession::TraceSession(const TraceConfig &config,
     registry_.configure(topology.numRouters, topology.numPes,
                         topology.numVaults, topology.vaultNode);
 
-    // Kept for the destructor's phase feedback (the exporters clamp
-    // a zero window to 1; match them so detectPhases sees the same
-    // window size the CSV was written with).
-    windowTicks_ = config.windowTicks > 0 ? config.windowTicks : 1;
-    topology_ = topology;
-
     auto open = [&](const std::string &path) -> std::ostream & {
         auto stream = std::make_unique<std::ofstream>(path);
         if (!stream->is_open())
@@ -213,17 +198,15 @@ TraceSession::TraceSession(const TraceConfig &config,
 
     if (!config.chromeJsonPath.empty()) {
         auto chrome = std::make_unique<ChromeTraceExporter>(
-            open(config.chromeJsonPath), topology,
-            config.windowTicks, config.energyPrices);
+            open(config.chromeJsonPath), topology, config.windowTicks);
         chrome_ = chrome.get();
         sinks_.push_back(std::move(chrome));
     }
     if (!config.timeseriesCsvPath.empty()) {
         auto csv = std::make_unique<TimeSeriesCsvExporter>(
             open(config.timeseriesCsvPath), topology,
-            config.windowTicks, config.energyPrices);
+            config.windowTicks);
         csv_ = csv.get();
-        csvPath_ = config.timeseriesCsvPath;
         sinks_.push_back(std::move(csv));
     }
 
@@ -231,8 +214,7 @@ TraceSession::TraceSession(const TraceConfig &config,
     // a counters-only session leaves NC_TRACE sites at a null check.
     if (sinks_.empty())
         return;
-    recorder_ = std::make_unique<TraceRecorder>(config.ringCapacity);
-    recorder_->setWindow(config.startTick, config.endTick);
+    recorder_ = std::make_unique<TraceRecorder>();
     recorder_->setComponentMask(config.componentMask);
     recorder_->setSampling(config.windowTicks, config.samplePeriod);
     for (auto &sink : sinks_)
@@ -243,26 +225,20 @@ TraceSession::~TraceSession()
 {
     if (!recorder_)
         return;
-    // Phase feedback: when both exporters ran, finish the CSV first,
-    // segment it, and write the segments into the Chrome trace as the
-    // top-level "phases" track before the JSON footer goes out.
-    // (recorder_->finish() below calls every sink's finish(); the CSV
-    // exporter's is idempotent, so finishing it early is safe.)
-    if (chrome_ != nullptr && csv_ != nullptr) {
-        recorder_->drain();
-        csv_->finish();
-        std::ifstream csv(csvPath_);
-        if (csv.is_open()) {
-            PhaseDetectorConfig detector;
-            detector.windowTicks = windowTicks_;
-            detector.numPes = topology_.numPes;
-            detector.numPngs = topology_.numVaults;
-            detector.numRouters = topology_.numRouters;
-            detector.numVaults = topology_.numVaults;
-            chrome_->emitPhases(detectPhases(csv, detector));
-        }
-    }
+    // Phase feedback: the segments go into the Chrome trace as the
+    // top-level "phases" track before its footer goes out.
+    if (chrome_ != nullptr && csv_ != nullptr)
+        chrome_->emitPhases(phases());
     recorder_->finish();
+}
+
+std::vector<PhaseSegment>
+TraceSession::phases()
+{
+    if (csv_ == nullptr)
+        return {};
+    recorder_->drain();
+    return csv_->phases();
 }
 
 } // namespace neurocube

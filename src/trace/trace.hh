@@ -14,9 +14,9 @@
  *
  * The recorder is a ring drained inline: the simulation loop pushes,
  * and drain() hands contiguous batches to the registered sinks when
- * the ring fills and at finish(), so no event is ever dropped inside
- * the recording window. Only the simulation thread touches it, which
- * is why ThreadedLanes demotes to Event while a recorder is live.
+ * the ring fills and at finish(), so no recorded event is ever
+ * dropped. Only the simulation thread touches it, which is why
+ * ThreadedLanes demotes to Event while a recorder is live.
  */
 
 #ifndef NEUROCUBE_TRACE_TRACE_HH
@@ -30,6 +30,7 @@
 #include "common/types.hh"
 #include "trace/events.hh"
 #include "trace/metrics.hh"
+#include "trace/phase_detector.hh"
 #include "trace/trace_config.hh"
 
 #ifndef NEUROCUBE_TRACE_ENABLED
@@ -77,32 +78,24 @@ class TraceRecorder
     /** Register a sink; not owned, must outlive the recorder. */
     void addSink(TraceSink *sink);
 
-    /** Restrict recording to ticks in [start, end). */
-    void setWindow(Tick start, Tick end);
-
     /** Restrict recording to component classes with a set bit. */
     void setComponentMask(uint32_t mask) { componentMask_ = mask; }
 
     /**
      * Window sampling (TraceConfig::samplePeriod): only windows with
      * (tick / windowTicks) % period == 0 record events, except for
-     * component classes with a set bit in exemptMask which always
-     * record. period <= 1 disables sampling.
+     * TraceComponent::Sim, which always records so serving spans,
+     * lane completions and engine-skip aggregates stay complete.
+     * period <= 1 disables sampling.
      *
      * @param windowTicks sampling window length in ticks (>= 1)
      * @param period record 1-in-`period` windows
-     * @param exemptMask component classes that bypass sampling
-     *        (default: TraceComponent::Sim, so serving spans, lane
-     *        completions, and engine-skip aggregates stay complete)
      */
     void
-    setSampling(Tick windowTicks, uint64_t period,
-                uint32_t exemptMask =
-                    1u << unsigned(TraceComponent::Sim))
+    setSampling(Tick windowTicks, uint64_t period)
     {
         sampleWindow_ = windowTicks > 0 ? windowTicks : 1;
         samplePeriod_ = period > 0 ? period : 1;
-        sampleExempt_ = exemptMask;
         sampleOpen_ = windowSampled(now_);
     }
 
@@ -134,12 +127,9 @@ class TraceRecorder
     record(TraceComponent component, uint16_t instance,
            TraceEventType type, uint32_t arg = 0, uint64_t value = 0)
     {
-        if (now_ < startTick_ || now_ >= endTick_)
-            return;
         if (!(componentMask_ & (1u << unsigned(component))))
             return;
-        if (!sampleOpen_
-            && !(sampleExempt_ & (1u << unsigned(component))))
+        if (!sampleOpen_ && component != TraceComponent::Sim)
             return;
         TraceEvent event;
         event.tick = now_;
@@ -160,7 +150,7 @@ class TraceRecorder
     /** Drain and notify every sink that the trace is complete. */
     void finish();
 
-    /** Events accepted so far (excluding window/mask rejects). */
+    /** Events accepted so far (excluding mask and sampling rejects). */
     uint64_t recorded() const { return recorded_; }
 
     /** Ring capacity in events (power of two). */
@@ -175,15 +165,12 @@ class TraceRecorder
     uint64_t tail_ = 0;
 
     Tick now_ = 0;
-    Tick startTick_ = 0;
-    Tick endTick_ = ~Tick(0);
     uint32_t componentMask_ = ~uint32_t(0);
     uint64_t recorded_ = 0;
 
     /** Window sampling (setSampling); open == current window records. */
     Tick sampleWindow_ = 1024;
     uint64_t samplePeriod_ = 1;
-    uint32_t sampleExempt_ = 1u << unsigned(TraceComponent::Sim);
     bool sampleOpen_ = true;
 
     std::vector<TraceSink *> sinks_;
@@ -238,9 +225,9 @@ struct TraceTopology
  * (no output paths) leaves every NC_TRACE site at a null check.
  *
  * At destruction, when both the Chrome JSON and the timeseries CSV
- * exports are configured, the finished CSV is re-read through
- * detectPhases() and the resulting segments are written into the
- * Chrome trace as a top-level "phases" annotation track.
+ * exports are configured, the phases the CSV exporter segmented are
+ * written into the Chrome trace as a top-level "phases" annotation
+ * track.
  */
 class TraceSession
 {
@@ -260,6 +247,14 @@ class TraceSession
     /** The probe the machine's components publish through. */
     Probe probe() { return {recorder_.get(), &registry_}; }
 
+    /**
+     * The phases the time-series CSV exporter has segmented so far,
+     * the still-open window included; empty without a CSV export.
+     * Delivers the recorder's pending events first. Leaves every
+     * export byte-identical.
+     */
+    std::vector<PhaseSegment> phases();
+
   private:
     MetricsRegistry registry_;
     /** Event recorder, or nullptr when no sink is configured. */
@@ -271,10 +266,6 @@ class TraceSession
     /** Non-owning views of the exporters, for the phase feedback. */
     ChromeTraceExporter *chrome_ = nullptr;
     TimeSeriesCsvExporter *csv_ = nullptr;
-    /** Inputs the phase feedback needs after the run. */
-    std::string csvPath_;
-    Tick windowTicks_ = 1024;
-    TraceTopology topology_;
 };
 
 } // namespace neurocube

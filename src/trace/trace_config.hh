@@ -11,12 +11,10 @@
 #ifndef NEUROCUBE_TRACE_TRACE_CONFIG_HH
 #define NEUROCUBE_TRACE_TRACE_CONFIG_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "common/types.hh"
-#include "trace/energy.hh"
 
 namespace neurocube
 {
@@ -40,29 +38,10 @@ struct TraceConfig
     std::string timeseriesCsvPath;
 
     /**
-     * Per-event prices used by the *exporters* to turn windowed
-     * activity into the CSV avg_power_w column and the Chrome
-     * power.W counter track. Defaults to the 15 nm Table II
-     * derivation; replace with ActivityEnergyModel(model).prices()
-     * to trace power at another node.
-     */
-    EnergyPrices energyPrices;
-
-    /**
      * Aggregation window, in reference ticks, for the CSV exporter
      * and for the counter tracks of the Chrome exporter.
      */
     Tick windowTicks = 1024;
-
-    /** Ring-buffer capacity in events (rounded up to a power of 2). */
-    size_t ringCapacity = size_t(1) << 16;
-
-    /**
-     * Time slice to record: events outside [startTick, endTick) are
-     * dropped at the recording site. Bounds trace size on long runs.
-     */
-    Tick startTick = 0;
-    Tick endTick = ~Tick(0);
 
     /**
      * Per-component-class enable bits (1 << TraceComponent). The

@@ -3,22 +3,24 @@
  * Stall-attribution metrics tests: registry counting and snapshots,
  * the NC_COUNT publishing macro, the top-down bottleneck
  * classifier on hand-built deltas, per-lane node filtering, the phase
- * detector over synthetic CSVs, and two synthetic workloads on the
+ * detector over synthetic windows, and two synthetic workloads on the
  * real machine with a known dominant stall (one DRAM-bound, one
  * NoC-bound).
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/neurocube.hh"
+#include "trace/energy.hh"
 #include "trace/metrics.hh"
 #include "trace/phase_detector.hh"
+#include "trace/timeseries_exporter.hh"
 
 namespace neurocube
 {
@@ -235,39 +237,97 @@ TEST(BottleneckReport, NodeFilterAttributesPerLane)
 }
 
 // ---------------------------------------------------------------
-// Phase detector on synthetic CSVs.
+// Phase detection on synthetic windows, segmented by the time-series
+// exporter as it writes them.
 // ---------------------------------------------------------------
 
-/** Config matching the hand-written CSVs below (window 100). */
-PhaseDetectorConfig
-smallConfig()
+/** The events of one synthetic 100-tick window. */
+struct WindowLoad
 {
-    PhaseDetectorConfig config;
-    config.windowTicks = 100;
-    config.numPes = 2;
-    config.numPngs = 2;
-    config.numRouters = 2;
-    config.numVaults = 2;
-    return config;
-}
+    Tick start = 0;
+    unsigned linkFlits = 0;
+    /** MACs fired (the MacBusy event's arg, which carries energy). */
+    uint32_t macs = 0;
+    uint64_t macBusyTicks = 0;
+    unsigned pngStallTicks = 0;
+    unsigned nocBlockedTicks = 0;
+    unsigned dramStallTicks = 0;
+    uint64_t dramBits = 0;
+};
 
-constexpr char kCsvHeader[] =
-    "window_start,noc_flits_per_cycle,ejected_per_cycle,"
-    "mean_eject_latency,pe_util_pct,png_stall_ticks,"
-    "noc_blocked_ticks,dram_stall_ticks,dram_bytes_per_cycle\n";
+/** Segments of a run and the energy priced into each window. */
+struct WindowedPhases
+{
+    std::vector<PhaseSegment> segments;
+    /** Window start -> joules of the events fed into it. */
+    std::map<Tick, double> windowJoules;
+};
+
+/**
+ * Feed @p windows through a time-series exporter of 100-tick windows
+ * on a machine with 2 PEs, 2 routers and 2 vaults, and read its
+ * phases. With @p finish false the last window stays open.
+ */
+WindowedPhases
+segmentWindows(const std::vector<WindowLoad> &windows, bool finish = true)
+{
+    std::ostringstream csv;
+    TraceTopology topology;
+    topology.numRouters = 2;
+    topology.numPes = 2;
+    topology.numVaults = 2;
+    TimeSeriesCsvExporter exporter(csv, topology, 100);
+    WindowedPhases out;
+    for (const WindowLoad &w : windows) {
+        double pj = 0.0;
+        auto emit = [&](TraceComponent component, TraceEventType type,
+                        uint32_t arg, uint64_t value) {
+            TraceEvent event;
+            event.tick = w.start;
+            event.component = component;
+            event.type = type;
+            event.arg = arg;
+            event.value = value;
+            pj += tracePjOf(event, EnergyPrices{});
+            exporter.consume(&event, 1);
+        };
+        for (unsigned i = 0; i < w.linkFlits; ++i)
+            emit(TraceComponent::Router, TraceEventType::LinkFlit, 0, 0);
+        if (w.macBusyTicks > 0) {
+            emit(TraceComponent::Pe, TraceEventType::MacBusy, w.macs,
+                 w.macBusyTicks);
+        }
+        for (unsigned i = 0; i < w.pngStallTicks; ++i)
+            emit(TraceComponent::Png, TraceEventType::PngInjectStall, 0,
+                 0);
+        for (unsigned i = 0; i < w.nocBlockedTicks; ++i)
+            emit(TraceComponent::Router, TraceEventType::FlitBlocked, 0,
+                 0);
+        for (unsigned i = 0; i < w.dramStallTicks; ++i)
+            emit(TraceComponent::Vault, TraceEventType::DramStall, 0, 0);
+        if (w.dramBits > 0) {
+            emit(TraceComponent::Vault, TraceEventType::DramWord, 0,
+                 w.dramBits);
+        }
+        out.windowJoules[w.start] = pj * 1e-12;
+    }
+    if (finish)
+        exporter.finish();
+    out.segments = exporter.phases();
+    return out;
+}
 
 TEST(PhaseDetector, ClassifiesAndMergesWindows)
 {
-    std::istringstream csv(
-        std::string(kCsvHeader)
-        // Two compute windows (merge), one dram-bound, one
-        // inject-bound, one noc-bound.
-        + "0,1,0,0,80,0,0,0,2\n"
-          "100,1,0,0,75,0,0,0,2\n"
-          "200,0.1,0,0,5,0,0,120,1\n"
-          "300,0.1,0,0,5,90,0,0,0\n"
-          "400,0.1,0,0,5,0,150,0,0\n");
-    auto segments = detectPhases(csv, smallConfig());
+    // Two compute windows (merge), one dram-bound, one inject-bound,
+    // one noc-bound; the last one is still open.
+    auto segments = segmentWindows({{0, 100, 0, 160, 0, 0, 0, 1600},
+                                    {100, 100, 0, 150, 0, 0, 0, 1600},
+                                    {200, 10, 0, 10, 0, 0, 120, 800},
+                                    {300, 10, 0, 10, 90, 0, 0, 0},
+                                    {400, 10, 0, 10, 0, 150, 0, 0}},
+                                   false)
+                        .segments;
     ASSERT_EQ(segments.size(), 4u);
     EXPECT_EQ(segments[0].kind, PhaseKind::Compute);
     EXPECT_EQ(segments[0].startTick, Tick(0));
@@ -281,12 +341,11 @@ TEST(PhaseDetector, ClassifiesAndMergesWindows)
 
 TEST(PhaseDetector, ReinstatesSkippedWindowsAsQuiescent)
 {
-    // The exporter skips empty windows; [100, 300) is missing here,
-    // as during a parked batch lane or between layers.
-    std::istringstream csv(std::string(kCsvHeader)
-                           + "0,1,0,0,80,0,0,0,2\n"
-                             "300,0.1,0,0,5,0,0,130,1\n");
-    auto segments = detectPhases(csv, smallConfig());
+    // The exporter skips empty windows; [100, 300) has no event, as
+    // during a parked batch lane or between layers.
+    auto segments = segmentWindows({{0, 100, 0, 160, 0, 0, 0, 1600},
+                                    {300, 10, 0, 10, 0, 0, 130, 800}})
+                        .segments;
     ASSERT_EQ(segments.size(), 3u);
     EXPECT_EQ(segments[0].kind, PhaseKind::Compute);
     EXPECT_EQ(segments[1].kind, PhaseKind::Quiescent);
@@ -296,34 +355,29 @@ TEST(PhaseDetector, ReinstatesSkippedWindowsAsQuiescent)
     EXPECT_EQ(segments[2].kind, PhaseKind::DramBound);
 }
 
-TEST(PhaseDetector, ToleratesColumnReordering)
+TEST(PhaseDetector, SegmentJoulesSumTheirWindows)
 {
-    std::istringstream csv(
-        "dram_stall_ticks,window_start,pe_util_pct,png_stall_ticks\n"
-        "160,0,5,0\n");
-    auto segments = detectPhases(csv, smallConfig());
-    ASSERT_EQ(segments.size(), 1u);
-    EXPECT_EQ(segments[0].kind, PhaseKind::DramBound);
-}
-
-TEST(PhaseDetector, RejectsForeignCsv)
-{
-    std::istringstream csv("a,b,c\n1,2,3\n");
-    EXPECT_TRUE(detectPhases(csv, smallConfig()).empty());
-    std::istringstream empty("");
-    EXPECT_TRUE(detectPhases(empty, smallConfig()).empty());
-}
-
-TEST(PhaseDetector, ReportListsOneLinePerSegment)
-{
-    std::vector<PhaseSegment> segments = {
-        {0, 200, PhaseKind::Compute, 2},
-        {200, 300, PhaseKind::DramBound, 1},
-    };
-    std::string report = phaseReport(segments);
-    EXPECT_NE(report.find("compute"), std::string::npos);
-    EXPECT_NE(report.find("dram-bound"), std::string::npos);
-    EXPECT_EQ(std::count(report.begin(), report.end(), '\n'), 2);
+    // Three compute windows with a gap, then two dram-bound ones.
+    WindowedPhases run = segmentWindows({{0, 100, 64, 160, 0, 0, 0, 1600},
+                                         {100, 50, 32, 150, 0, 0, 0, 800},
+                                         {400, 20, 16, 100, 0, 0, 0, 256},
+                                         {500, 10, 0, 10, 0, 0, 120, 800},
+                                         {600, 0, 0, 0, 0, 0, 150, 512}});
+    ASSERT_EQ(run.segments.size(), 4u);
+    EXPECT_EQ(run.segments[1].kind, PhaseKind::Quiescent);
+    EXPECT_EQ(run.segments[3].kind, PhaseKind::DramBound);
+    for (const PhaseSegment &segment : run.segments) {
+        double joules = 0.0;
+        for (const auto &[start, window_j] : run.windowJoules) {
+            if (start >= segment.startTick && start < segment.endTick)
+                joules += window_j;
+        }
+        EXPECT_DOUBLE_EQ(segment.joules, joules)
+            << phaseKindName(segment.kind) << " at "
+            << segment.startTick;
+    }
+    EXPECT_GT(run.segments[0].joules, 0.0);
+    EXPECT_EQ(run.segments[1].joules, 0.0);
 }
 
 #if NEUROCUBE_TRACE_ENABLED

@@ -1,7 +1,7 @@
 /**
  * @file
  * Trace subsystem tests: recorder ring behaviour (wraparound,
- * ordering, window/mask filtering), the NC_TRACE publishing macro,
+ * ordering, mask filtering, sampling), the NC_TRACE publishing macro,
  * Chrome-JSON well-formedness (re-parsed with a standalone JSON
  * parser), an end-to-end run of the machine with tracing enabled
  * producing loadable JSON and CSV files, and several traced machines
@@ -20,7 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "core/manifest.hh"
 #include "core/neurocube.hh"
+#include "serving/slo.hh"
 #include "trace/chrome_exporter.hh"
 #include "trace/energy.hh"
 #include "trace/phase_detector.hh"
@@ -311,23 +313,8 @@ TEST(TraceRecorder, WraparoundKeepsEveryEventInOrder)
     }
 }
 
-TEST(TraceRecorder, WindowAndComponentMaskFilter)
+TEST(TraceRecorder, ComponentMaskFilter)
 {
-    TraceRecorder recorder(64);
-    CollectingSink sink;
-    recorder.addSink(&sink);
-    recorder.setWindow(10, 20);
-
-    for (Tick t = 0; t < 30; ++t) {
-        recorder.setNow(t);
-        recorder.record(TraceComponent::Pe, 0,
-                        TraceEventType::MacBusy, 0, t);
-    }
-    recorder.finish();
-    ASSERT_EQ(sink.events.size(), 10u);
-    EXPECT_EQ(sink.events.front().tick, Tick(10));
-    EXPECT_EQ(sink.events.back().tick, Tick(19));
-
     TraceRecorder masked(64);
     CollectingSink pe_only;
     masked.addSink(&pe_only);
@@ -684,17 +671,17 @@ TEST(ChromeExporter, EmitsPhaseAnnotationTrack)
 }
 
 /**
- * Load one 20x16, 3x3 conv from 2 to 4 maps on @p cube and return its
- * input (seeds 7/8).
+ * Load one 20x16, 3x3 conv from 2 to 4 maps, named @p name, on
+ * @p cube and return its input (seeds 7/8).
  */
 Tensor
-loadTinyConv(Neurocube &cube)
+loadTinyConv(Neurocube &cube, const std::string &name = "conv")
 {
     NetworkDesc net;
     net.name = "trace-test";
     LayerDesc conv;
     conv.type = LayerType::Conv2D;
-    conv.name = "conv";
+    conv.name = name;
     conv.inWidth = 20;
     conv.inHeight = 16;
     conv.inMaps = 2;
@@ -774,6 +761,36 @@ TEST(TraceIntegration, MachineEmitsLoadableTraceFiles)
     std::remove(csv_path.c_str());
 }
 
+TEST(JsonExport, EveryDocumentEscapesAHostileName)
+{
+    const std::string hostile = "a\"b\\c";
+    const std::string quoted = "\"a\\\"b\\\\c\"";
+    NeurocubeConfig config;
+    config.trace.enabled = true;
+    Neurocube cube(config);
+    cube.setInput(loadTinyConv(cube, hostile));
+    const RunResult run = cube.runForward();
+    RunManifest manifest;
+    manifest.name = hostile;
+    manifest.gitDescribe = hostile;
+    manifest.engine = hostile;
+    manifest.configHash = hostile;
+
+    const std::pair<const char *, std::string> documents[] = {
+        {"metricsJson", run.metricsJson()},
+        {"spatialJson", run.spatialJson()},
+        {"energyJson", run.energyJson()},
+        {"runManifestJson", runManifestJson(manifest, run)},
+        {"servingManifestJson",
+         servingManifestJson(manifest, ServingReport{}, 1.0)},
+    };
+    for (const auto &[name, json] : documents) {
+        JsonChecker checker(json);
+        EXPECT_TRUE(checker.parse()) << name << ": " << json;
+        EXPECT_NE(json.find(quoted), std::string::npos) << name;
+    }
+}
+
 #if NEUROCUBE_TRACE_ENABLED
 /** A file's contents, after which the file is removed. */
 std::string
@@ -826,6 +843,108 @@ TEST(TraceIntegration, SampledExportsAreDeterministic)
     ASSERT_TRUE(sampled_json.parse());
     ASSERT_TRUE(full_json.parse());
     EXPECT_LT(sampled_json.traceEvents(), full_json.traceEvents());
+}
+
+/** One slice of a Chrome trace's "phases" track. */
+struct ChromePhase
+{
+    std::string kind;
+    Tick start = 0;
+    Tick duration = 0;
+    unsigned windows = 0;
+};
+
+/** The "phases" track slices of a Chrome trace, in file order. */
+std::vector<ChromePhase>
+chromePhases(const std::string &json)
+{
+    const std::string pid = "\"pid\":"
+        + std::to_string(ChromeTraceExporter::phasesPid) + ",";
+    auto field = [](const std::string &line, const std::string &key) {
+        return std::strtoull(
+            line.c_str() + line.find("\"" + key + "\":") + key.size() + 3,
+            nullptr, 10);
+    };
+    std::vector<ChromePhase> phases;
+    std::istringstream lines(json);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.find(pid) == std::string::npos
+            || line.find("\"ph\":\"X\"") == std::string::npos) {
+            continue;
+        }
+        const size_t name = line.find("\"name\":\"") + 8;
+        phases.push_back({line.substr(name, line.find('"', name) - name),
+                          Tick(field(line, "ts")),
+                          Tick(field(line, "dur")),
+                          unsigned(field(line, "windows"))});
+    }
+    return phases;
+}
+
+TEST(TraceIntegration, PhaseAccessorMatchesTheChromePhasesTrack)
+{
+    struct Exports
+    {
+        std::string json;
+        std::string csv;
+        std::vector<PhaseSegment> midRun;
+        std::vector<PhaseSegment> atEnd;
+    };
+    // Two inferences on one traced machine; with @p ask the phases are
+    // read between them and again before the machine is torn down.
+    auto traced = [](Tick window, bool ask, const std::string &tag) {
+        Exports out;
+        {
+            NeurocubeConfig config;
+            config.trace.enabled = true;
+            config.trace.chromeJsonPath = tag + ".json";
+            config.trace.timeseriesCsvPath = tag + ".csv";
+            config.trace.windowTicks = window;
+            Neurocube cube(config);
+            runTinyConv(cube);
+            if (ask)
+                out.midRun = cube.tracePhases();
+            runTinyConv(cube);
+            if (ask)
+                out.atEnd = cube.tracePhases();
+        }
+        out.json = slurp(tag + ".json");
+        out.csv = slurp(tag + ".csv");
+        return out;
+    };
+    // 64-tick windows give many segments; with 1024-tick windows the
+    // window open at the mid-run read also takes the second run's
+    // first events, so a read that flushed it would split its row.
+    for (Tick window : {Tick(64), Tick(1024)}) {
+        SCOPED_TRACE(window);
+        const Exports plain =
+            traced(window, false, "test_trace_phases_plain");
+        const Exports asked =
+            traced(window, true, "test_trace_phases_asked");
+
+        // Reading the phases moves no exported byte.
+        ASSERT_FALSE(plain.csv.empty());
+        EXPECT_EQ(asked.csv, plain.csv);
+        EXPECT_EQ(asked.json, plain.json);
+
+        // The segments read before teardown are the "phases" track.
+        ASSERT_FALSE(asked.midRun.empty());
+        ASSERT_FALSE(asked.atEnd.empty());
+        EXPECT_LT(asked.midRun.back().startTick,
+                  asked.atEnd.back().endTick);
+        const std::vector<ChromePhase> track = chromePhases(asked.json);
+        ASSERT_EQ(track.size(), asked.atEnd.size());
+        for (size_t i = 0; i < track.size(); ++i) {
+            const PhaseSegment &segment = asked.atEnd[i];
+            EXPECT_EQ(track[i].kind, phaseKindName(segment.kind)) << i;
+            EXPECT_EQ(track[i].start, segment.startTick) << i;
+            EXPECT_EQ(track[i].duration,
+                      segment.endTick - segment.startTick)
+                << i;
+            EXPECT_EQ(track[i].windows, segment.windows) << i;
+        }
+    }
 }
 
 /** The counter-derived exports of one run. */
