@@ -1,5 +1,6 @@
 #include "dram/memory_channel.hh"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.hh"
@@ -58,13 +59,18 @@ MemoryChannel::enqueue(const MemRequest &req)
     if ((req.write ? writeQueue_ : queue_).size() < lookaheadWindow)
         lookaheadStale_ = true;
     if (req.write) {
+        if (writeQueue_.empty()) {
+            writeLo_ = req.addr;
+            writeHi_ = req.addr;
+        } else {
+            writeLo_ = std::min(writeLo_, req.addr);
+            writeHi_ = std::max(writeHi_, req.addr);
+        }
         writeQueue_.push_back(stamped);
-        ++bufferedWrites_[req.addr];
         NC_TRACE(probe_, TraceComponent::Vault, traceId_,
                  TraceEventType::DramQueueDepth, 1, writeQueue_.size());
     } else {
-        if (!bufferedWrites_.empty()
-            && bufferedWrites_.count(req.addr)) {
+        if (!hazardDrain_ && readsBufferedWrite(req.addr)) {
             // The read depends on a buffered write: drain the write
             // buffer before any further reads are serviced.
             hazardDrain_ = true;
@@ -73,6 +79,18 @@ MemoryChannel::enqueue(const MemRequest &req)
         NC_TRACE(probe_, TraceComponent::Vault, traceId_,
                  TraceEventType::DramQueueDepth, 0, queue_.size());
     }
+}
+
+bool
+MemoryChannel::readsBufferedWrite(Addr addr) const
+{
+    if (writeQueue_.empty() || addr < writeLo_ || addr > writeHi_)
+        return false;
+    for (size_t i = 0; i < writeQueue_.size(); ++i) {
+        if (writeQueue_[i].addr == addr)
+            return true;
+    }
+    return false;
 }
 
 void
@@ -172,9 +190,6 @@ MemoryChannel::serveWord(Tick now, Ring<MemRequest> &queue, size_t idx)
             now >= req.enqueueTick ? now - req.enqueueTick : 0);
         if (is_write) {
             store_.write(req.addr, req.data);
-            auto it = bufferedWrites_.find(req.addr);
-            if (it != bufferedWrites_.end() && --it->second == 0)
-                bufferedWrites_.erase(it);
             statWrites_ += 1;
         } else {
             responses_.push_back({req.addr, store_.read(req.addr),

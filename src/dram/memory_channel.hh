@@ -17,7 +17,6 @@
 #define NEUROCUBE_DRAM_MEMORY_CHANNEL_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/fixed_point.hh"
@@ -230,6 +229,13 @@ class MemoryChannel
      */
     size_t pickServeIndex(Tick now) const;
 
+    /**
+     * True when a buffered write targets @p addr (read-after-write):
+     * reads outside the buffered writes' address range skip the scan
+     * of the (at most writeBufferCapacity) buffered writes.
+     */
+    bool readsBufferedWrite(Addr addr) const;
+
     /** Serve up to one word's worth of requests starting at idx. */
     void serveWord(Tick now, Ring<MemRequest> &queue, size_t idx);
 
@@ -249,8 +255,13 @@ class MemoryChannel
      */
     Ring<MemRequest> queue_;
     Ring<MemRequest> writeQueue_;
-    /** Reference counts of buffered write addresses (RAW guard). */
-    std::unordered_map<Addr, unsigned> bufferedWrites_;
+    /**
+     * Address range of the buffered writes (the RAW guard's filter):
+     * meaningful while writeQueue_ is non-empty, restarted by the
+     * first write into an empty buffer.
+     */
+    Addr writeLo_ = 0;
+    Addr writeHi_ = 0;
     /** Currently draining the write buffer. */
     bool drainWrites_ = false;
     /** A queued read depends on a buffered write: drain fully. */

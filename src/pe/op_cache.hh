@@ -9,6 +9,14 @@
  * buffering). When the OP-counter advances, the PE performs a full
  * search of the corresponding sub-bank, which costs between 16 clock
  * cycles (one per MAC) and 64 (a full sub-bank scan).
+ *
+ * The timing model needs only each sub-bank's occupancy, so the
+ * sub-banks are counters. The parked operands themselves live in one
+ * arena of 16-byte records per PE, linked per (group, OP-ID) key in
+ * arrival order and found through one open-addressing index over the
+ * live keys; extracted records go back on an intrusive free list.
+ * Host memory therefore follows how many operands are parked, not how
+ * far ahead of the OP-counter they are.
  */
 
 #ifndef NEUROCUBE_PE_OP_CACHE_HH
@@ -17,7 +25,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fixed_point.hh"
 #include "common/stats.hh"
+#include "common/types.hh"
 #include "noc/packet.hh"
 #include "trace/trace.hh"
 
@@ -38,6 +48,27 @@ class OpCache
     };
 
     /**
+     * What staging reads of an operand packet: the payload, its MAC
+     * slot and the output neuron it feeds. The (group, OP-ID) key is
+     * held once per key by the index, not per operand.
+     */
+    struct Operand
+    {
+        uint32_t neuron = 0;
+        Fixed data{};
+        MacId mac = 0;
+        VaultId homeVault = 0;
+        PacketKind kind = PacketKind::State;
+
+        static Operand
+        of(const Packet &packet)
+        {
+            return {packet.neuron, packet.data, packet.mac,
+                    packet.homeVault, packet.kind};
+        }
+    };
+
+    /**
      * @param config structural parameters
      * @param parent stat group parent
      * @param trace_id owning PE index used for trace events
@@ -46,7 +77,7 @@ class OpCache
     OpCache(const Config &config, StatGroup *parent,
             uint16_t trace_id = 0, Probe probe = {})
         : config_(config), traceId_(trace_id), probe_(probe),
-          banks_(config.numSubBanks),
+          occupancy_(config.numSubBanks, 0),
           statGroup_(parent, "cache"),
           statInserts_(&statGroup_, "inserts", "packets buffered"),
           statOverflows_(&statGroup_, "overflows",
@@ -72,8 +103,10 @@ class OpCache
      * deadlock-free (a stalled sub-bank would otherwise block the
      * delivery of the very operand the OP-counter is waiting for);
      * the search-cost model already saturates at the sub-bank
-     * capacity, so timing stays faithful. Paper-mode (duplicated)
-     * configurations never overflow — the tests assert it.
+     * capacity, so timing stays faithful. Duplicated (paper-mode)
+     * runs whose per-plane tiles are a multiple of 16 neurons do not
+     * overflow, which Integration.DuplicatedModeNeverOverflowsOpCache
+     * asserts; other duplicated runs can (DESIGN.md 5b item 6).
      *
      * @param group neuron-group index of the packet
      * @param packet the operand
@@ -81,14 +114,27 @@ class OpCache
     void
     insert(uint32_t group, const Packet &packet)
     {
-        SubBank &bank = banks_[subBankOf(packet.opId)];
-        if (bank.occupancy >= config_.entriesPerSubBank) {
+        unsigned &occupancy = occupancy_[subBankOf(packet.opId)];
+        if (occupancy >= config_.entriesPerSubBank) {
             statOverflows_ += 1;
             NC_TRACE(probe_, TraceComponent::Pe, traceId_,
                      TraceEventType::CacheOverflow, packet.opId,
-                     bank.occupancy);
+                     occupancy);
         }
-        bank.insert(key(group, packet.opId), packet);
+        ++occupancy;
+        uint32_t record = allocate(Operand::of(packet));
+        if (cells_.empty() || liveKeys_ * 2 >= cells_.size())
+            grow();
+        uint64_t k = key(group, packet.opId);
+        Cell &cell = cells_[cellFor(k)];
+        if (cell.head == none) {
+            cell.key = k;
+            cell.head = record;
+            ++liveKeys_;
+        } else {
+            records_[cell.tail].next = record;
+        }
+        cell.tail = record;
         ++totalEntries_;
         if (totalEntries_ > statPeakEntries_.count())
             statPeakEntries_.set(double(totalEntries_));
@@ -101,21 +147,39 @@ class OpCache
     uint64_t overflows() const { return statOverflows_.count(); }
 
     /**
-     * Full search of the sub-bank for (group, opId): matching entries
-     * are removed and appended to @p out.
+     * Full search of the sub-bank for (group, opId): each matching
+     * operand is handed to @p stage in arrival order, then the key's
+     * records return to the free list.
      *
      * @param group current neuron group
      * @param op_id current OP-counter value
-     * @param out receives the extracted packets
+     * @param stage called as stage(const Operand &) per match; it
+     *        must not insert into this cache
      * @return entries scanned (the paper's 16..64-cycle search cost
      *         derives from this, clamped below by the MAC count)
      */
+    template <typename Stage>
     unsigned
-    extract(uint32_t group, OpId op_id, std::vector<Packet> &out)
+    extract(uint32_t group, OpId op_id, Stage &&stage)
     {
-        SubBank &bank = banks_[subBankOf(op_id)];
-        unsigned scanned = bank.occupancy;
-        totalEntries_ -= bank.extract(key(group, op_id), out);
+        unsigned &occupancy = occupancy_[subBankOf(op_id)];
+        unsigned scanned = occupancy;
+        if (liveKeys_ == 0)
+            return scanned;
+        size_t i = cellFor(key(group, op_id));
+        const Cell cell = cells_[i];
+        if (cell.head == none)
+            return scanned;
+        erase(i);
+        unsigned n = 0;
+        for (uint32_t r = cell.head; r != none; r = records_[r].next) {
+            stage(records_[r].operand);
+            ++n;
+        }
+        records_[cell.tail].next = freeHead_;
+        freeHead_ = cell.head;
+        occupancy -= n;
+        totalEntries_ -= n;
         return scanned;
     }
 
@@ -123,7 +187,7 @@ class OpCache
     unsigned
     subBankOccupancy(OpId op_id) const
     {
-        return banks_[subBankOf(op_id)].occupancy;
+        return occupancy_[subBankOf(op_id)];
     }
 
     /** Total entries across all sub-banks. */
@@ -132,12 +196,17 @@ class OpCache
     /** True when nothing is buffered. */
     bool empty() const { return totalEntries_ == 0; }
 
-    /** Drop all contents (between passes). */
+    /** Drop all contents (between passes); keeps the arena's capacity. */
     void
     clear()
     {
-        for (auto &bank : banks_)
-            bank.clear();
+        records_.clear();
+        freeHead_ = none;
+        if (liveKeys_ != 0)
+            cells_.assign(cells_.size(), Cell{});
+        liveKeys_ = 0;
+        for (unsigned &occupancy : occupancy_)
+            occupancy = 0;
         totalEntries_ = 0;
     }
 
@@ -145,6 +214,26 @@ class OpCache
     const Config &config() const { return config_; }
 
   private:
+    /** End of a record chain; marks an index cell empty as head. */
+    static constexpr uint32_t none = UINT32_MAX;
+
+    /** One parked operand; next links its key's chain or the free
+     *  list. */
+    struct Record
+    {
+        Operand operand;
+        uint32_t next;
+    };
+    static_assert(sizeof(Record) == 16, "parked record grew");
+
+    /** One index cell: a live key's first and last record. */
+    struct Cell
+    {
+        uint64_t key = 0;
+        uint32_t head = none;
+        uint32_t tail = none;
+    };
+
     /** Sequencing key of one buffered operation. */
     static uint64_t
     key(uint32_t group, OpId op_id)
@@ -152,165 +241,94 @@ class OpCache
         return (uint64_t(group) << 32) | op_id;
     }
 
-    /**
-     * One sub-bank: an open-addressing key index over pooled
-     * per-key packet buckets. Packets for the same (group, opId)
-     * append to one contiguous bucket, so extraction order matches
-     * insertion order exactly and the full-bucket copy on
-     * extraction is a linear scan. Emptied buckets return to a free
-     * list with their capacity intact, so steady-state inserts and
-     * extractions never allocate — the per-key hash-node and vector
-     * churn this replaces dominated the MAC-bound profile.
-     */
-    struct SubBank
+    /** splitmix64 finalizer: cheap and well-mixed. */
+    static size_t
+    hashKey(uint64_t k)
     {
-        /** One key cell: bucket < 0 marks the cell empty. */
-        struct Cell
-        {
-            uint64_t key;
-            int32_t bucket;
-        };
+        k ^= k >> 33;
+        k *= 0xff51afd7ed558ccdULL;
+        k ^= k >> 33;
+        k *= 0xc4ceb9fe1a85ec53ULL;
+        k ^= k >> 33;
+        return size_t(k);
+    }
 
-        std::vector<Cell> cells_;
-        std::vector<std::vector<Packet>> buckets_;
-        std::vector<int32_t> freeBuckets_;
-        size_t cellCount_ = 0;
-        unsigned occupancy = 0;
-
-        /** splitmix64 finalizer: cheap and well-mixed. */
-        static size_t
-        hashKey(uint64_t k)
-        {
-            k ^= k >> 33;
-            k *= 0xff51afd7ed558ccdULL;
-            k ^= k >> 33;
-            k *= 0xc4ceb9fe1a85ec53ULL;
-            k ^= k >> 33;
-            return size_t(k);
+    /** Take a record off the free list, or grow the arena. */
+    uint32_t
+    allocate(const Operand &operand)
+    {
+        uint32_t r = freeHead_;
+        if (r == none) {
+            r = uint32_t(records_.size());
+            records_.push_back({operand, none});
+        } else {
+            freeHead_ = records_[r].next;
+            records_[r] = {operand, none};
         }
+        return r;
+    }
 
-        void
-        grow()
-        {
-            std::vector<Cell> old = std::move(cells_);
-            size_t cap = old.empty() ? 32 : old.size() * 2;
-            cells_.assign(cap, Cell{0, -1});
-            for (const Cell &c : old) {
-                if (c.bucket < 0)
-                    continue;
-                size_t mask = cells_.size() - 1;
-                size_t i = hashKey(c.key) & mask;
-                while (cells_[i].bucket >= 0)
-                    i = (i + 1) & mask;
-                cells_[i] = c;
+    /**
+     * Index cell holding @p k, or the empty cell where it would go.
+     * @pre the index has at least one empty cell
+     */
+    size_t
+    cellFor(uint64_t k) const
+    {
+        size_t mask = cells_.size() - 1;
+        size_t i = hashKey(k) & mask;
+        while (cells_[i].head != none && cells_[i].key != k)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    void
+    grow()
+    {
+        std::vector<Cell> old = std::move(cells_);
+        cells_.assign(old.empty() ? 32 : old.size() * 2, Cell{});
+        for (const Cell &c : old) {
+            if (c.head != none)
+                cells_[cellFor(c.key)] = c;
+        }
+    }
+
+    /** Backward-shift deletion keeps probe chains intact. */
+    void
+    erase(size_t i)
+    {
+        size_t mask = cells_.size() - 1;
+        size_t j = i;
+        while (true) {
+            j = (j + 1) & mask;
+            if (cells_[j].head == none)
+                break;
+            size_t ideal = hashKey(cells_[j].key) & mask;
+            bool movable = (j > i) ? (ideal <= i || ideal > j)
+                                   : (ideal <= i && ideal > j);
+            if (movable) {
+                cells_[i] = cells_[j];
+                i = j;
             }
         }
-
-        /** Find the cell for @p k, or nullptr. */
-        Cell *
-        find(uint64_t k)
-        {
-            if (cellCount_ == 0)
-                return nullptr;
-            size_t mask = cells_.size() - 1;
-            size_t i = hashKey(k) & mask;
-            while (cells_[i].bucket >= 0) {
-                if (cells_[i].key == k)
-                    return &cells_[i];
-                i = (i + 1) & mask;
-            }
-            return nullptr;
-        }
-
-        void
-        insert(uint64_t k, const Packet &packet)
-        {
-            if (cells_.empty() || cellCount_ * 2 >= cells_.size())
-                grow();
-            size_t mask = cells_.size() - 1;
-            size_t i = hashKey(k) & mask;
-            while (cells_[i].bucket >= 0 && cells_[i].key != k)
-                i = (i + 1) & mask;
-            Cell &c = cells_[i];
-            if (c.bucket < 0) {
-                if (!freeBuckets_.empty()) {
-                    c.bucket = freeBuckets_.back();
-                    freeBuckets_.pop_back();
-                } else {
-                    c.bucket = int32_t(buckets_.size());
-                    buckets_.emplace_back();
-                }
-                c.key = k;
-                ++cellCount_;
-            }
-            buckets_[c.bucket].push_back(packet);
-            ++occupancy;
-        }
-
-        /**
-         * Remove the bucket for @p k, appending its packets to
-         * @p out in insertion order.
-         *
-         * @return number of packets extracted
-         */
-        unsigned
-        extract(uint64_t k, std::vector<Packet> &out)
-        {
-            Cell *c = find(k);
-            if (c == nullptr)
-                return 0;
-            std::vector<Packet> &bucket = buckets_[c->bucket];
-            out.insert(out.end(), bucket.begin(), bucket.end());
-            unsigned n = unsigned(bucket.size());
-            bucket.clear();
-            freeBuckets_.push_back(c->bucket);
-            occupancy -= n;
-            erase(size_t(c - cells_.data()));
-            return n;
-        }
-
-        /** Backward-shift deletion keeps probe chains intact. */
-        void
-        erase(size_t i)
-        {
-            size_t mask = cells_.size() - 1;
-            size_t j = i;
-            while (true) {
-                j = (j + 1) & mask;
-                if (cells_[j].bucket < 0)
-                    break;
-                size_t ideal = hashKey(cells_[j].key) & mask;
-                bool movable = (j > i) ? (ideal <= i || ideal > j)
-                                       : (ideal <= i && ideal > j);
-                if (movable) {
-                    cells_[i] = cells_[j];
-                    i = j;
-                }
-            }
-            cells_[i].bucket = -1;
-            --cellCount_;
-        }
-
-        void
-        clear()
-        {
-            if (cellCount_ != 0)
-                cells_.assign(cells_.size(), Cell{0, -1});
-            cellCount_ = 0;
-            freeBuckets_.clear();
-            for (size_t b = 0; b < buckets_.size(); ++b) {
-                buckets_[b].clear();
-                freeBuckets_.push_back(int32_t(b));
-            }
-            occupancy = 0;
-        }
-    };
+        cells_[i] = Cell{};
+        --liveKeys_;
+    }
 
     Config config_;
     /** Owning PE index published with trace events. */
     uint16_t traceId_;
     Probe probe_;
-    std::vector<SubBank> banks_;
+
+    /** The arena: every parked operand of this PE. */
+    std::vector<Record> records_;
+    /** First free record (singly linked through Record::next). */
+    uint32_t freeHead_ = none;
+    /** Open-addressing index over the live keys (power of two). */
+    std::vector<Cell> cells_;
+    size_t liveKeys_ = 0;
+    /** Parked entries per sub-bank: the hardware's timing state. */
+    std::vector<unsigned> occupancy_;
     unsigned totalEntries_ = 0;
 
     StatGroup statGroup_;

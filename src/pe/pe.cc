@@ -79,11 +79,11 @@ Pe::numGroups() const
 }
 
 void
-Pe::stageOperand(const Packet &packet)
+Pe::stageOperand(const OpCache::Operand &operand)
 {
-    if (packet.kind == PacketKind::State) {
-        temporal_.putState(packet.mac, packet.data, packet.neuron,
-                           packet.homeVault);
+    if (operand.kind == PacketKind::State) {
+        temporal_.putState(operand.mac, operand.data, operand.neuron,
+                           operand.homeVault);
         NC_COUNT(probe_, EnergyEventKind::BufferAccess, id_, 1);
         if (!pass_.localWeights.empty()) {
             // Weight supplied by the PE weight memory, shared across
@@ -98,16 +98,16 @@ Pe::stageOperand(const Packet &packet)
                         * pass_.connections
                     + opCounter_;
             }
-            temporal_.putWeight(packet.mac, pass_.localWeights[idx],
-                                packet.neuron, packet.homeVault);
+            temporal_.putWeight(operand.mac, pass_.localWeights[idx],
+                                operand.neuron, operand.homeVault);
             NC_COUNT(probe_, EnergyEventKind::WeightRegRead, id_, 1);
             NC_COUNT(probe_, EnergyEventKind::BufferAccess, id_, 1);
         }
     } else {
-        nc_assert(packet.kind == PacketKind::Weight,
+        nc_assert(operand.kind == PacketKind::Weight,
                   "unexpected packet kind at PE %u", unsigned(id_));
-        temporal_.putWeight(packet.mac, packet.data, packet.neuron,
-                            packet.homeVault);
+        temporal_.putWeight(operand.mac, operand.data, operand.neuron,
+                            operand.homeVault);
         NC_COUNT(probe_, EnergyEventKind::BufferAccess, id_, 1);
     }
 }
@@ -117,18 +117,20 @@ Pe::drainCache(Tick now)
 {
     if (cache_.subBankOccupancy(opCounter_) == 0)
         return;
-    matches_.clear();
-    unsigned scanned = cache_.extract(group_, opCounter_, matches_);
+    unsigned matched = 0;
+    unsigned scanned = cache_.extract(
+        group_, opCounter_, [this, &matched](const OpCache::Operand &op) {
+            stageOperand(op);
+            ++matched;
+        });
     NC_COUNT(probe_, EnergyEventKind::CacheRead, id_, scanned);
-    if (matches_.empty()) {
+    if (matched == 0) {
         NC_TRACE(probe_, TraceComponent::Pe, id_, TraceEventType::CacheMiss,
                  opCounter_, scanned);
     } else {
         NC_TRACE(probe_, TraceComponent::Pe, id_, TraceEventType::CacheHit,
-                 opCounter_, matches_.size());
+                 opCounter_, matched);
     }
-    for (const Packet &packet : matches_)
-        stageOperand(packet);
 
     // The full sub-bank search scans up to the sub-bank's 64 slots
     // at searchEntriesPerCycle (entries spilled beyond the hardware
@@ -229,7 +231,7 @@ Pe::tick(Tick now, NocFabric &fabric)
                   unsigned(id_), packet.group, packet.opId, group_,
                   opCounter_);
         if (packet.group == group_ && packet.opId == opCounter_) {
-            stageOperand(packet);
+            stageOperand(OpCache::Operand::of(packet));
         } else {
             cache_.insert(packet.group, packet);
             NC_COUNT(probe_, EnergyEventKind::CacheWrite, id_, 1);

@@ -160,9 +160,9 @@ class Pe
     unsigned activeMacs(uint32_t group) const;
     /** Number of neuron groups in this pass. */
     uint32_t numGroups() const;
-    /** Stage one operand packet into the temporal buffer. */
-    void stageOperand(const Packet &packet);
-    /** Pull buffered packets for the current (group, op). */
+    /** Stage one operand into the temporal buffer. */
+    void stageOperand(const OpCache::Operand &operand);
+    /** Stage the parked operands of the current (group, op). */
     void drainCache(Tick now);
     /** Flush the temporal buffer into the MACs. */
     void flush(Tick now);
@@ -204,8 +204,6 @@ class Pe
     bool passComplete_ = true;
 
     Ring<Packet> outbox_;
-    /** drainCache() scratch, reused so the search never allocates. */
-    std::vector<Packet> matches_;
 
     Stat statMacOps_;
     Stat statFlushes_;

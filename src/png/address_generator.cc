@@ -46,8 +46,18 @@ AddressGenerator::configure(const PngProgram &program,
         for (int32_t x = wr.x0; x < wr.x0 + wr.w; ++x) {
             unsigned dst = program.outTiles.owner(x, y);
             uint64_t local = program.outTiles.localIndex(x, y);
+            // dst is a tile index; relocate it and the home channel
+            // onto mesh nodes (identity outside batch lanes).
+            unsigned node =
+                program.peNode.empty() ? dst : program.peNode[dst];
+            unsigned home = program.homeTiles.owner(x, y);
+            if (!program.homeNode.empty())
+                home = program.homeNode[home];
             walk_.push_back({x, y, PeId(dst), MacId(local % numMacs_),
-                             uint32_t(local / numMacs_), walk_index});
+                             uint32_t(local / numMacs_), walk_index,
+                             PeId(node), VaultId(home),
+                             uint32_t(y) * program.outMapWidth
+                                 + uint32_t(x)});
             ++walk_index;
         }
     }
@@ -161,23 +171,13 @@ AddressGenerator::fillBuffer()
                 if (!owns(entry, conn))
                     continue;
                 GeneratedOp op;
-                // entry.dst is a tile index; relocate it onto the
-                // hosting mesh node (identity outside batch lanes).
-                op.dst = program_.peNode.empty()
-                    ? PeId(entry.dst)
-                    : PeId(program_.peNode[entry.dst]);
+                op.dst = entry.node;
                 op.mac = entry.mac;
                 op.group = entry.group
                          + plane_ * groupsPerDst_[entry.dst];
                 op.opId = c;
-                op.neuron = plane_ * program_.outPlaneSize
-                          + uint32_t(entry.y) * program_.outMapWidth
-                          + uint32_t(entry.x);
-                unsigned home =
-                    program_.homeTiles.owner(entry.x, entry.y);
-                op.homeVault = program_.homeNode.empty()
-                    ? VaultId(home)
-                    : VaultId(program_.homeNode[home]);
+                op.neuron = plane_ * program_.outPlaneSize + entry.neuron;
+                op.homeVault = entry.home;
                 op.isConstantOne = false;
                 if (!weight_phase) {
                     op.kind = PacketKind::State;

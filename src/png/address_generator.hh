@@ -109,10 +109,16 @@ class AddressGenerator
     {
         int32_t x;
         int32_t y;
-        PeId dst;
+        PeId dst; // output tile index (groupsPerDst_, coalescing)
         MacId mac;
         uint32_t group;
         uint32_t walkIndex; // original walk position (weight layout)
+        /** Mesh node hosting tile dst (peNode relocation). */
+        PeId node;
+        /** Write-back channel (homeTiles owner, homeNode relocation). */
+        VaultId home;
+        /** Neuron index within one output plane. */
+        uint32_t neuron;
     };
 
     /** Fill the emission buffer for the next connection block. */

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dram/backing_store.hh"
 #include "dram/dram_params.hh"
 #include "dram/memory_channel.hh"
@@ -320,6 +322,65 @@ TEST_F(ChannelTest, ReadAfterBufferedWriteReturnsNewValue)
     auto responses = run(600);
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_DOUBLE_EQ(responses[0].data.toDouble(), 7.5);
+}
+
+TEST_F(ChannelTest, ReadInsideWriteRangeWithoutMatchDoesNotDrain)
+{
+    // Buffered writes to 100 and 200 span [100, 200]. A read of 150
+    // falls inside that range but matches neither write, so it is
+    // served before the writes drain; a read of 200 would have
+    // drained them first (ReadAfterBufferedWriteReturnsNewValue).
+    channel_.store().write(100, Fixed::fromDouble(1.0));
+    channel_.store().write(200, Fixed::fromDouble(1.0));
+    channel_.enqueue({true, 100, Fixed::fromDouble(7.5), 0});
+    channel_.enqueue({true, 200, Fixed::fromDouble(7.5), 0});
+    channel_.enqueue({false, 150, Fixed(), 1});
+    std::vector<MemResponse> responses;
+    for (int t = 0; t < 600 && responses.empty(); ++t)
+        responses = run(1);
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(responses[0].tag, 1u);
+    EXPECT_DOUBLE_EQ(channel_.store().read(100).toDouble(), 1.0);
+    EXPECT_DOUBLE_EQ(channel_.store().read(200).toDouble(), 1.0);
+    run(600);
+    EXPECT_TRUE(channel_.idle());
+    EXPECT_DOUBLE_EQ(channel_.store().read(200).toDouble(), 7.5);
+}
+
+TEST_F(ChannelTest, ReadOfWriteEnqueuedAfterPartialDrainDrains)
+{
+    // 40 writes to row 4 pass the high watermark and drain down to
+    // the low one while eight row-0 reads wait. Once reads resume,
+    // a write to row 9, outside every earlier write's address, joins
+    // the writes still buffered, and a read of it follows. That read
+    // must drain the buffer and see the new value; without the
+    // hazard it would be served from row 9 before the write.
+    const Addr row = params_.elementsPerRow();
+    for (Addr a = 0; a < 8; ++a)
+        channel_.enqueue({false, a, Fixed(), a});
+    for (Addr i = 0; i < 40; ++i)
+        channel_.enqueue({true, 4 * row + i, Fixed::fromDouble(0.5), 0});
+    std::vector<MemResponse> responses;
+    for (int t = 0; t < 2000 && responses.empty(); ++t)
+        responses = run(1);
+    ASSERT_FALSE(responses.empty());
+    unsigned landed = 0;
+    for (Addr i = 0; i < 40; ++i)
+        landed += channel_.store().read(4 * row + i).raw() != 0;
+    ASSERT_GT(landed, 0u);
+    ASSERT_LT(landed, 40u); // a partial drain: writes still buffered
+
+    const Addr late = 9 * row + 3;
+    channel_.enqueue({true, late, Fixed::fromDouble(9.5), 0});
+    channel_.enqueue({false, late, Fixed(), 99});
+    for (const MemResponse &r : run(3000))
+        responses.push_back(r);
+    ASSERT_EQ(responses.size(), 9u);
+    auto it = std::find_if(responses.begin(), responses.end(),
+                           [](const MemResponse &r) { return r.tag == 99; });
+    ASSERT_NE(it, responses.end());
+    EXPECT_DOUBLE_EQ(it->data.toDouble(), 9.5);
+    EXPECT_TRUE(channel_.idle());
 }
 
 TEST_F(ChannelTest, WritesDrainWhenReadsRunOut)

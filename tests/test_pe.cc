@@ -32,6 +32,16 @@ operand(PacketKind kind, MacId mac, OpId op, uint32_t group,
     return p;
 }
 
+/** Extract (group, op) into @p out; returns the entries scanned. */
+unsigned
+extractInto(OpCache &cache, uint32_t group, OpId op,
+            std::vector<OpCache::Operand> &out)
+{
+    return cache.extract(group, op, [&out](const OpCache::Operand &o) {
+        out.push_back(o);
+    });
+}
+
 TEST(TemporalBuffer, CompleteRequiresBothOperands)
 {
     TemporalBuffer buf(4);
@@ -88,12 +98,12 @@ TEST(OpCache, InsertExtractRoundTrip)
     cache.insert(2, p);
     EXPECT_EQ(cache.totalEntries(), 1u);
 
-    std::vector<Packet> out;
+    std::vector<OpCache::Operand> out;
     // Wrong group: not extracted.
-    cache.extract(1, 5, out);
+    extractInto(cache, 1, 5, out);
     EXPECT_TRUE(out.empty());
     // Right (group, op): extracted and removed.
-    cache.extract(2, 5, out);
+    extractInto(cache, 2, 5, out);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].mac, 3);
     EXPECT_TRUE(cache.empty());
@@ -115,8 +125,8 @@ TEST(OpCache, OverflowCountedBeyondSubBankCapacity)
     cache.insert(0, operand(PacketKind::State, 5, 17, 0, 1.0));
     EXPECT_EQ(cache.overflows(), 1u);
     // Spilled entries remain retrievable.
-    std::vector<Packet> out;
-    cache.extract(0, 32, out);
+    std::vector<OpCache::Operand> out;
+    extractInto(cache, 0, 32, out);
     ASSERT_EQ(out.size(), 1u);
 }
 
@@ -128,9 +138,66 @@ TEST(OpCache, ExtractReportsScanCost)
         cache.insert(0, operand(PacketKind::State, MacId(i % 16),
                                 16 * (i % 3), 0, 1.0));
     }
-    std::vector<Packet> out;
-    unsigned scanned = cache.extract(0, 0, out);
+    std::vector<OpCache::Operand> out;
+    unsigned scanned = extractInto(cache, 0, 0, out);
     EXPECT_EQ(scanned, 10u); // ops 0/16/32 all map to sub-bank 0
+}
+
+TEST(OpCache, InterleavedFarApartKeysKeepArrivalOrder)
+{
+    // Two sources interleave keys far apart in sequence: group 0
+    // OP-IDs 1..40 and group 1 OP-IDs 200..240. Every key receives
+    // three operands; MAC-ID r marks the r-th to arrive.
+    StatGroup root(nullptr, "t");
+    OpCache cache({16, 64}, &root);
+    using Key = std::pair<uint32_t, OpId>;
+    std::vector<Key> low, high;
+    for (OpId op = 1; op <= 40; ++op)
+        low.emplace_back(0, op);
+    for (OpId op = 200; op <= 240; ++op)
+        high.emplace_back(1, op);
+    const unsigned perKey = 3;
+    std::vector<unsigned> bank(16, 0); // expected sub-bank occupancy
+    auto park = [&](Key key, unsigned r) {
+        auto [group, op] = key;
+        cache.insert(group, operand(PacketKind::State, MacId(r), op,
+                                    group, 1.0, op * 10 + r));
+        bank[op % 16] += 1;
+    };
+    for (unsigned r = 0; r < perKey; ++r) {
+        for (size_t i = 0; i < high.size(); ++i) {
+            if (i < low.size())
+                park(low[i], r);
+            park(high[i], r);
+        }
+    }
+    unsigned total = unsigned(low.size() + high.size()) * perKey;
+    ASSERT_EQ(cache.totalEntries(), total);
+
+    // Drain in an order unrelated to arrival: the high keys from the
+    // top, then the low keys from the bottom.
+    std::vector<Key> order(high.rbegin(), high.rend());
+    order.insert(order.end(), low.begin(), low.end());
+    for (auto [group, op] : order) {
+        std::vector<OpCache::Operand> out;
+        unsigned scanned = extractInto(cache, group, op, out);
+        EXPECT_EQ(scanned, bank[op % 16]);
+        ASSERT_EQ(out.size(), perKey) << group << "/" << op;
+        for (unsigned r = 0; r < perKey; ++r) {
+            EXPECT_EQ(out[r].mac, MacId(r));
+            EXPECT_EQ(out[r].neuron, op * 10 + r);
+        }
+        bank[op % 16] -= perKey;
+        total -= perKey;
+        EXPECT_EQ(cache.subBankOccupancy(op), bank[op % 16]);
+        EXPECT_EQ(cache.totalEntries(), total);
+        // A drained key yields nothing a second time.
+        std::vector<OpCache::Operand> again;
+        extractInto(cache, group, op, again);
+        EXPECT_TRUE(again.empty());
+        EXPECT_EQ(cache.totalEntries(), total);
+    }
+    EXPECT_TRUE(cache.empty());
 }
 
 class PeTest : public ::testing::Test

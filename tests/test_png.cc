@@ -371,6 +371,45 @@ TEST(AddressGenerator, PartialConnectionReadsOutputPlane)
     EXPECT_TRUE(saw_partial_weight);
 }
 
+TEST(AddressGenerator, RoutingFieldsFollowRelocatedOwners)
+{
+    // A batch-lane-style program: the 6x6 output is split into four
+    // 3x3 tiles hosted on non-identity mesh nodes, its storage into
+    // two channels (coarser, as on DDR3) on their own nodes, and two
+    // output planes run from one program.
+    PngProgram prog = smallConvProgram();
+    prog.outTiles = TileMap::grid({0, 0, 6, 6}, 2, 2);
+    prog.peNode = {5, 6, 9, 10};
+    prog.homeTiles = TileMap::grid({0, 0, 6, 6}, 2, 1);
+    prog.homeNode = {12, 3};
+    prog.outPlanes = 2;
+    prog.outPlaneSize = 36;
+    AddressGenerator gen;
+    gen.configure(prog, 16);
+    GeneratedOp op;
+    std::set<uint32_t> neurons;
+    uint64_t ops = 0;
+    while (gen.next(op)) {
+        uint32_t plane = op.neuron / 36;
+        uint32_t x = op.neuron % 36 % 6;
+        uint32_t y = op.neuron % 36 / 6;
+        ASSERT_LT(plane, 2u);
+        unsigned tile = prog.outTiles.owner(int32_t(x), int32_t(y));
+        unsigned home = prog.homeTiles.owner(int32_t(x), int32_t(y));
+        EXPECT_EQ(op.dst, prog.peNode[tile]) << x << "," << y;
+        EXPECT_EQ(op.homeVault, prog.homeNode[home]) << x << "," << y;
+        uint64_t local =
+            prog.outTiles.localIndex(int32_t(x), int32_t(y));
+        EXPECT_EQ(op.mac, MacId(local % 16));
+        // Nine neurons per tile: one group per plane.
+        EXPECT_EQ(op.group, uint32_t(local / 16) + plane);
+        neurons.insert(op.neuron);
+        ++ops;
+    }
+    EXPECT_EQ(neurons.size(), 72u);
+    EXPECT_EQ(ops, 2u * 2u * 36u * 9u); // planes x kinds x pairs
+}
+
 /**
  * One PNG wired to its vault channel and the NoC. Every element of
  * the store holds its own address, so a packet's data names the read
