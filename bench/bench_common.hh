@@ -67,21 +67,6 @@ engineFromEnv(SimEngine fallback)
 }
 
 /**
- * Plan-cache override from NEUROCUBE_PLAN_CACHE=0|1. Plans are
- * bit-exact either way (tests/test_engine_diff.cc fuzzes on-vs-off),
- * so disabling only changes wall clock — the knob exists to let
- * EXPERIMENTS.md attribute speedup to the cache vs the tick loops.
- */
-inline bool
-planCacheFromEnv(bool fallback)
-{
-    const char *env = std::getenv("NEUROCUBE_PLAN_CACHE");
-    if (env == nullptr || env[0] == '\0')
-        return fallback;
-    return env[0] != '0';
-}
-
-/**
  * Trace-sampling period from NEUROCUBE_TRACE_SAMPLE=N (record one in
  * N aggregation windows of full-fidelity events; counters are always
  * exact). 1 — full fidelity — when unset or invalid.
@@ -184,7 +169,6 @@ runForward(const NeurocubeConfig &config, const NetworkDesc &net,
     applyTraceExportFromEnv(
         cfg, "forward" + std::to_string(run_ordinal++));
     cfg.engine = engineFromEnv(cfg.engine);
-    cfg.planCache = planCacheFromEnv(cfg.planCache);
     Neurocube cube(cfg);
     cube.loadNetwork(net, data);
     cube.setInput(input);

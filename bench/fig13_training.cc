@@ -36,7 +36,6 @@ runTraining(bool include_gradient)
     config.trace.enabled = true;
 #endif
     config.engine = engineFromEnv(config.engine);
-    config.planCache = planCacheFromEnv(config.planCache);
     Neurocube cube(config);
     TrainingOptions opts;
     opts.includeWeightGradient = include_gradient;

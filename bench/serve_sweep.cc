@@ -77,7 +77,6 @@ servingMachine()
     config.trace.enabled = true;
 #endif
     config.engine = engineFromEnv(config.engine);
-    config.planCache = planCacheFromEnv(config.planCache);
     return config;
 }
 
@@ -151,7 +150,7 @@ runPoint(size_t index, Tick batch4, const NetworkDesc &net,
     SweepPoint point{factor, buildServingReport(result),
                      buildRunManifest(machine, cube.activeEngine(),
                                       pointName(factor), quickMode()),
-                     timer.elapsedMs()};
+                     timer.elapsedMs(), {}};
     if (result.spatial.valid()) {
         point.spatialJson = spatialSnapshotJson(
             result.spatialTopology, result.spatial, result.makespan);

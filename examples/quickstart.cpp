@@ -48,8 +48,8 @@ main()
     cube.loadNetwork(net, data);
     cube.setInput(input);
 
-    // 4. Execute. The host programs the PNGs once per output map and
-    // the layer runs fully data-driven.
+    // 4. Execute. The host programs the PNGs once for the layer and
+    // it runs fully data-driven.
     RunResult run = cube.runForward();
     const LayerResult &layer = run.layers[0];
 

@@ -30,18 +30,16 @@ printProgrammingParameters(const NetworkDesc &net)
 {
     std::printf("\nprogramming parameters per layer (Fig. 9):\n");
     TextTable table({"layer", "type", "output", "# neurons",
-                     "# connections", "passes", "activation"});
+                     "# connections", "out planes", "activation"});
     for (const LayerDesc &l : net.layers) {
         table.addRow(
             {l.name, layerTypeName(l.type),
              std::to_string(l.outWidth()) + "x"
                  + std::to_string(l.outHeight()) + "x"
-                 + std::to_string(l.type == LayerType::FullyConnected
-                                      ? 1
-                                      : l.outMaps),
+                 + std::to_string(l.outPlanes()),
              formatCount(l.neuronsPerMap()),
              formatCount(l.connectionsPerNeuron()),
-             std::to_string(l.passes()),
+             std::to_string(l.outPlanes()),
              activationName(l.activation)});
     }
     std::printf("%s", table.str().c_str());

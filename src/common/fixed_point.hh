@@ -146,9 +146,6 @@ class Accum
         raw_ += static_cast<int64_t>(state.raw()) * weight.raw();
     }
 
-    /** Add another accumulator (used when folding partial sums). */
-    constexpr void add(const Accum &other) { raw_ += other.raw_; }
-
     /** Reset to zero. */
     constexpr void clear() { raw_ = 0; }
 

@@ -49,6 +49,16 @@ constexpr unsigned opIdBits = 8;
 /** Modulus applied to OP-IDs before they enter a packet. */
 constexpr uint32_t opIdModulus = 1u << opIdBits;
 
+/** Width of the hardware MAC-ID field in bits. */
+constexpr unsigned macIdBits = 4;
+
+/**
+ * MAC units per PE, one per MAC-ID value (paper: 16). It is also the
+ * neuron-group size: the PE, the PNG's address generator and the
+ * compiler's group-blocked weight layouts all count in groups of it.
+ */
+constexpr unsigned macsPerPe = 1u << macIdBits;
+
 } // namespace neurocube
 
 #endif // NEUROCUBE_COMMON_TYPES_HH

@@ -21,8 +21,8 @@ analyticLayerEstimate(const LayerDesc &layer,
 
     uint64_t neurons = layer.neuronsPerMap();
     uint64_t conns = layer.connectionsPerNeuron();
-    unsigned passes = layer.passes();
-    uint64_t pairs = neurons * conns * passes;
+    unsigned planes = layer.outPlanes();
+    uint64_t pairs = neurons * conns * planes;
     est.ops = 2 * pairs;
 
     // --- Lateral-traffic fraction from the mapping policy.
@@ -68,7 +68,7 @@ analyticLayerEstimate(const LayerDesc &layer,
     double elems_per_channel =
         double(pairs) * elems_per_pair / channels;
     // Write-backs share the channel.
-    elems_per_channel += double(neurons) * passes / channels;
+    elems_per_channel += double(neurons) * planes / channels;
     double words = elems_per_channel / dram.elementsPerWord();
     double burst_factor =
         double(dram.burstLength + dram.burstGapTicks)
@@ -79,7 +79,7 @@ analyticLayerEstimate(const LayerDesc &layer,
 
     // --- NoC bounds.
     double packets = double(pairs) * elems_per_pair
-                   + double(neurons) * passes;
+                   + double(neurons) * planes;
     // Ejection at the hottest PE port (width localPortWidth).
     double eject_cycles = packets / pes / config.noc.localPortWidth
                         * imbalance;
@@ -94,12 +94,13 @@ analyticLayerEstimate(const LayerDesc &layer,
     }
 
     // --- MAC execution bound: each PE retires one 16-wide MAC
-    // operation per numMacs ticks, i.e. one operand pair per tick.
+    // operation per macsPerPe ticks, i.e. one operand pair per tick.
     double mac_cycles = double(pairs) / pes * imbalance;
 
-    // --- Per-pass fill/drain + configuration overhead.
-    double per_pass = double(config.configTicksPerPass)
-                    + double(dram.activateTicks()) + 80.0;
+    // --- Fill/drain + configuration overhead, charged per output
+    // plane.
+    double per_plane = double(config.configTicksPerPass)
+                     + double(dram.activateTicks()) + 80.0;
 
     double bound = std::max(
         {dram_cycles, eject_cycles, noc_cycles, mac_cycles});
@@ -107,7 +108,7 @@ analyticLayerEstimate(const LayerDesc &layer,
     est.ejectCycles = eject_cycles;
     est.nocCycles = noc_cycles;
     est.macCycles = mac_cycles;
-    est.cycles = Tick(bound + per_pass * passes);
+    est.cycles = Tick(bound + per_plane * planes);
     return est;
 }
 

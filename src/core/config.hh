@@ -2,11 +2,13 @@
  * @file
  * Top-level machine configuration.
  *
- * Gathers the structural parameters of every substrate: the DRAM
- * technology (vault count, timing), the NoC topology, the PE and PNG
- * micro-parameters, the data-mapping policy, and the attachment of
- * memory channels to mesh nodes. The defaults instantiate the paper's
- * machine: 16 HMC vaults, one 16-MAC PE per vault, 4x4 mesh.
+ * Gathers what a workload may vary: the DRAM technology (vault count,
+ * timing), the NoC topology, the data-mapping policy, and the
+ * attachment of memory channels to mesh nodes. The PE and PNG
+ * micro-architecture is fixed hardware, so its parameters are
+ * constants of Pe, OpCache, Png and AddressGenerator (and macsPerPe
+ * in common/types.hh). The defaults instantiate the paper's machine:
+ * 16 HMC vaults, one 16-MAC PE per vault, 4x4 mesh.
  */
 
 #ifndef NEUROCUBE_CORE_CONFIG_HH
@@ -17,8 +19,6 @@
 #include "dram/dram_params.hh"
 #include "nn/mapping.hh"
 #include "noc/fabric.hh"
-#include "pe/pe.hh"
-#include "png/png.hh"
 #include "trace/trace_config.hh"
 
 namespace neurocube
@@ -75,12 +75,6 @@ struct NeurocubeConfig
     /** NoC structure (numNodes is forced to numPes). */
     NocFabric::Config noc;
 
-    /** PE micro-parameters. */
-    PeParams pe;
-
-    /** PNG micro-parameters. */
-    PngParams png;
-
     /** Data placement policy (duplication knobs). */
     MappingPolicy mapping;
 
@@ -102,15 +96,6 @@ struct NeurocubeConfig
     BatchConfig batch;
 
     /**
-     * Program full (cross-map) convolutions as one pass per
-     * (outMap, inMap) pair with partial sums accumulated through
-     * memory, instead of the default single pass per output map with
-     * k*k*inMaps connections. Exercises the partial-sum dataflow;
-     * costs extra passes and intermediate Q1.7.8 truncation.
-     */
-    bool splitFullConvPasses = false;
-
-    /**
      * Mesh node each memory channel attaches to. Empty = identity
      * (channel i at node i), which requires numChannels == numPes.
      * For scarcer channels (DDR3) the compiler places them evenly.
@@ -118,8 +103,9 @@ struct NeurocubeConfig
     std::vector<unsigned> memoryNodes;
 
     /**
-     * Host programming cost charged per pass, in reference ticks
-     * (writing the PNG configuration registers, Fig. 8c).
+     * Host programming cost charged per pass (one per layer), in
+     * reference ticks (writing the PNG configuration registers,
+     * Fig. 8c).
      */
     Tick configTicksPerPass = 64;
 

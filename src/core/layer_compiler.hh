@@ -7,16 +7,16 @@
  * the mapping policy, the compiler:
  *  1. lays the data structures out in each channel's physical address
  *     space (input planes with any duplicated halo, the weight
- *     partition, zeroed output planes, and the constant 1.0 used by
- *     accumulating passes);
- *  2. emits one PngProgram per channel per pass and one PePassConfig
- *     per PE per pass.
+ *     partition and zeroed output planes);
+ *  2. emits one PngProgram per channel and one PePassConfig per PE.
  *
- * Pass structure:
- *  - channelwise Conv2D / Pool: one pass per output map;
- *  - full Conv2D: one pass per (output map, input map) pair, passes
- *    after the first carrying an extra partial-sum connection;
- *  - FullyConnected: a single pass.
+ * Pass structure: the host programs each layer once (paper Section
+ * IV-C), so every layer runs as a single pass.
+ *  - Conv2D / Pool: the program's plane loop repeats the neuron walk
+ *    for every output map (PngProgram::outPlanes); a full Conv2D
+ *    connects each output neuron to the k*k neighbourhood of every
+ *    input map.
+ *  - FullyConnected: one plane, every input element connected.
  *
  * Compilation is split into two stages:
  *  - the structural *plan* (connection lists, channel address
@@ -50,19 +50,6 @@
 namespace neurocube
 {
 
-/** All programs for one pass. */
-struct CompiledPass
-{
-    /** One program per memory channel. */
-    std::vector<PngProgram> programs;
-    /**
-     * One configuration per PE, *without* the localWeights payload
-     * (attached per run by CompiledLayer::peConfig — the payload is
-     * the same for every PE of a pass).
-     */
-    std::vector<PePassConfig> peConfigs;
-};
-
 /**
  * The structural half of a compiled layer: everything that depends
  * only on (LayerDesc, lane partition, machine config) and none of
@@ -73,18 +60,22 @@ struct LayerPlan
 {
     LayerDesc desc;
     LayerMapping mapping;
-    std::vector<CompiledPass> passes;
+    /** The layer's one pass: one program per memory channel. */
+    std::vector<PngProgram> programs;
+    /**
+     * One configuration per PE, *without* the localWeights payload
+     * (attached per run by CompiledLayer::peConfig — the payload is
+     * the same for every PE).
+     */
+    std::vector<PePassConfig> peConfigs;
     /** Per channel: where the layer's outputs live (for gathering). */
     std::vector<PlaneStorage> outputStorage;
-    /** Output plane count (1 for FC, outMaps otherwise). */
-    unsigned outPlanes = 1;
     /** Output map rectangle (1 x N for FC). */
     Rect outRect;
 
     /** Address layout of one channel's data structures. */
     struct ChannelLayout
     {
-        Addr onesAddr = 0;
         PlaneStorage input;
         Region weights;
         PlaneStorage output;
@@ -99,20 +90,11 @@ struct LayerPlan
     std::vector<std::vector<uint64_t>> fcOwnedCols;
 
     /**
-     * Per pass: the slice of the reference weight block loaded into
-     * the PE weight memory (weightsInPeMemory mode). Empty when
-     * weights stream as packets.
+     * The PE weight memory holds the layer's whole weight block
+     * (weightsInPeMemory mode, shared kernels); the PE indexes it per
+     * output plane. False when weights stream as packets.
      */
-    struct WeightSlice
-    {
-        uint64_t begin = 0;
-        uint64_t count = 0;
-        /** Pooling shares the whole (one-kernel) block per pass. */
-        bool whole = false;
-        /** Append the partial-sum connection's constant 1.0. */
-        bool extraOne = false;
-    };
-    std::vector<WeightSlice> localWeightSlices;
+    bool peWeightMemory = false;
 };
 
 /**
@@ -123,29 +105,27 @@ struct LayerPlan
 struct CompiledLayer
 {
     std::shared_ptr<const LayerPlan> plan;
-    /** Per pass: PE weight-memory contents (empty when streaming). */
-    std::vector<std::vector<Fixed>> localWeights;
+    /** PE weight-memory contents (empty when streaming). */
+    std::vector<Fixed> localWeights;
 
     const LayerDesc &desc() const { return plan->desc; }
     const LayerMapping &mapping() const { return plan->mapping; }
-    const std::vector<CompiledPass> &passes() const
+    const std::vector<PngProgram> &programs() const
     {
-        return plan->passes;
+        return plan->programs;
     }
     const std::vector<PlaneStorage> &outputStorage() const
     {
         return plan->outputStorage;
     }
-    unsigned outPlanes() const { return plan->outPlanes; }
     const Rect &outRect() const { return plan->outRect; }
 
     /** PE pass configuration with the weight payload attached. */
     PePassConfig
-    peConfig(size_t pass, size_t pe) const
+    peConfig(size_t pe) const
     {
-        PePassConfig pc = plan->passes[pass].peConfigs[pe];
-        if (!localWeights.empty())
-            pc.localWeights = localWeights[pass];
+        PePassConfig pc = plan->peConfigs[pe];
+        pc.localWeights = localWeights;
         return pc;
     }
 };
@@ -158,7 +138,7 @@ class LayerCompiler
 
     /**
      * Map a layer onto the cube: clears the channel stores, writes
-     * inputs and weights, and builds the per-pass programs. The
+     * inputs and weights, and builds the layer's programs. The
      * structural plan is served from the plan cache when an
      * identical (layer, lane) compile was seen before.
      *
@@ -238,16 +218,12 @@ class LayerCompiler
                      unsigned channel) const;
 
     /**
-     * Write one channel's values (ones constant, input activations,
-     * weight partition, zeroed outputs) at the plan's addresses.
+     * Write one channel's values (input activations, weight
+     * partition, zeroed outputs) at the plan's addresses.
      */
     void bindChannel(const LayerPlan &plan, unsigned channel,
                      const std::vector<Fixed> &weights,
                      const Tensor &input, BackingStore &store) const;
-
-    /** Build the connection list shared by one pass. */
-    std::vector<Conn> buildConns(const LayerDesc &layer,
-                                 unsigned pass) const;
 
     NeurocubeConfig config_;
 

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 
+#include "pe/pe.hh"
+#include "png/png.hh"
+
 namespace neurocube
 {
 
@@ -104,28 +107,29 @@ configFingerprint(const NeurocubeConfig &config)
     f.u64(n.linkWidth);
     f.u64(n.deliveryDepth);
 
-    const PeParams &pe = config.pe;
-    f.u64(pe.numMacs);
-    f.u64(pe.acceptPerTick);
-    f.u64(pe.injectPerTick);
-    f.u64(pe.cache.numSubBanks);
-    f.u64(pe.cache.entriesPerSubBank);
-    f.u64(pe.outboxLimit);
-    f.u64(pe.searchEntriesPerCycle);
+    // The PE and PNG constants: hashing them keeps the hashes the
+    // bench baselines record, and a change to a constant changes the
+    // machine's hash.
+    f.u64(macsPerPe);
+    f.u64(Pe::acceptPerTick);
+    f.u64(Pe::injectPerTick);
+    f.u64(OpCache::numSubBanks);
+    f.u64(OpCache::entriesPerSubBank);
+    f.u64(Pe::outboxLimit);
+    f.u64(Pe::searchEntriesPerCycle);
 
-    const PngParams &png = config.png;
-    f.u64(png.numMacs);
-    f.u64(png.maxIssuePerTick);
-    f.u64(png.outQueueDepth);
-    f.u64(png.maxWriteBacksPerTick);
-    f.u64(png.connBlockSize);
+    f.u64(macsPerPe);
+    f.u64(Png::maxIssuePerTick);
+    f.u64(Png::outQueueDepth);
+    f.u64(Png::maxWriteBacksPerTick);
+    f.u64(AddressGenerator::connBlockSize);
 
     f.u64(config.mapping.duplicateConvHalo ? 1 : 0);
     f.u64(config.mapping.duplicateFcInput ? 1 : 0);
     f.u64(config.mapping.weightsInPeMemory ? 1 : 0);
 
     f.u64(config.batch.lanes);
-    f.u64(config.splitFullConvPasses ? 1 : 0);
+    f.u64(0); // slot of a removed flag; keeps the recorded hashes
     // Resolved (not raw) placement: an explicit memoryNodes equal to
     // the default placement is the same machine.
     for (unsigned node : config.resolvedMemoryNodes())

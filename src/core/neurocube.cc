@@ -107,12 +107,12 @@ Neurocube::Neurocube(const NeurocubeConfig &config)
             config_.dram, &statGroup_,
             "vault" + std::to_string(ch), uint16_t(ch), probe_));
         pngs_.push_back(std::make_unique<Png>(
-            VaultId(mem_nodes[ch]), config_.png, *channels_[ch],
-            *fabric_, &statGroup_, probe_));
+            VaultId(mem_nodes[ch]), *channels_[ch], *fabric_,
+            &statGroup_, probe_));
     }
     for (unsigned p = 0; p < config_.numPes; ++p) {
-        pes_.push_back(std::make_unique<Pe>(PeId(p), config_.pe,
-                                            &statGroup_, probe_));
+        pes_.push_back(
+            std::make_unique<Pe>(PeId(p), &statGroup_, probe_));
     }
 }
 
@@ -230,10 +230,9 @@ Neurocube::laneDone(const Lane &lane) const
     return true;
 }
 
-void
+std::vector<Tick>
 Neurocube::runPass(const std::vector<Lane> &lanes,
-                   const std::vector<CompiledLayer> &compiled,
-                   size_t pass, std::vector<Tick> &cycles)
+                   const std::vector<CompiledLayer> &compiled)
 {
     // The host writes every PNG's configuration registers, then
     // releases them (Sec. II-C). Events stamped here (PNG Configured
@@ -247,13 +246,11 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
         const Lane &lane = lanes[l];
         for (unsigned i = 0; i < lane.channels.size(); ++i) {
             pngs_[lane.channels[i]]->configure(
-                l < active ? compiled[l].passes()[pass].programs[i]
-                           : PngProgram{});
+                l < active ? compiled[l].programs()[i] : PngProgram{});
         }
         for (unsigned i = 0; i < lane.nodes.size(); ++i) {
             pes_[lane.nodes[i]]->configurePass(
-                l < active ? compiled[l].peConfig(pass, i)
-                           : PePassConfig{});
+                l < active ? compiled[l].peConfig(i) : PePassConfig{});
         }
     }
 
@@ -291,7 +288,7 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
                     --remaining;
                     if (lanes[l].spec != nullptr)
                         NC_TRACE(probe_, TraceComponent::Sim, l,
-                                 TraceEventType::LaneDone, unsigned(pass),
+                                 TraceEventType::LaneDone, 0,
                                  stamp - start);
                 }
             }
@@ -363,8 +360,10 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
     }
     now_ = final;
     statPasses_ += 1;
+    std::vector<Tick> cycles(active);
     for (unsigned l = 0; l < active; ++l)
-        cycles[l] += config_.configTicksPerPass + (done[l] - start);
+        cycles[l] = config_.configTicksPerPass + (done[l] - start);
+    return cycles;
 }
 
 std::vector<LayerResult>
@@ -373,17 +372,9 @@ Neurocube::runLayerOnLanes(const LayerDesc &layer,
                            const std::vector<CompiledLayer> &compiled)
 {
     const unsigned active = unsigned(compiled.size());
-    // Identical layer descriptors compile to identical pass
-    // structures, so the lanes stay in lockstep pass by pass.
-    const size_t num_passes = compiled[0].passes().size();
-    for (unsigned l = 1; l < active; ++l) {
-        nc_assert(compiled[l].passes().size() == num_passes,
-                  "lane %u compiled %zu passes, lane 0 %zu", l,
-                  compiled[l].passes().size(), num_passes);
-    }
 
-    // Layer probe, before the passes: per-lane counters, and one
-    // snapshot of the machine's counter registry that the passes turn
+    // Layer probe, before the pass: per-lane counters, and one
+    // snapshot of the machine's counter registry that the pass turns
     // into the layer's delta.
     auto counts = [&](const Lane &lane) {
         LaneCounts c;
@@ -405,9 +396,7 @@ Neurocube::runLayerOnLanes(const LayerDesc &layer,
         delta = registry->snapshot();
 
     const Tick layer_start = now_;
-    std::vector<Tick> cycles(active, 0);
-    for (size_t pass = 0; pass < num_passes; ++pass)
-        runPass(lanes, compiled, pass, cycles);
+    const std::vector<Tick> cycles = runPass(lanes, compiled);
     statLayerCycles_ += now_ - layer_start;
 
     if (registry)
@@ -425,7 +414,7 @@ Neurocube::runLayerOnLanes(const LayerDesc &layer,
         LayerResult &r = results[l];
         r.name = layer.name.empty() ? layerTypeName(layer.type)
                                     : layer.name;
-        r.passes = unsigned(num_passes);
+        r.passes = 1;
         r.cycles = cycles[l];
         r.ops = 2 * (after.macs - before[l].macs);
         r.dramBits = after.bits - before[l].bits;

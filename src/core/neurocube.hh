@@ -47,7 +47,7 @@ class Neurocube
     void setInput(const Tensor &input);
 
     /**
-     * Execute one layer on the machine (all of its passes).
+     * Execute one layer on the machine (its one pass).
      *
      * @param index layer index within the loaded network
      * @return cycle and traffic statistics for the layer
@@ -214,12 +214,13 @@ class Neurocube
                     const std::vector<Lane> &lanes,
                     const std::vector<CompiledLayer> &compiled);
     /**
-     * Configure and run one pass until every compiled lane is done;
-     * adds each compiled lane's cycles for the pass to @p cycles.
+     * Configure and run the layer's pass until every compiled lane is
+     * done.
+     *
+     * @return each compiled lane's cycles, configuration included
      */
-    void runPass(const std::vector<Lane> &lanes,
-                 const std::vector<CompiledLayer> &compiled,
-                 size_t pass, std::vector<Tick> &cycles);
+    std::vector<Tick> runPass(const std::vector<Lane> &lanes,
+                              const std::vector<CompiledLayer> &compiled);
     /** Scheduler slice over one lane (@p view nullptr: full fabric). */
     PassScheduler::Slice slice(const Lane &lane,
                                const NocFabric::LaneView *view);

@@ -60,7 +60,7 @@ struct RooflinePoint
 struct LayerResult
 {
     std::string name;
-    /** PNG programming passes executed. */
+    /** PNG programming passes executed (one per layer). */
     unsigned passes = 0;
     /** Arithmetic operations (2 per MAC op). */
     uint64_t ops = 0;
@@ -250,8 +250,8 @@ struct BatchRunResult
     std::vector<RunResult> lanes;
     /**
      * Aggregate wall-clock of the batched run in reference cycles:
-     * per pass, every lane advances in the same cycle loop, so the
-     * aggregate is the sum over passes of the slowest lane (plus the
+     * per layer, every lane advances in the same cycle loop, so the
+     * aggregate is the sum over layers of the slowest lane (plus the
      * shared per-pass configuration time charged once).
      */
     Tick cycles = 0;
@@ -274,16 +274,6 @@ struct BatchRunResult
             return 0.0;
         double seconds = double(cycles) / (clock_ghz * 1e9);
         return double(totalOps()) / seconds / 1e9;
-    }
-
-    /** Completed inputs per second (batched frame rate). */
-    double
-    inputsPerSecond(double clock_ghz = referenceClockHz / 1e9) const
-    {
-        if (cycles == 0)
-            return 0.0;
-        return double(lanes.size()) * clock_ghz * 1e9
-             / double(cycles);
     }
 };
 

@@ -74,7 +74,7 @@ LayerDesc::connectionsPerNeuron() const
 }
 
 unsigned
-LayerDesc::passes() const
+LayerDesc::outPlanes() const
 {
     switch (type) {
       case LayerType::Conv2D:

@@ -9,17 +9,21 @@
  * classes cover the evaluated workloads:
  *
  *  - Conv2D: k x k spatial neighbourhood, unit stride. In the
- *    paper's programming model each output map is one PNG pass whose
- *    connection count is the spatial kernel only (the Fig. 9 example
- *    programs 49 connections for the 7x7 first layer); this
+ *    paper's programming model each output map reads one input map
+ *    and the connection count is the spatial kernel only (the Fig. 9
+ *    example programs 49 connections for the 7x7 first layer); this
  *    "channelwise" mode is the default. Full cross-map convolution
- *    (connections = k*k*inMaps accumulated over one pass per input
- *    map) is also supported for functional workloads; a 1x1 full
- *    Conv2D is the per-pixel classifier the scene-labeling network
- *    uses as its "fully connected" layers.
- *  - Pool: 2x2 average pooling, stride 2 (one pass per map).
+ *    (connections = k*k*inMaps, accumulated in one wide sum) is also
+ *    supported for functional workloads; a 1x1 full Conv2D is the
+ *    per-pixel classifier the scene-labeling network uses as its
+ *    "fully connected" layers.
+ *  - Pool: 2x2 average pooling, stride 2 (output map m reads input
+ *    map m).
  *  - FullyConnected: every output neuron connects to every element of
  *    the flattened input (MLP layers, Fig. 3b).
+ *
+ * The host programs each layer once: one PNG pass whose plane loop
+ * repeats the neuron walk for every output map.
  */
 
 #ifndef NEUROCUBE_NN_LAYER_HH
@@ -69,7 +73,7 @@ struct LayerDesc
      * Conv2D only: true = paper programming mode, where each output
      * map reads one input map (map index outMap % inMaps) and the
      * connection count is kernel*kernel; false = full cross-map
-     * convolution accumulated over one pass per input map.
+     * convolution, kernel*kernel*inMaps connections per neuron.
      */
     bool channelwise = true;
 
@@ -84,7 +88,7 @@ struct LayerDesc
      */
     bool perNeuronWeights = false;
 
-    /** Activation applied on write-back of the final pass. */
+    /** Activation applied on write-back. */
     ActivationKind activation = ActivationKind::Identity;
 
     /** Output width. */
@@ -95,13 +99,12 @@ struct LayerDesc
     uint64_t neuronsPerMap() const;
     /** Connections per output neuron (paper's "# connections"). */
     uint64_t connectionsPerNeuron() const;
-    /** PNG passes needed to execute the layer. */
-    unsigned passes() const;
+    /** Output planes: outMaps, or 1 for the FC output vector. */
+    unsigned outPlanes() const;
     /**
      * Multiply + add operations for one execution of the layer
      * (2 ops per MAC operation, the accounting used throughout the
-     * paper's GOPs numbers). Includes the extra partial-sum
-     * connection of accumulating passes.
+     * paper's GOPs numbers).
      */
     uint64_t totalOps() const;
     /** Total synaptic weights stored for the layer. */

@@ -9,7 +9,7 @@ namespace neurocube
 namespace
 {
 
-/** Channelwise Conv2D / Pool: one pass per output map. */
+/** Channelwise Conv2D / Pool: output map m reads one input map. */
 Tensor
 referenceChannelwise(const LayerDesc &layer,
                      const std::vector<Fixed> &weights,
@@ -43,9 +43,8 @@ referenceChannelwise(const LayerDesc &layer,
 }
 
 /**
- * Full Conv2D, single-pass-per-output-map semantics: one wide
- * accumulation over k*k*inMaps connections (the default programming
- * mode; fc1's "256 connections" in the Fig. 9 reconstruction).
+ * Full Conv2D: one wide accumulation over k*k*inMaps connections
+ * (fc1's "256 connections" in the Fig. 9 reconstruction).
  */
 Tensor
 referenceFullConv(const LayerDesc &layer,
@@ -108,45 +107,6 @@ referencePerNeuron(const LayerDesc &layer,
     return out;
 }
 
-/** Full Conv2D with per-input-map passes and partial-sum re-reads. */
-Tensor
-referenceFullConvSplit(const LayerDesc &layer,
-                       const std::vector<Fixed> &weights,
-                       const Tensor &input)
-{
-    const unsigned k = layer.kernel;
-    const Lut &lut = sharedLut(layer.activation);
-    const Fixed one = Fixed::fromDouble(1.0);
-
-    Tensor out(layer.outMaps, layer.outHeight(), layer.outWidth());
-    for (unsigned om = 0; om < layer.outMaps; ++om) {
-        for (unsigned im = 0; im < layer.inMaps; ++im) {
-            const Fixed *w = weights.data()
-                + (size_t(om) * layer.inMaps + im) * k * k;
-            bool last = im + 1 == layer.inMaps;
-            for (unsigned y = 0; y < out.height(); ++y) {
-                for (unsigned x = 0; x < out.width(); ++x) {
-                    Accum acc;
-                    for (unsigned dy = 0; dy < k; ++dy) {
-                        for (unsigned dx = 0; dx < k; ++dx) {
-                            acc.mac(input.at(im, y + dy, x + dx),
-                                    w[dy * k + dx]);
-                        }
-                    }
-                    if (im > 0) {
-                        // The accumulating pass reads the partial sum
-                        // back with an implicit weight of 1.0.
-                        acc.mac(out.at(om, y, x), one);
-                    }
-                    Fixed v = acc.toFixed();
-                    out.at(om, y, x) = last ? lut.apply(v) : v;
-                }
-            }
-        }
-    }
-    return out;
-}
-
 /** Fully connected layer over the flattened input. */
 Tensor
 referenceFc(const LayerDesc &layer, const std::vector<Fixed> &weights,
@@ -171,16 +131,6 @@ referenceFc(const LayerDesc &layer, const std::vector<Fixed> &weights,
 }
 
 } // namespace
-
-Tensor
-referenceLayerSplitPasses(const LayerDesc &layer,
-                          const std::vector<Fixed> &weights,
-                          const Tensor &input)
-{
-    nc_assert(layer.type == LayerType::Conv2D && !layer.channelwise,
-              "split-pass semantics only differ for full Conv2D");
-    return referenceFullConvSplit(layer, weights, input);
-}
 
 Tensor
 referenceLayer(const LayerDesc &layer,

@@ -2,9 +2,9 @@
  * @file
  * Sequential bit-exact reference model.
  *
- * Computes the same Q1.7.8 arithmetic the Neurocube performs — wide
- * integer accumulation per pass, truncation to Q1.7.8 at pass
- * boundaries, LUT activation on the final pass — so the cycle-level
+ * Computes the same Q1.7.8 arithmetic the Neurocube performs — one
+ * wide integer accumulation per output neuron, saturation to Q1.7.8,
+ * then the LUT activation on write-back — so the cycle-level
  * simulation's memory contents can be compared bit-for-bit.
  *
  * Weight layout contract (shared with the layer program compiler):
@@ -38,16 +38,6 @@ namespace neurocube
 Tensor referenceLayer(const LayerDesc &layer,
                       const std::vector<Fixed> &weights,
                       const Tensor &input);
-
-/**
- * Full-Conv2D semantics of the split-pass programming mode
- * (NeurocubeConfig::splitFullConvPasses): one pass per (outMap,
- * inMap) with the partial sum truncated to Q1.7.8 and re-read with
- * weight 1.0 between passes. Bit-exact counterpart of that mode.
- */
-Tensor referenceLayerSplitPasses(const LayerDesc &layer,
-                                 const std::vector<Fixed> &weights,
-                                 const Tensor &input);
 
 /**
  * Execute the whole network sequentially.

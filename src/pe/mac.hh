@@ -26,7 +26,6 @@ class MacUnit
     multiplyAccumulate(Fixed state, Fixed weight)
     {
         acc_.mac(state, weight);
-        ++ops_;
     }
 
     /** The running sum saturated back to Q1.7.8. */
@@ -36,19 +35,10 @@ class MacUnit
     const Accum &accumulator() const { return acc_; }
 
     /** Reset for the next output neuron. */
-    void
-    clear()
-    {
-        acc_.clear();
-        ops_ = 0;
-    }
-
-    /** Multiply-accumulate operations performed since clear(). */
-    uint64_t opsSinceClear() const { return ops_; }
+    void clear() { acc_.clear(); }
 
   private:
     Accum acc_;
-    uint64_t ops_ = 0;
 };
 
 } // namespace neurocube

@@ -22,6 +22,7 @@
 #ifndef NEUROCUBE_PE_OP_CACHE_HH
 #define NEUROCUBE_PE_OP_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -38,14 +39,10 @@ namespace neurocube
 class OpCache
 {
   public:
-    /** Structural parameters. */
-    struct Config
-    {
-        /** Number of sub-banks (paper: 16). */
-        unsigned numSubBanks = 16;
-        /** Entries per sub-bank (paper: 64). */
-        unsigned entriesPerSubBank = 64;
-    };
+    /** Number of sub-banks (paper: 16). */
+    static constexpr unsigned numSubBanks = 16;
+    /** Entries per sub-bank (paper: 64). */
+    static constexpr unsigned entriesPerSubBank = 64;
 
     /**
      * What staging reads of an operand packet: the payload, its MAC
@@ -69,15 +66,12 @@ class OpCache
     };
 
     /**
-     * @param config structural parameters
      * @param parent stat group parent
      * @param trace_id owning PE index used for trace events
      * @param probe the owning machine's instrumentation
      */
-    OpCache(const Config &config, StatGroup *parent,
-            uint16_t trace_id = 0, Probe probe = {})
-        : config_(config), traceId_(trace_id), probe_(probe),
-          occupancy_(config.numSubBanks, 0),
+    OpCache(StatGroup *parent, uint16_t trace_id = 0, Probe probe = {})
+        : traceId_(trace_id), probe_(probe),
           statGroup_(parent, "cache"),
           statInserts_(&statGroup_, "inserts", "packets buffered"),
           statOverflows_(&statGroup_, "overflows",
@@ -88,10 +82,10 @@ class OpCache
     }
 
     /** Sub-bank a given OP-ID maps to. */
-    unsigned
-    subBankOf(OpId op_id) const
+    static unsigned
+    subBankOf(OpId op_id)
     {
-        return op_id % config_.numSubBanks;
+        return op_id % numSubBanks;
     }
 
     /**
@@ -115,7 +109,7 @@ class OpCache
     insert(uint32_t group, const Packet &packet)
     {
         unsigned &occupancy = occupancy_[subBankOf(packet.opId)];
-        if (occupancy >= config_.entriesPerSubBank) {
+        if (occupancy >= entriesPerSubBank) {
             statOverflows_ += 1;
             NC_TRACE(probe_, TraceComponent::Pe, traceId_,
                      TraceEventType::CacheOverflow, packet.opId,
@@ -205,13 +199,9 @@ class OpCache
         if (liveKeys_ != 0)
             cells_.assign(cells_.size(), Cell{});
         liveKeys_ = 0;
-        for (unsigned &occupancy : occupancy_)
-            occupancy = 0;
+        occupancy_.fill(0);
         totalEntries_ = 0;
     }
-
-    /** Structural parameters. */
-    const Config &config() const { return config_; }
 
   private:
     /** End of a record chain; marks an index cell empty as head. */
@@ -315,7 +305,6 @@ class OpCache
         --liveKeys_;
     }
 
-    Config config_;
     /** Owning PE index published with trace events. */
     uint16_t traceId_;
     Probe probe_;
@@ -328,7 +317,7 @@ class OpCache
     std::vector<Cell> cells_;
     size_t liveKeys_ = 0;
     /** Parked entries per sub-bank: the hardware's timing state. */
-    std::vector<unsigned> occupancy_;
+    std::array<unsigned, numSubBanks> occupancy_{};
     unsigned totalEntries_ = 0;
 
     StatGroup statGroup_;

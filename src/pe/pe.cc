@@ -7,12 +7,10 @@
 namespace neurocube
 {
 
-Pe::Pe(PeId id, const PeParams &params, StatGroup *parent, Probe probe)
-    : id_(id), params_(params), probe_(probe),
+Pe::Pe(PeId id, StatGroup *parent, Probe probe)
+    : id_(id), probe_(probe),
       statGroup_(parent, "pe" + std::to_string(id)),
-      temporal_(params.numMacs),
-      cache_(params.cache, &statGroup_, id, probe),
-      macs_(params.numMacs),
+      cache_(&statGroup_, id, probe),
       statMacOps_(&statGroup_, "macOps",
                   "multiply-accumulate operations executed"),
       statFlushes_(&statGroup_, "flushes", "temporal-buffer flushes"),
@@ -38,16 +36,15 @@ Pe::configurePass(const PePassConfig &config)
     cache_.clear();
     for (MacUnit &mac : macs_)
         mac.clear();
-    groupNeurons_.assign(params_.numMacs, 0);
-    groupHomes_.assign(params_.numMacs, 0);
+    groupNeurons_.fill(0);
+    groupHomes_.fill(0);
     outbox_.clear();
     passComplete_ = !config.enabled || config.numNeurons == 0;
     // Group geometry is fixed for the pass; cache it (activeMacs sits
     // on the per-tick path and the divisions are hot).
     uint32_t planes = std::max(1u, config.planes);
     perPlane_ = config.numNeurons / planes;
-    groupsPerPlane_ = (perPlane_ + params_.numMacs - 1)
-                    / params_.numMacs;
+    groupsPerPlane_ = (perPlane_ + macsPerPe - 1) / macsPerPe;
     totalGroups_ = planes * groupsPerPlane_;
     if (config.enabled) {
         nc_assert(config.connections > 0,
@@ -68,8 +65,8 @@ Pe::activeMacs(uint32_t group) const
 {
     uint32_t local = group % groupsPerPlane_;
     uint64_t remaining =
-        uint64_t(perPlane_) - uint64_t(local) * params_.numMacs;
-    return unsigned(std::min<uint64_t>(params_.numMacs, remaining));
+        uint64_t(perPlane_) - uint64_t(local) * macsPerPe;
+    return unsigned(std::min<uint64_t>(macsPerPe, remaining));
 }
 
 uint32_t
@@ -136,13 +133,12 @@ Pe::drainCache(Tick now)
     // at searchEntriesPerCycle (entries spilled beyond the hardware
     // capacity live in the idealized overflow and are indexed for
     // free — see OpCache::insert); the scan overlaps with the MAC
-    // busy time, so only the excess beyond numMacs can delay the
+    // busy time, so only the excess beyond macsPerPe can delay the
     // next flush.
-    unsigned rate = std::max(1u, params_.searchEntriesPerCycle);
-    unsigned hw_entries =
-        std::min(scanned, cache_.config().entriesPerSubBank);
-    unsigned cost = std::max(params_.numMacs,
-                             (hw_entries + rate - 1) / rate);
+    unsigned hw_entries = std::min(scanned, OpCache::entriesPerSubBank);
+    unsigned cost = std::max(macsPerPe,
+                             (hw_entries + searchEntriesPerCycle - 1)
+                                 / searchEntriesPerCycle);
     Tick ready = now + cost;
     if (ready > nextFlushAt_) {
         statSearchStallTicks_ += (ready - nextFlushAt_);
@@ -167,11 +163,11 @@ Pe::flush(Tick now)
     NC_COUNT(probe_, SpatialCounter::PeMac, id_, active);
     NC_COUNT(probe_, EnergyEventKind::MacOp, id_, active);
     NC_TRACE(probe_, TraceComponent::Pe, id_, TraceEventType::MacBusy, active,
-             params_.numMacs);
+             macsPerPe);
     temporal_.flush();
 
-    // MACs run at f_PE / numMacs: they are busy for numMacs ticks.
-    nextFlushAt_ = now + params_.numMacs;
+    // MACs run at f_PE / macsPerPe: they are busy for macsPerPe ticks.
+    nextFlushAt_ = now + macsPerPe;
     macBusyUntil_ = nextFlushAt_;
 
     ++opCounter_;
@@ -221,7 +217,7 @@ Pe::tick(Tick now, NocFabric &fabric)
     // 1. Accept operand packets from the NoC delivery queue.
     auto &delivery = fabric.peDelivery(id_);
     unsigned accepted = 0;
-    while (!delivery.empty() && accepted < params_.acceptPerTick
+    while (!delivery.empty() && accepted < acceptPerTick
            && !passComplete_) {
         const Packet &packet = delivery.front();
         nc_assert(!(packet.group < group_
@@ -242,14 +238,14 @@ Pe::tick(Tick now, NocFabric &fabric)
 
     // 2. Flush when the current operation's operands are staged.
     if (!passComplete_ && now >= nextFlushAt_
-        && outbox_.size() + params_.numMacs <= params_.outboxLimit
+        && outbox_.size() + macsPerPe <= outboxLimit
         && temporal_.complete(activeMacs(group_))) {
         flush(now);
     }
 
     // 3. Inject pending write-backs.
     unsigned injected = 0;
-    while (!outbox_.empty() && injected < params_.injectPerTick
+    while (!outbox_.empty() && injected < injectPerTick
            && fabric.peInjectSpace(id_) > 0) {
         fabric.injectFromPe(id_, outbox_.front(), now);
         outbox_.pop_front();
@@ -271,8 +267,7 @@ Pe::tick(Tick now, NocFabric &fabric)
         cls = injected > 0       ? StallClass::Busy
               : outbox_.empty()  ? StallClass::Idle
                                  : StallClass::StallNocCredit;
-    } else if (outbox_.size() + params_.numMacs
-               > params_.outboxLimit) {
+    } else if (outbox_.size() + macsPerPe > outboxLimit) {
         // Neuron-group flushes gated on write-back backpressure.
         cls = StallClass::StallNocCredit;
     } else {

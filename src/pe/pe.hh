@@ -2,7 +2,7 @@
  * @file
  * Processing element (paper Section III-B, Fig. 5b, Fig. 11).
  *
- * A PE owns n_MAC MAC units, a temporal buffer, a sub-banked operand
+ * A PE owns macsPerPe MAC units, a temporal buffer, a sub-banked operand
  * cache and a small shared-weight memory. It is fully data driven:
  * operand packets arrive from the NoC, the OP-counter sequences the
  * inputs of the 16 output neurons being updated in parallel, and when
@@ -15,6 +15,7 @@
 #ifndef NEUROCUBE_PE_PE_HH
 #define NEUROCUBE_PE_PE_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -56,44 +57,35 @@ struct PePassConfig
     std::vector<Fixed> localWeights;
 };
 
-/** Structural parameters of a PE. */
-struct PeParams
-{
-    /** MAC units per PE (paper: 16). */
-    unsigned numMacs = 16;
-    /** Operand packets accepted from the NoC per tick. */
-    unsigned acceptPerTick = 4;
-    /** Write-back packets injected per tick (PE port width). */
-    unsigned injectPerTick = 2;
-    /** Operand cache geometry. */
-    OpCache::Config cache;
-    /** Pending write-backs before neuron-group flushes stall. */
-    unsigned outboxLimit = 32;
-    /**
-     * Sub-bank entries examined per PE cycle during the OP-advance
-     * search. The paper quotes a 16..64-cycle full search for a
-     * 64-entry sub-bank; the default of 4 entries/cycle reads that
-     * as a banked parallel scan whose 16-cycle worst case is exactly
-     * hidden by the MAC execution time. Set to 1 for the literal
-     * serial-scan interpretation (unstable under operand reordering
-     * — see DESIGN.md).
-     */
-    unsigned searchEntriesPerCycle = 4;
-};
-
 /** One data-driven processing element. */
 class Pe
 {
   public:
+    /** Operand packets accepted from the NoC per tick. */
+    static constexpr unsigned acceptPerTick = 4;
+    /** Write-back packets injected per tick (PE port width). */
+    static constexpr unsigned injectPerTick = 2;
+    /** Pending write-backs before neuron-group flushes stall. */
+    static constexpr unsigned outboxLimit = 32;
+    static_assert(outboxLimit >= macsPerPe,
+                  "a neuron group's write-backs must fit the outbox");
+    /**
+     * Sub-bank entries examined per PE cycle during the OP-advance
+     * search. The paper quotes a 16..64-cycle full search for a
+     * 64-entry sub-bank; 4 entries/cycle reads that as a banked
+     * parallel scan whose 16-cycle worst case is exactly hidden by
+     * the MAC execution time. The literal serial scan (1 entry/cycle)
+     * is unstable under operand reordering (DESIGN.md 5b item 5).
+     */
+    static constexpr unsigned searchEntriesPerCycle = 4;
+
     /**
      * @param id node index (equals the home vault index)
-     * @param params structural parameters
      * @param parent stat group parent
      * @param probe the machine's instrumentation (shared with the
      *        operand cache)
      */
-    Pe(PeId id, const PeParams &params, StatGroup *parent,
-       Probe probe = {});
+    Pe(PeId id, StatGroup *parent, Probe probe = {});
 
     /** Load a pass configuration; resets all sequencing state. */
     void configurePass(const PePassConfig &config);
@@ -136,8 +128,6 @@ class Pe
 
     /** Current OP-counter (tests). */
     OpId opCounter() const { return opCounter_; }
-    /** Current neuron-group index (tests). */
-    uint32_t currentGroup() const { return group_; }
 
     /** Total MAC operations executed (multiply+accumulate pairs). */
     uint64_t macOps() const { return statMacOps_.count(); }
@@ -151,9 +141,6 @@ class Pe
     {
         return histCacheOccupancy_;
     }
-
-    /** Structural parameters. */
-    const PeParams &params() const { return params_; }
 
   private:
     /** MACs active in a group (the last group may be partial). */
@@ -170,19 +157,18 @@ class Pe
     void completeGroup();
 
     PeId id_;
-    PeParams params_;
     Probe probe_;
     PePassConfig pass_;
 
     StatGroup statGroup_;
     TemporalBuffer temporal_;
     OpCache cache_;
-    std::vector<MacUnit> macs_;
+    std::array<MacUnit, macsPerPe> macs_;
 
     /** Per-MAC neuron ids of the group in flight (for write-backs). */
-    std::vector<uint32_t> groupNeurons_;
+    std::array<uint32_t, macsPerPe> groupNeurons_{};
     /** Per-MAC home vaults of the group in flight. */
-    std::vector<VaultId> groupHomes_;
+    std::array<VaultId, macsPerPe> groupHomes_{};
 
     /** Neurons per output plane (cached by configurePass). */
     uint32_t perPlane_ = 0;

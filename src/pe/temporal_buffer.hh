@@ -4,15 +4,15 @@
  *
  * The temporal buffer stages the operands of the operation currently
  * pointed at by the PE's OP-counter: one {state, weight} pair per MAC
- * unit. When every active MAC's pair is present the buffer is flushed
- * into the MACs and the OP-counter advances.
+ * unit, macsPerPe of them. When every active MAC's pair is present
+ * the buffer is flushed into the MACs and the OP-counter advances.
  */
 
 #ifndef NEUROCUBE_PE_TEMPORAL_BUFFER_HH
 #define NEUROCUBE_PE_TEMPORAL_BUFFER_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/fixed_point.hh"
 #include "common/logging.hh"
@@ -36,22 +36,14 @@ class TemporalBuffer
         VaultId homeVault = 0;
     };
 
-    /** @param num_macs number of MAC units (slots). */
-    explicit TemporalBuffer(unsigned num_macs)
-        : slots_(num_macs), hasState_(wordsFor(num_macs)),
-          hasWeight_(wordsFor(num_macs))
-    {
-    }
-
     /** Deposit a state operand for a MAC slot. */
     void
     putState(MacId mac, Fixed value, uint32_t neuron, VaultId home)
     {
         Slot &slot = at(mac);
-        uint64_t &word = hasState_[mac / 64];
-        nc_assert(!(word & bitOf(mac)),
+        nc_assert(!(hasState_ & bitOf(mac)),
                   "duplicate state operand for MAC %u", unsigned(mac));
-        word |= bitOf(mac);
+        hasState_ |= bitOf(mac);
         slot.state = value;
         slot.neuron = neuron;
         slot.homeVault = home;
@@ -62,29 +54,20 @@ class TemporalBuffer
     putWeight(MacId mac, Fixed value, uint32_t neuron, VaultId home)
     {
         Slot &slot = at(mac);
-        uint64_t &word = hasWeight_[mac / 64];
-        nc_assert(!(word & bitOf(mac)),
+        nc_assert(!(hasWeight_ & bitOf(mac)),
                   "duplicate weight operand for MAC %u", unsigned(mac));
-        word |= bitOf(mac);
+        hasWeight_ |= bitOf(mac);
         slot.weight = value;
         slot.neuron = neuron;
         slot.homeVault = home;
     }
 
-    /**
-     * True when slots [0, active) all hold a complete pair: one mask
-     * test per 64 slots (a single word at the paper's 16 MACs).
-     */
+    /** True when slots [0, active) all hold a complete pair. */
     bool
     complete(unsigned active) const
     {
-        unsigned w = 0;
-        for (; w < active / 64; ++w) {
-            if ((hasState_[w] & hasWeight_[w]) != ~uint64_t(0))
-                return false;
-        }
-        uint64_t want = bitOf(active) - 1; // the remaining low slots
-        return (hasState_[w] & hasWeight_[w] & want) == want;
+        Mask want = bitOf(active) - 1;
+        return (hasState_ & hasWeight_ & want) == want;
     }
 
     /** Read one slot. */
@@ -98,39 +81,31 @@ class TemporalBuffer
     void
     flush()
     {
-        for (uint64_t &word : hasState_)
-            word = 0;
-        for (uint64_t &word : hasWeight_)
-            word = 0;
+        hasState_ = 0;
+        hasWeight_ = 0;
     }
-
-    /** Number of slots. */
-    unsigned size() const { return unsigned(slots_.size()); }
 
   private:
-    /** Mask words for @p slots slots, plus one so that the word
-     *  complete() indexes at active == slots always exists. */
-    static size_t wordsFor(unsigned slots) { return slots / 64 + 1; }
+    /** Presence bits, one per MAC; wide enough that complete()'s
+     *  bitOf(macsPerPe) does not overflow. */
+    using Mask = uint32_t;
+    static_assert(macsPerPe < 32, "one presence bit per MAC");
 
-    static uint64_t
-    bitOf(unsigned slot)
-    {
-        return uint64_t(1) << (slot % 64);
-    }
+    static Mask bitOf(unsigned slot) { return Mask(1) << slot; }
 
     Slot &
     at(MacId mac)
     {
-        nc_assert(mac < slots_.size(), "MAC id %u out of range",
+        nc_assert(mac < macsPerPe, "MAC id %u out of range",
                   unsigned(mac));
         return slots_[mac];
     }
 
-    std::vector<Slot> slots_;
-    /** Slot m holds a state operand iff bit m % 64 of word m / 64. */
-    std::vector<uint64_t> hasState_;
-    /** Same layout for weight operands. */
-    std::vector<uint64_t> hasWeight_;
+    std::array<Slot, macsPerPe> slots_{};
+    /** Slot m holds a state operand iff bit m is set. */
+    Mask hasState_ = 0;
+    /** Same for weight operands. */
+    Mask hasWeight_ = 0;
 };
 
 } // namespace neurocube

@@ -8,12 +8,9 @@ namespace neurocube
 {
 
 void
-AddressGenerator::configure(const PngProgram &program,
-                            unsigned num_macs, unsigned conn_block)
+AddressGenerator::configure(const PngProgram &program)
 {
     program_ = program;
-    numMacs_ = num_macs;
-    connBlock_ = std::max(1u, conn_block);
     walk_.clear();
     chunks_.clear();
     chunk_ = 0;
@@ -27,8 +24,8 @@ AddressGenerator::configure(const PngProgram &program,
     groupsPerDst_.assign(program.outTiles.numNodes(), 0);
     for (unsigned d = 0; d < program.outTiles.numNodes(); ++d) {
         groupsPerDst_[d] = uint32_t(
-            (program.outTiles.tile(d).count() + num_macs - 1)
-            / num_macs);
+            (program.outTiles.tile(d).count() + macsPerPe - 1)
+            / macsPerPe);
     }
 
     if (!program.enabled || program.outWalk.count() == 0
@@ -53,8 +50,8 @@ AddressGenerator::configure(const PngProgram &program,
             unsigned home = program.homeTiles.owner(x, y);
             if (!program.homeNode.empty())
                 home = program.homeNode[home];
-            walk_.push_back({x, y, PeId(dst), MacId(local % numMacs_),
-                             uint32_t(local / numMacs_), walk_index,
+            walk_.push_back({x, y, PeId(dst), MacId(local % macsPerPe),
+                             uint32_t(local / macsPerPe), walk_index,
                              PeId(node), VaultId(home),
                              uint32_t(y) * program.outMapWidth
                                  + uint32_t(x)});
@@ -89,10 +86,6 @@ AddressGenerator::configure(const PngProgram &program,
 bool
 AddressGenerator::owns(const Walked &entry, const Conn &conn) const
 {
-    if (conn.source == Conn::Source::Partial) {
-        // Partial sums live in the vault that owns the output pixel.
-        return program_.output.stored.contains(entry.x, entry.y);
-    }
     if (!program_.filterByInput)
         return true;
     int32_t in_x = entry.x * int32_t(program_.strideX) + conn.dx;
@@ -103,10 +96,6 @@ AddressGenerator::owns(const Walked &entry, const Conn &conn) const
 Addr
 AddressGenerator::stateAddr(const Walked &entry, const Conn &conn) const
 {
-    if (conn.source == Conn::Source::Partial) {
-        return program_.output.addrOf(program_.outPlane, entry.x,
-                                      entry.y);
-    }
     int32_t in_x = entry.x * int32_t(program_.strideX) + conn.dx;
     int32_t in_y = entry.y * int32_t(program_.strideY) + conn.dy;
     return program_.input.addrOf(conn.inMap, in_x, in_y);
@@ -116,9 +105,6 @@ Addr
 AddressGenerator::weightAddr(const Walked &entry,
                              uint32_t conn_index) const
 {
-    const Conn &conn = program_.conns[conn_index];
-    if (conn.source == Conn::Source::Partial)
-        return program_.onesAddr;
     uint64_t column;
     if (!program_.weightConnMap.empty()) {
         column = program_.weightConnMap[conn_index];
@@ -131,11 +117,11 @@ AddressGenerator::weightAddr(const Walked &entry,
         column = conn_index - program_.weightConnOffset;
     }
     if (program_.weightInterleaved && program_.weightNeuronStride) {
-        uint64_t block = entry.walkIndex / numMacs_;
-        uint64_t lane = entry.walkIndex % numMacs_;
+        uint64_t block = entry.walkIndex / macsPerPe;
+        uint64_t lane = entry.walkIndex % macsPerPe;
         return program_.weights.base
-            + block * program_.weightNeuronStride * numMacs_
-            + column * numMacs_ + lane;
+            + block * program_.weightNeuronStride * macsPerPe
+            + column * macsPerPe + lane;
     }
     return program_.weights.base
         + uint64_t(entry.walkIndex) * program_.weightNeuronStride
@@ -156,8 +142,7 @@ AddressGenerator::fillBuffer()
         }
         auto [begin, end] = chunks_[chunk_];
         uint32_t conns = uint32_t(program_.conns.size());
-        uint32_t block_end =
-            std::min(conn_ + connBlock_, conns);
+        uint32_t block_end = std::min(conn_ + connBlockSize, conns);
 
         auto emit = [&](uint32_t c, bool weight_phase) {
             Conn conn = program_.conns[c];
@@ -178,7 +163,6 @@ AddressGenerator::fillBuffer()
                 op.opId = c;
                 op.neuron = plane_ * program_.outPlaneSize + entry.neuron;
                 op.homeVault = entry.home;
-                op.isConstantOne = false;
                 if (!weight_phase) {
                     op.kind = PacketKind::State;
                     op.addr = stateAddr(entry, conn);
@@ -188,8 +172,6 @@ AddressGenerator::fillBuffer()
                     op.kind = PacketKind::Weight;
                     op.addr = weightAddr(entry, c)
                             + plane_ * program_.weightPlaneStride;
-                    op.isConstantOne =
-                        conn.source == Conn::Source::Partial;
                     ++totalPairs_;
                 }
                 buffer_.push_back(op);

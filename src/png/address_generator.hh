@@ -2,11 +2,12 @@
  * @file
  * Generalized PNG address generator.
  *
- * Embeds the three-nested-loop iteration of NestedCounters (Fig. 8b)
- * with the address mapping of Eq. 4-5: for every walked output neuron
- * group, for every connection, for every MAC, it yields the element
- * addresses of the state and weight operands together with the packet
- * routing fields (destination PE, MAC-ID, OP-ID, neuron group).
+ * Runs the PNG's three nested counters (paper Fig. 8b: neurons,
+ * advancing by macsPerPe; connections; MACs) with the address mapping
+ * of Eq. 4-5: for every walked output neuron group, for every
+ * connection, for every MAC, it yields the element addresses of the
+ * state and weight operands together with the packet routing fields
+ * (destination PE, MAC-ID, OP-ID, neuron group).
  *
  * Operand emission order is the hardware's: for one (group,
  * connection) step, the 16 state addresses are generated first and
@@ -52,8 +53,6 @@ struct GeneratedOp
     uint32_t neuron = 0;
     /** Memory channel storing the output neuron (write-back home). */
     VaultId homeVault = 0;
-    /** The payload value to substitute for Partial-source weights. */
-    bool isConstantOne = false;
 };
 
 /** Iterates a PngProgram, yielding operand reads one at a time. */
@@ -61,18 +60,16 @@ class AddressGenerator
 {
   public:
     /**
-     * Load a program.
-     *
-     * @param program the pass program for this vault
-     * @param num_macs MAC units per PE (group size)
-     * @param conn_block connections batched per emission phase: the
-     *        generator emits the state operands of conn_block
-     *        consecutive connections, then their weights, which
-     *        lengthens the sequential DRAM runs of each stream and
-     *        keeps state/weight row ping-pong off the critical path
+     * Connections batched per emission phase: the generator emits the
+     * state operands of this many consecutive connections, then their
+     * weights, which lengthens the sequential DRAM runs of each
+     * stream and keeps state/weight row ping-pong off the critical
+     * path (DESIGN.md 5b item 4).
      */
-    void configure(const PngProgram &program, unsigned num_macs,
-                   unsigned conn_block = 4);
+    static constexpr unsigned connBlockSize = 16;
+
+    /** Load the layer's program for this vault. */
+    void configure(const PngProgram &program);
 
     /** True when every operand has been yielded. */
     bool done() const { return done_; }
@@ -132,13 +129,11 @@ class AddressGenerator
     bool owns(const Walked &entry, const Conn &conn) const;
 
     PngProgram program_;
-    unsigned numMacs_ = 16;
 
     std::vector<Walked> walk_;
     /** [begin, end) runs in walk_ sharing one (dst, group). */
     std::vector<std::pair<uint32_t, uint32_t>> chunks_;
 
-    unsigned connBlock_ = 4;
     size_t chunk_ = 0;
     uint32_t conn_ = 0;
     /** Current output plane (the FSM's fourth loop). */

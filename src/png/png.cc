@@ -7,10 +7,9 @@
 namespace neurocube
 {
 
-Png::Png(VaultId id, const PngParams &params, MemoryChannel &channel,
-         NocFabric &fabric, StatGroup *parent, Probe probe)
-    : id_(id), params_(params), channel_(channel), fabric_(fabric),
-      probe_(probe),
+Png::Png(VaultId id, MemoryChannel &channel, NocFabric &fabric,
+         StatGroup *parent, Probe probe)
+    : id_(id), channel_(channel), fabric_(fabric), probe_(probe),
       lut_(&sharedLut(ActivationKind::Identity)),
       statGroup_(parent, "png" + std::to_string(id)),
       statIssued_(&statGroup_, "issued", "element reads issued"),
@@ -46,8 +45,7 @@ Png::configure(const PngProgram &program)
     nc_assert(busySlots_ == 0 && outQueue_.empty(),
               "reprogramming PNG %u with work in flight", unsigned(id_));
     program_ = program;
-    generator_.configure(program, params_.numMacs,
-                         params_.connBlockSize);
+    generator_.configure(program);
     lut_ = &sharedLut(program.activation);
     wbReceived_ = 0;
     perPlaneWb_ = 0;
@@ -77,7 +75,7 @@ Png::tick(Tick now)
     // is guaranteed plane by plane). allowedPlane_ is maintained by
     // configure() and the absorb loop below (its only inputs).
     unsigned issued = 0;
-    while (issued < params_.maxIssuePerTick && !generator_.done()
+    while (issued < maxIssuePerTick && !generator_.done()
            && generator_.currentPlane() < allowedPlane_
            && channel_.canAccept() && busySlots_ != allSlots) {
         const unsigned slot = unsigned(std::countr_zero(~busySlots_));
@@ -103,8 +101,7 @@ Png::tick(Tick now)
     // out of order within the vault controller's reorder window; the
     // tag names the in-flight slot holding the read's metadata.
     auto &responses = channel_.responses();
-    while (!responses.empty()
-           && outQueue_.size() < params_.outQueueDepth) {
+    while (!responses.empty() && outQueue_.size() < outQueueDepth) {
         const MemResponse &resp = responses.front();
         nc_assert(busySlots_ != 0, "response without a pending read");
         const uint64_t bit = resp.tag < maxInFlight
@@ -147,7 +144,7 @@ Png::tick(Tick now)
     // 4. Absorb write-backs: activation LUT, then write to the vault.
     auto &delivery = fabric_.memDelivery(id_);
     unsigned absorbed = 0;
-    while (!delivery.empty() && absorbed < params_.maxWriteBacksPerTick
+    while (!delivery.empty() && absorbed < maxWriteBacksPerTick
            && channel_.canAccept()) {
         const Packet &wb = delivery.front();
         nc_assert(wb.kind == PacketKind::WriteBack,
@@ -163,8 +160,7 @@ Png::tick(Tick now)
         int32_t y = int32_t(pixel / program_.outMapWidth);
         MemRequest req;
         req.write = true;
-        req.addr = program_.output.addrOf(program_.outPlane + plane,
-                                          x, y);
+        req.addr = program_.output.addrOf(plane, x, y);
         req.data = lut_->apply(wb.data);
         channel_.enqueue(req);
         delivery.pop_front();

@@ -32,35 +32,26 @@
 namespace neurocube
 {
 
-/** Structural parameters of a PNG. */
-struct PngParams
-{
-    /** MAC units per PE (group size for the generator). */
-    unsigned numMacs = 16;
-    /** Element reads issued to the vault controller per tick. */
-    unsigned maxIssuePerTick = 4;
-    /** Packets buffered between the vault and the router. */
-    unsigned outQueueDepth = 16;
-    /** Write-back packets absorbed per tick. */
-    unsigned maxWriteBacksPerTick = 2;
-    /** Connections batched per emission phase (DRAM run length). */
-    unsigned connBlockSize = 16;
-};
-
 /** One vault's programmable neurosequence generator. */
 class Png
 {
   public:
+    /** Element reads issued to the vault controller per tick. */
+    static constexpr unsigned maxIssuePerTick = 4;
+    /** Packets buffered between the vault and the router. */
+    static constexpr unsigned outQueueDepth = 16;
+    /** Write-back packets absorbed per tick. */
+    static constexpr unsigned maxWriteBacksPerTick = 2;
+
     /**
      * @param id the vault this PNG serves
-     * @param params structural parameters
      * @param channel the vault controller / DRAM channel
      * @param fabric the NoC
      * @param parent stat group parent
      * @param probe the machine's instrumentation
      */
-    Png(VaultId id, const PngParams &params, MemoryChannel &channel,
-        NocFabric &fabric, StatGroup *parent, Probe probe = {});
+    Png(VaultId id, MemoryChannel &channel, NocFabric &fabric,
+        StatGroup *parent, Probe probe = {});
 
     /** Load a pass program (host writes the configuration regs). */
     void configure(const PngProgram &program);
@@ -96,9 +87,6 @@ class Png
     /** Vault index. */
     VaultId id() const { return id_; }
 
-    /** Write-back packets received so far this pass. */
-    uint64_t writeBacksReceived() const { return wbReceived_; }
-
     /** Operand pairs generated so far this pass (2 MAC ops each). */
     uint64_t totalPairs() const { return generator_.totalPairs(); }
 
@@ -123,7 +111,6 @@ class Png
     void tracePhase(PngFsmPhase phase, unsigned plane);
 
     VaultId id_;
-    PngParams params_;
     MemoryChannel &channel_;
     NocFabric &fabric_;
     Probe probe_;

@@ -97,13 +97,6 @@ class PowerModel
     /** All-DRAM-dies power (pJ/bit model). */
     double dramPowerW() const;
 
-    /** Total package power: compute + logic die + DRAM. */
-    double
-    totalPowerW() const
-    {
-        return computePowerW() + hmcLogicDiePowerW() + dramPowerW();
-    }
-
     /**
      * Compute efficiency in GOPs/s/W given a measured throughput
      * (the paper's Table III divides by the compute power).

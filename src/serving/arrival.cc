@@ -1,7 +1,6 @@
 #include "serving/arrival.hh"
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -55,15 +54,6 @@ parseArrivalTrace(std::istream &in)
         schedule.ticks.push_back(Tick(tick));
     }
     return schedule;
-}
-
-ArrivalSchedule
-loadArrivalTrace(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in.is_open())
-        nc_fatal("cannot open arrival trace '%s'", path.c_str());
-    return parseArrivalTrace(in);
 }
 
 void

@@ -11,8 +11,9 @@
  *  - a Poisson process with a configurable mean inter-arrival gap,
  *    generated from the repo's deterministic Rng so the same seed
  *    always yields the same schedule on every platform;
- *  - replay of an explicit arrival-trace file (one arrival tick per
- *    line), for reproducing a measured or hand-crafted load shape.
+ *  - replay of an explicit arrival trace read from a stream (one
+ *    arrival tick per line), for reproducing a measured or
+ *    hand-crafted load shape.
  *
  * Arrival times are in reference-clock ticks relative to the start
  * of the serving run; ServingSimulator offsets them by the cube's
@@ -24,7 +25,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -75,9 +75,6 @@ ArrivalSchedule poissonArrivals(size_t count, double meanGapTicks,
  * Ticks must be nondecreasing (the trace is a time series).
  */
 ArrivalSchedule parseArrivalTrace(std::istream &in);
-
-/** Load an arrival trace from a file; fatal when unreadable. */
-ArrivalSchedule loadArrivalTrace(const std::string &path);
 
 /** Write a schedule in the trace format parseArrivalTrace reads. */
 void writeArrivalTrace(std::ostream &out,

@@ -141,7 +141,7 @@ TimeSeriesCsvExporter::handle(const TraceEvent &event)
         break;
       case TraceEventType::MacBusy:
         // Flushes within one PE never overlap (the next flush waits
-        // numMacs ticks), so summing durations gives PE-busy ticks.
+        // macsPerPe ticks), so summing durations gives PE-busy ticks.
         macBusyTicks_ += event.value;
         break;
       case TraceEventType::PngInjectStall:

@@ -133,7 +133,6 @@ randomConfig(Rng &rng, bool need_identity_channels)
     config.noc.linkWidth = 1 + unsigned(rng.below(2));
     config.noc.localPortWidth = 1 + unsigned(rng.below(3)); // 1..3
     config.noc.deliveryDepth = 16u << rng.below(2); // 16, 32
-    config.splitFullConvPasses = rng.below(4) == 0;
     config.mapping.weightsInPeMemory = rng.below(2) != 0;
 #if NEUROCUBE_TRACE_ENABLED
     // Counters on, no event sinks: the invariants under test include

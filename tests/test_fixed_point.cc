@@ -117,10 +117,10 @@ TEST(Accum, OrderIndependent)
     EXPECT_EQ(forward.toFixed(), backward.toFixed());
 }
 
-TEST(Accum, PartialSumWithUnitWeightIsLossless)
+TEST(Accum, UnitWeightIsLossless)
 {
-    // partial * 1.0 then >>8 returns the exact partial: the
-    // machine's cross-pass accumulation trick.
+    // x * 1.0 then >>8 returns the exact x: a unit weight passes a
+    // value through a MAC unchanged.
     for (int16_t raw : {int16_t(0), int16_t(1), int16_t(-1),
                         int16_t(12345), int16_t(-32768),
                         int16_t(32767)}) {

@@ -98,6 +98,36 @@ TEST(Integration, ConvWithoutDuplicationMatchesReference)
     EXPECT_GT(run.layers[0].lateralPackets, 0u);
 }
 
+TEST(Integration, ThinLayersWithoutDuplicationMatchReference)
+{
+    // Three input rows spread over the 16 vaults' 4x4 grid leave some
+    // vaults owning output columns that their own input tile cannot
+    // reach (or owning no input at all); their PNGs must still absorb
+    // the write-backs of those outputs.
+    NeurocubeConfig config;
+    config.mapping.duplicateConvHalo = false;
+    auto thin = [](LayerType type, unsigned width, unsigned kernel,
+                   unsigned stride) {
+        NetworkDesc net;
+        net.name = "thin";
+        LayerDesc layer;
+        layer.type = type;
+        layer.name = "thin";
+        layer.inWidth = width;
+        layer.inHeight = 3;
+        layer.inMaps = 1;
+        layer.outMaps = 1;
+        layer.kernel = kernel;
+        layer.stride = stride;
+        layer.channelwise = true;
+        net.layers.push_back(layer);
+        net.validate();
+        return net;
+    };
+    runAndVerify(config, thin(LayerType::Pool, 32, 2, 2), 21); // 16x1
+    runAndVerify(config, thin(LayerType::Conv2D, 18, 3, 1), 22); // 16x1
+}
+
 TEST(Integration, ConvWithDuplicationHasNoLateralTraffic)
 {
     NeurocubeConfig config;
@@ -173,44 +203,6 @@ TEST(Integration, FullConvAccumulationMatchesReference)
     net.layers.push_back(fc);
     net.validate();
     runAndVerify(NeurocubeConfig{}, net, 5);
-}
-
-TEST(Integration, SplitFullConvPassesMatchSplitReference)
-{
-    // The partial-sum programming mode: one pass per (outMap,
-    // inMap), intermediate sums truncated to Q1.7.8 and re-read with
-    // weight 1.0. Verified against the split-semantics reference.
-    NetworkDesc net;
-    net.name = "split-conv";
-    LayerDesc fc;
-    fc.type = LayerType::Conv2D;
-    fc.name = "fc1";
-    fc.inWidth = 9;
-    fc.inHeight = 7;
-    fc.inMaps = 4;
-    fc.outMaps = 3;
-    fc.kernel = 3;
-    fc.channelwise = false;
-    fc.activation = ActivationKind::Tanh;
-    net.layers.push_back(fc);
-    net.validate();
-
-    NetworkData data = NetworkData::randomized(net, 44);
-    Tensor input(4, 7, 9);
-    Rng rng(45);
-    input.randomize(rng);
-
-    NeurocubeConfig config;
-    config.splitFullConvPasses = true;
-    Neurocube cube(config);
-    cube.loadNetwork(net, data);
-    cube.setInput(input);
-    LayerResult r = cube.runLayer(0);
-    EXPECT_EQ(r.passes, 12u); // 3 out maps x 4 in maps
-
-    Tensor expect =
-        referenceLayerSplitPasses(fc, data.weights[0], input);
-    EXPECT_TRUE(tensorsEqual(cube.layerOutput(0), expect));
 }
 
 TEST(Integration, FullConvSpatialKernelMatchesReference)

@@ -65,9 +65,8 @@ TEST_F(CompilerTest, ConvCollapsesToOneProgram)
     CompiledLayer compiled =
         compile(conv, data.weights[0], input);
 
-    // One pass whose program iterates all four output maps.
-    ASSERT_EQ(compiled.passes().size(), 1u);
-    const PngProgram &prog = compiled.passes()[0].programs[0];
+    // One program that iterates all four output maps.
+    const PngProgram &prog = compiled.programs()[0];
     EXPECT_EQ(prog.outPlanes, 4u);
     EXPECT_EQ(prog.planeInMapModulo, 2u);
     EXPECT_EQ(prog.weightPlaneStride, 9u);
@@ -75,7 +74,7 @@ TEST_F(CompilerTest, ConvCollapsesToOneProgram)
     EXPECT_EQ(prog.outPlaneSize, uint32_t(18 * 14));
     EXPECT_EQ(prog.activation, ActivationKind::Tanh);
     // PE sees all planes' neurons.
-    const PePassConfig &pc = compiled.passes()[0].peConfigs[0];
+    const PePassConfig pc = compiled.peConfig(0);
     EXPECT_EQ(pc.planes, 4u);
     EXPECT_EQ(pc.numNeurons % 4u, 0u);
 }
@@ -93,7 +92,7 @@ TEST_F(CompilerTest, InputWrittenIntoStoredRect)
         compile(conv, data.weights[0], input);
 
     for (unsigned ch = 0; ch < 16; ++ch) {
-        const PngProgram &prog = compiled.passes()[0].programs[ch];
+        const PngProgram &prog = compiled.programs()[ch];
         const Rect &stored = prog.input.stored;
         for (unsigned m = 0; m < 2; ++m) {
             for (int32_t y = stored.y0; y < stored.y0 + stored.h;
@@ -120,7 +119,7 @@ TEST_F(CompilerTest, SharedKernelsDuplicatedInEveryVault)
         compile(conv, data.weights[0], input);
 
     for (unsigned ch = 0; ch < 16; ++ch) {
-        const PngProgram &prog = compiled.passes()[0].programs[ch];
+        const PngProgram &prog = compiled.programs()[ch];
         for (size_t i = 0; i < data.weights[0].size(); ++i) {
             EXPECT_EQ(stores_[ch]->read(prog.weights.base + i),
                       data.weights[0][i])
@@ -187,7 +186,7 @@ TEST_F(CompilerTest, FcWeightsInterleavedGroupBlocked)
     // Vault ch owns output slice [2ch, 2ch+2); its weights are
     // stored MAC-minor: base + (walk/16)*8*16 + c*16 + walk%16.
     for (unsigned ch = 0; ch < 16; ++ch) {
-        const PngProgram &prog = compiled.passes()[0].programs[ch];
+        const PngProgram &prog = compiled.programs()[ch];
         EXPECT_TRUE(prog.weightInterleaved);
         EXPECT_EQ(prog.weightNeuronStride, 8u);
         Rect tile = compiled.mapping().outTiles.tile(ch);
@@ -224,7 +223,7 @@ TEST_F(CompilerTest, PixelMajorLayoutForPerPixelClassifier)
     input.randomize(rng);
     CompiledLayer compiled = compile(fc1, data.weights[0], input);
 
-    const PngProgram &prog = compiled.passes()[0].programs[0];
+    const PngProgram &prog = compiled.programs()[0];
     EXPECT_TRUE(prog.input.pixelMajor);
     // Consecutive maps of one pixel are adjacent in the vault.
     const Rect &stored = prog.input.stored;
@@ -233,8 +232,11 @@ TEST_F(CompilerTest, PixelMajorLayoutForPerPixelClassifier)
     EXPECT_EQ(a1, a0 + 1);
 }
 
-TEST_F(CompilerTest, OnesElementBackstopsPartialReads)
+TEST_F(CompilerTest, WordZeroOfEveryChannelStaysReserved)
 {
+    // Every channel's layout starts at word 1: the addresses, and
+    // with them the DRAM rows and banks each layer touches, are
+    // pinned by the golden cycle files.
     LayerDesc conv = smallConv();
     NetworkDesc net;
     net.layers.push_back(conv);
@@ -243,9 +245,8 @@ TEST_F(CompilerTest, OnesElementBackstopsPartialReads)
     CompiledLayer compiled =
         compile(conv, data.weights[0], input);
     for (unsigned ch = 0; ch < 16; ++ch) {
-        const PngProgram &prog = compiled.passes()[0].programs[ch];
-        EXPECT_EQ(stores_[ch]->read(prog.onesAddr),
-                  Fixed::fromDouble(1.0));
+        const PngProgram &prog = compiled.programs()[ch];
+        EXPECT_EQ(prog.input.region.base, 1u) << "channel " << ch;
     }
 }
 
@@ -306,37 +307,6 @@ TEST_F(CompilerTest, PlanCacheHitsOnRepeatAndBindsIdentically)
     EXPECT_EQ(cold_compiler.planCacheHits(), 0u);
     EXPECT_EQ(cold_compiler.planCacheMisses(), 2u);
     EXPECT_TRUE(snapshot() == cold);
-}
-
-TEST_F(CompilerTest, SplitModeStillEmitsPerPassPrograms)
-{
-    NeurocubeConfig config;
-    config.splitFullConvPasses = true;
-    LayerCompiler compiler(config);
-
-    LayerDesc fc1;
-    fc1.type = LayerType::Conv2D;
-    fc1.name = "fc1";
-    fc1.inWidth = 6;
-    fc1.inHeight = 4;
-    fc1.inMaps = 3;
-    fc1.outMaps = 2;
-    fc1.kernel = 1;
-    fc1.channelwise = false;
-
-    NetworkDesc net;
-    net.layers.push_back(fc1);
-    NetworkData data = NetworkData::randomized(net, 10);
-    Tensor input(3, 4, 6);
-    CompiledLayer compiled =
-        compiler.compile(fc1, data.weights[0], input, stores_);
-    EXPECT_EQ(compiled.passes().size(), 6u); // 2 out x 3 in maps
-    // Accumulating passes carry the partial-sum connection.
-    EXPECT_EQ(compiled.passes()[1].programs[0].conns.size(), 2u);
-    EXPECT_EQ(compiled.passes()[1].programs[0].conns.back().source,
-              Conn::Source::Partial);
-    // Only the last pass of each output map applies the activation.
-    EXPECT_EQ(compiled.passes()[0].programs[0].outPlanes, 1u);
 }
 
 } // namespace

@@ -67,7 +67,7 @@ TEST(Manifest, FingerprintIsStableAndSensitive)
     EXPECT_EQ(configFingerprint(a), configFingerprint(b));
 
     // Architecture-defining fields move the hash...
-    b.pe.numMacs = 32;
+    b.mapping.weightsInPeMemory = true;
     EXPECT_NE(configFingerprint(a), configFingerprint(b));
     b = a;
     b.dram = DramParams::ddr3();
@@ -86,6 +86,18 @@ TEST(Manifest, FingerprintIsStableAndSensitive)
     b.trace.enabled = true;
     b.trace.samplePeriod = 64;
     EXPECT_EQ(configFingerprint(a), configFingerprint(b));
+}
+
+TEST(Manifest, FingerprintPinsTheBaselineHashes)
+{
+    // The hashes bench/baselines/BENCH_fig12.json carries for its two
+    // machines. The PE and PNG constants are hashed too, so dropping
+    // one from the fingerprint fails here, not only at the bench gate.
+    NeurocubeConfig config;
+    EXPECT_EQ(configFingerprint(config), 0x5cb4e15f4615a783ull);
+    config.mapping.duplicateConvHalo = false;
+    config.mapping.duplicateFcInput = false;
+    EXPECT_EQ(configFingerprint(config), 0x450cb9ed9ba3a923ull);
 }
 
 TEST(Manifest, ExplicitDefaultChannelPlacementHashesLikeImplicit)

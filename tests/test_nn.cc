@@ -47,7 +47,7 @@ TEST(LayerDesc, ConvGeometry)
     EXPECT_EQ(conv.outHeight(), 234u);
     EXPECT_EQ(conv.neuronsPerMap(), 73476u);
     EXPECT_EQ(conv.connectionsPerNeuron(), 49u);
-    EXPECT_EQ(conv.passes(), 16u);
+    EXPECT_EQ(conv.outPlanes(), 16u);
     // 2 ops x 73,476 neurons x 49 connections x 16 maps.
     EXPECT_EQ(conv.totalOps(), 2ull * 73476 * 49 * 16);
 }
@@ -70,7 +70,7 @@ TEST(LayerDesc, PoolGeometry)
 TEST(LayerDesc, FullConvConnectionsSpanInputMaps)
 {
     // The scene-labeling fc1: a 1x1 full convolution over 256 maps
-    // is programmed as 64 passes of 256 connections each.
+    // is programmed as 64 output planes of 256 connections each.
     LayerDesc fc;
     fc.type = LayerType::Conv2D;
     fc.name = "fc1";
@@ -80,7 +80,7 @@ TEST(LayerDesc, FullConvConnectionsSpanInputMaps)
     fc.outMaps = 64;
     fc.kernel = 1;
     fc.channelwise = false;
-    EXPECT_EQ(fc.passes(), 64u);
+    EXPECT_EQ(fc.outPlanes(), 64u);
     EXPECT_EQ(fc.connectionsPerNeuron(), 256u);
     uint64_t neurons = 69ull * 49ull;
     EXPECT_EQ(fc.totalOps(), 2 * neurons * 256 * 64);

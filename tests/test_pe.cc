@@ -44,7 +44,7 @@ extractInto(OpCache &cache, uint32_t group, OpId op,
 
 TEST(TemporalBuffer, CompleteRequiresBothOperands)
 {
-    TemporalBuffer buf(4);
+    TemporalBuffer buf;
     buf.putState(0, Fixed::fromDouble(1.0), 0, 0);
     EXPECT_FALSE(buf.complete(1));
     buf.putWeight(0, Fixed::fromDouble(2.0), 0, 0);
@@ -52,27 +52,31 @@ TEST(TemporalBuffer, CompleteRequiresBothOperands)
     EXPECT_FALSE(buf.complete(2));
 }
 
-TEST(TemporalBuffer, CompleteSpansMaskWords)
+TEST(TemporalBuffer, CompleteCoversEveryMac)
 {
-    // More MACs than one 64-bit presence word holds.
-    TemporalBuffer buf(80);
-    for (MacId m = 0; m < 70; ++m) {
+    // A full group: every one of the PE's macsPerPe slots counts.
+    TemporalBuffer buf;
+    const MacId last = MacId(macsPerPe - 1);
+    for (MacId m = 0; m < last; ++m) {
         buf.putState(m, Fixed::fromDouble(1.0), 0, 0);
         buf.putWeight(m, Fixed::fromDouble(2.0), 0, 0);
     }
-    EXPECT_TRUE(buf.complete(64));
-    EXPECT_TRUE(buf.complete(70));
-    EXPECT_FALSE(buf.complete(71));
-    buf.putState(75, Fixed::fromDouble(1.0), 0, 0);
-    EXPECT_FALSE(buf.complete(80));
+    EXPECT_TRUE(buf.complete(last));
+    EXPECT_FALSE(buf.complete(macsPerPe));
+    buf.putWeight(last, Fixed::fromDouble(2.0), 0, 0);
+    EXPECT_FALSE(buf.complete(macsPerPe));
+    buf.putState(last, Fixed::fromDouble(1.0), 0, 0);
+    EXPECT_TRUE(buf.complete(macsPerPe));
     buf.flush();
     EXPECT_TRUE(buf.complete(0));
     EXPECT_FALSE(buf.complete(1));
+    EXPECT_DEATH(buf.putState(MacId(macsPerPe), Fixed{}, 0, 0),
+                 "out of range");
 }
 
 TEST(TemporalBuffer, DuplicateOperandPanics)
 {
-    TemporalBuffer buf(4);
+    TemporalBuffer buf;
     buf.putState(1, Fixed::fromDouble(1.0), 0, 0);
     EXPECT_DEATH(buf.putState(1, Fixed::fromDouble(1.0), 0, 0),
                  "duplicate state");
@@ -84,7 +88,7 @@ TEST(TemporalBuffer, DuplicateOperandPanics)
 TEST(OpCache, SubBankSelectionByOpIdMod16)
 {
     StatGroup root(nullptr, "t");
-    OpCache cache({16, 64}, &root);
+    OpCache cache(&root);
     EXPECT_EQ(cache.subBankOf(0), 0u);
     EXPECT_EQ(cache.subBankOf(17), 1u);
     EXPECT_EQ(cache.subBankOf(255), 15u);
@@ -93,7 +97,7 @@ TEST(OpCache, SubBankSelectionByOpIdMod16)
 TEST(OpCache, InsertExtractRoundTrip)
 {
     StatGroup root(nullptr, "t");
-    OpCache cache({16, 64}, &root);
+    OpCache cache(&root);
     Packet p = operand(PacketKind::State, 3, 5, 2, 1.5);
     cache.insert(2, p);
     EXPECT_EQ(cache.totalEntries(), 1u);
@@ -112,13 +116,19 @@ TEST(OpCache, InsertExtractRoundTrip)
 TEST(OpCache, OverflowCountedBeyondSubBankCapacity)
 {
     StatGroup root(nullptr, "t");
-    OpCache cache({16, 4}, &root);
-    for (int i = 0; i < 4; ++i) {
-        cache.insert(0,
-                     operand(PacketKind::State, MacId(i), 16, 0, 1.0));
+    OpCache cache(&root);
+    // Fill sub-bank 0 to its 64 entries: four operations of 16 MACs
+    // each, whose OP-IDs (16, 48, 80, 112) all map to sub-bank 0.
+    static_assert(OpCache::entriesPerSubBank == 64);
+    for (OpId op : {16u, 48u, 80u, 112u}) {
+        for (unsigned mac = 0; mac < macsPerPe; ++mac) {
+            cache.insert(0, operand(PacketKind::State, MacId(mac), op,
+                                    0, 1.0));
+        }
     }
+    EXPECT_EQ(cache.subBankOccupancy(0), 64u);
     EXPECT_EQ(cache.overflows(), 0u);
-    // op 16 and op 32 share sub-bank 0: the fifth entry spills.
+    // op 32 shares sub-bank 0 too: the 65th entry spills.
     cache.insert(0, operand(PacketKind::State, 5, 32, 0, 1.0));
     EXPECT_EQ(cache.overflows(), 1u);
     // A different sub-bank still has room.
@@ -133,7 +143,7 @@ TEST(OpCache, OverflowCountedBeyondSubBankCapacity)
 TEST(OpCache, ExtractReportsScanCost)
 {
     StatGroup root(nullptr, "t");
-    OpCache cache({16, 64}, &root);
+    OpCache cache(&root);
     for (unsigned i = 0; i < 10; ++i) {
         cache.insert(0, operand(PacketKind::State, MacId(i % 16),
                                 16 * (i % 3), 0, 1.0));
@@ -149,7 +159,7 @@ TEST(OpCache, InterleavedFarApartKeysKeepArrivalOrder)
     // OP-IDs 1..40 and group 1 OP-IDs 200..240. Every key receives
     // three operands; MAC-ID r marks the r-th to arrive.
     StatGroup root(nullptr, "t");
-    OpCache cache({16, 64}, &root);
+    OpCache cache(&root);
     using Key = std::pair<uint32_t, OpId>;
     std::vector<Key> low, high;
     for (OpId op = 1; op <= 40; ++op)
@@ -208,8 +218,7 @@ class PeTest : public ::testing::Test
         NocFabric::Config fc;
         fc.numNodes = 16;
         fabric_ = std::make_unique<NocFabric>(fc, &root_);
-        PeParams params;
-        pe_ = std::make_unique<Pe>(0, params, &root_);
+        pe_ = std::make_unique<Pe>(0, &root_);
     }
 
     void

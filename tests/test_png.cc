@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the PNG: counters, LUT, address generator, and
- * response matching in the PNG itself.
+ * Unit tests for the PNG: LUT, address generator, and response
+ * matching in the PNG itself.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "dram/memory_channel.hh"
 #include "noc/fabric.hh"
 #include "png/address_generator.hh"
-#include "png/counters.hh"
 #include "png/lut.hh"
 #include "png/png.hh"
 
@@ -24,59 +23,6 @@ namespace neurocube
 {
 namespace
 {
-
-TEST(NestedCounters, VisitsEveryTriple)
-{
-    NestedCounters fsm;
-    fsm.configure({40, 3, 16});
-    std::set<std::tuple<uint64_t, uint32_t, uint32_t>> seen;
-    while (!fsm.done()) {
-        seen.insert({fsm.neuron(), fsm.connection(), fsm.mac()});
-        EXPECT_LT(fsm.currentNeuronIndex(), 40u);
-        fsm.advance();
-    }
-    // 40 neurons: groups of 16, last group has 8 active MACs.
-    // Total (neuron-group, conn, mac) visits = (16+16+8) * 3.
-    EXPECT_EQ(seen.size(), size_t(40 * 3));
-}
-
-TEST(NestedCounters, MacInnermostConnectionMiddle)
-{
-    NestedCounters fsm;
-    fsm.configure({16, 2, 16});
-    EXPECT_EQ(fsm.mac(), 0u);
-    fsm.advance();
-    EXPECT_EQ(fsm.mac(), 1u);
-    EXPECT_EQ(fsm.connection(), 0u);
-    for (int i = 0; i < 15; ++i)
-        fsm.advance();
-    EXPECT_EQ(fsm.mac(), 0u);
-    EXPECT_EQ(fsm.connection(), 1u);
-}
-
-TEST(NestedCounters, NeuronCounterStepsByMacCount)
-{
-    // The paper's example: the neuron counter increments by 16 since
-    // 16 neuron states are computed simultaneously.
-    NestedCounters fsm;
-    fsm.configure({32, 1, 16});
-    for (int i = 0; i < 16; ++i)
-        fsm.advance();
-    EXPECT_EQ(fsm.neuron(), 16u);
-}
-
-TEST(NestedCounters, SceneLabelingLayer1Example)
-{
-    // 73,476 neurons, 49 connections, 16 MACs (Section IV-C).
-    NestedCounters fsm;
-    fsm.configure({73476, 49, 16});
-    uint64_t steps = 0;
-    while (!fsm.done()) {
-        fsm.advance();
-        ++steps;
-    }
-    EXPECT_EQ(steps, 73476ull * 49ull);
-}
 
 TEST(Lut, IdentityIsExact)
 {
@@ -115,27 +61,31 @@ TEST(Lut, TanhSaturatesToUnit)
                 1.0 / 256.0);
 }
 
-/** Build a simple one-vault conv program over a small image. */
+/**
+ * Build a simple one-vault conv program with a k x k kernel and a
+ * 6x6 output. The default 3x3 kernel fits one connection block of
+ * 16; a 5x5 kernel spans a full block and a partial one (16 + 9).
+ */
 PngProgram
-smallConvProgram()
+smallConvProgram(int k = 3)
 {
     PngProgram prog;
     prog.enabled = true;
     prog.outWalk = {0, 0, 6, 6};
     prog.strideX = prog.strideY = 1;
-    for (int dy = 0; dy < 3; ++dy) {
-        for (int dx = 0; dx < 3; ++dx) {
-            prog.conns.push_back({Conn::Source::Input, 0,
-                                  int16_t(dx), int16_t(dy)});
+    for (int dy = 0; dy < k; ++dy) {
+        for (int dx = 0; dx < k; ++dx) {
+            prog.conns.push_back({0, int16_t(dx), int16_t(dy)});
         }
     }
-    prog.input.region = {100, 64};
-    prog.input.stored = {0, 0, 8, 8};
+    const int in = 5 + k;
+    prog.input.region = {100, uint64_t(in * in)};
+    prog.input.stored = {0, 0, in, in};
     prog.input.planes = 1;
     prog.output.region = {200, 36};
     prog.output.stored = {0, 0, 6, 6};
     prog.output.planes = 1;
-    prog.weights = {300, 9};
+    prog.weights = {300, uint64_t(k * k)};
     prog.outTiles = TileMap::grid({0, 0, 6, 6}, 1, 1);
     prog.homeTiles = prog.outTiles;
     prog.outMapWidth = 6;
@@ -145,32 +95,36 @@ smallConvProgram()
 
 TEST(AddressGenerator, GeneratesAllPairsOnce)
 {
-    AddressGenerator gen;
-    gen.configure(smallConvProgram(), 16);
-    std::map<std::tuple<uint32_t, uint32_t, uint32_t>, int> seen;
-    GeneratedOp op;
-    uint64_t states = 0, weights = 0;
-    while (gen.next(op)) {
-        if (op.kind == PacketKind::State)
-            ++states;
-        else
-            ++weights;
-        seen[{op.group, op.opId, op.mac}] += 1;
+    for (int k : {3, 5}) {
+        uint64_t pairs = 36u * uint64_t(k * k);
+        AddressGenerator gen;
+        gen.configure(smallConvProgram(k));
+        std::map<std::tuple<uint32_t, uint32_t, uint32_t>, int> seen;
+        GeneratedOp op;
+        uint64_t states = 0, weights = 0;
+        while (gen.next(op)) {
+            if (op.kind == PacketKind::State)
+                ++states;
+            else
+                ++weights;
+            seen[{op.group, op.opId, op.mac}] += 1;
+        }
+        EXPECT_EQ(states, pairs) << "kernel " << k;
+        EXPECT_EQ(weights, pairs) << "kernel " << k;
+        EXPECT_EQ(gen.totalPairs(), pairs) << "kernel " << k;
+        EXPECT_EQ(seen.size(), pairs) << "kernel " << k;
+        // Each (group, op, mac) must appear exactly twice: one state,
+        // one weight.
+        for (const auto &[key, count] : seen)
+            EXPECT_EQ(count, 2) << "group/op/mac duplicated or missing";
     }
-    EXPECT_EQ(states, 36u * 9u);
-    EXPECT_EQ(weights, 36u * 9u);
-    EXPECT_EQ(gen.totalPairs(), 36u * 9u);
-    // Each (group, op, mac) must appear exactly twice: one state,
-    // one weight.
-    for (const auto &[key, count] : seen)
-        EXPECT_EQ(count, 2) << "group/op/mac duplicated or missing";
 }
 
 TEST(AddressGenerator, ConvAddressesFollowEq45)
 {
     AddressGenerator gen;
     PngProgram prog = smallConvProgram();
-    gen.configure(prog, 16);
+    gen.configure(prog);
     GeneratedOp op;
     while (gen.next(op)) {
         if (op.kind != PacketKind::State)
@@ -188,7 +142,7 @@ TEST(AddressGenerator, ConvAddressesFollowEq45)
 TEST(AddressGenerator, SharedWeightsIndexedByConnection)
 {
     AddressGenerator gen;
-    gen.configure(smallConvProgram(), 16);
+    gen.configure(smallConvProgram());
     GeneratedOp op;
     while (gen.next(op)) {
         if (op.kind == PacketKind::Weight) {
@@ -202,9 +156,9 @@ TEST(AddressGenerator, StatesBeforeWeightsPerConnection)
     // For every (group, connection), all state operands are emitted
     // before any weight operand — the burst-aligned DRAM pattern
     // (states of a whole connection block stream first, then the
-    // block's weights).
+    // block's weights), in the full block and in the partial one.
     AddressGenerator gen;
-    gen.configure(smallConvProgram(), 16);
+    gen.configure(smallConvProgram(5));
     GeneratedOp op;
     std::map<std::pair<uint32_t, uint32_t>, int> last_state;
     std::map<std::pair<uint32_t, uint32_t>, int> first_weight;
@@ -228,15 +182,33 @@ TEST(AddressGenerator, StatesBeforeWeightsPerConnection)
 
 TEST(AddressGenerator, ConnectionBlockingLengthensStreamRuns)
 {
-    // With a connection block of 4, at least 4 * 16 state operands
-    // stream back-to-back before the first weight.
+    // The 5x5 kernel's 25 connections form a full block of 16 and a
+    // partial one of 9. The first group's 16 MACs stream each block's
+    // state operands back-to-back, then that block's weights.
+    static_assert(AddressGenerator::connBlockSize == 16);
     AddressGenerator gen;
-    gen.configure(smallConvProgram(), 16, 4);
+    gen.configure(smallConvProgram(5));
     GeneratedOp op;
-    unsigned run = 0;
-    while (gen.next(op) && op.kind == PacketKind::State)
-        ++run;
-    EXPECT_GE(run, 4u * 16u);
+    std::vector<std::pair<PacketKind, unsigned>> runs;
+    while (runs.size() < 5 && gen.next(op)) {
+        if (runs.empty() || runs.back().first != op.kind)
+            runs.push_back({op.kind, 0});
+        ++runs.back().second;
+    }
+    ASSERT_EQ(runs.size(), 5u);
+    const unsigned full = AddressGenerator::connBlockSize * macsPerPe;
+    EXPECT_EQ(runs[0].first, PacketKind::State);
+    EXPECT_EQ(runs[0].second, full);
+    EXPECT_EQ(runs[1].first, PacketKind::Weight);
+    EXPECT_EQ(runs[1].second, full);
+    EXPECT_EQ(runs[2].first, PacketKind::State);
+    EXPECT_EQ(runs[2].second, 9u * macsPerPe);
+    EXPECT_EQ(runs[3].first, PacketKind::Weight);
+    EXPECT_EQ(runs[3].second, 9u * macsPerPe);
+    // The second group starts again at the first block.
+    EXPECT_EQ(runs[4].first, PacketKind::State);
+    EXPECT_EQ(op.opId, 0u);
+    EXPECT_EQ(op.group, 1u);
 }
 
 TEST(AddressGenerator, OrderedPerDestinationGroup)
@@ -244,9 +216,10 @@ TEST(AddressGenerator, OrderedPerDestinationGroup)
     // The PE's OP-counter sequencing needs: per destination, groups
     // non-decreasing; and within a (dst, group), each operand KIND's
     // op ids non-decreasing (states of a connection block stream
-    // before the block's weights, so kinds interleave).
+    // before the block's weights, so kinds interleave across the
+    // 5x5 kernel's two blocks).
     AddressGenerator gen;
-    gen.configure(smallConvProgram(), 16);
+    gen.configure(smallConvProgram(5));
     GeneratedOp op;
     std::map<uint32_t, uint32_t> last_group; // dst -> group
     std::map<std::tuple<uint32_t, uint32_t, int>, uint32_t> last_op;
@@ -283,7 +256,7 @@ TEST(AddressGenerator, InputFilteringSplitsWorkExactly)
         // Both walk the full output (reachable region = everything
         // for this small image).
         AddressGenerator gen;
-        gen.configure(prog, 16);
+        gen.configure(prog);
         GeneratedOp op;
         while (gen.next(op)) {
             if (op.kind == PacketKind::State)
@@ -302,7 +275,7 @@ TEST(AddressGenerator, StrideZeroFullyConnected)
     prog.outWalk = {0, 0, 4, 1};
     prog.strideX = prog.strideY = 0;
     for (int i = 0; i < 10; ++i)
-        prog.conns.push_back({Conn::Source::Input, 0, int16_t(i), 0});
+        prog.conns.push_back({0, int16_t(i), 0});
     prog.input.region = {0, 10};
     prog.input.stored = {0, 0, 10, 1};
     prog.input.planes = 1;
@@ -316,7 +289,7 @@ TEST(AddressGenerator, StrideZeroFullyConnected)
     prog.outMapWidth = 4;
 
     AddressGenerator gen;
-    gen.configure(prog, 16);
+    gen.configure(prog);
     GeneratedOp op;
     while (gen.next(op)) {
         if (op.kind == PacketKind::State) {
@@ -334,7 +307,7 @@ TEST(AddressGenerator, StreamWeightsOffHalvesTraffic)
     PngProgram prog = smallConvProgram();
     prog.streamWeights = false;
     AddressGenerator gen;
-    gen.configure(prog, 16);
+    gen.configure(prog);
     GeneratedOp op;
     uint64_t total = 0;
     while (gen.next(op)) {
@@ -343,32 +316,6 @@ TEST(AddressGenerator, StreamWeightsOffHalvesTraffic)
     }
     EXPECT_EQ(total, 36u * 9u);
     EXPECT_EQ(gen.totalPairs(), 36u * 9u);
-}
-
-TEST(AddressGenerator, PartialConnectionReadsOutputPlane)
-{
-    PngProgram prog = smallConvProgram();
-    prog.conns.push_back({Conn::Source::Partial, 0, 0, 0});
-    prog.onesAddr = 999;
-    AddressGenerator gen;
-    gen.configure(prog, 16);
-    GeneratedOp op;
-    bool saw_partial_state = false, saw_partial_weight = false;
-    while (gen.next(op)) {
-        if (op.opId != 9)
-            continue;
-        if (op.kind == PacketKind::State) {
-            uint32_t x = op.neuron % 6, y = op.neuron / 6;
-            EXPECT_EQ(op.addr, 200 + y * 6 + x);
-            saw_partial_state = true;
-        } else {
-            EXPECT_EQ(op.addr, 999u);
-            EXPECT_TRUE(op.isConstantOne);
-            saw_partial_weight = true;
-        }
-    }
-    EXPECT_TRUE(saw_partial_state);
-    EXPECT_TRUE(saw_partial_weight);
 }
 
 TEST(AddressGenerator, RoutingFieldsFollowRelocatedOwners)
@@ -385,7 +332,7 @@ TEST(AddressGenerator, RoutingFieldsFollowRelocatedOwners)
     prog.outPlanes = 2;
     prog.outPlaneSize = 36;
     AddressGenerator gen;
-    gen.configure(prog, 16);
+    gen.configure(prog);
     GeneratedOp op;
     std::set<uint32_t> neurons;
     uint64_t ops = 0;
@@ -422,7 +369,7 @@ class PngTest : public ::testing::Test
         : root_(nullptr, "t"),
           channel_(DramParams::hmcInternal(), &root_, "ch"),
           fabric_(NocFabric::Config{}, &root_),
-          png_(0, PngParams{}, channel_, fabric_, &root_)
+          png_(0, channel_, fabric_, &root_)
     {
         for (Addr a = 0; a < 512; ++a)
             channel_.store().write(a, Fixed::fromRaw(int16_t(a)));

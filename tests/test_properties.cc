@@ -224,7 +224,6 @@ struct MachineCase
     NocTopology topology;
     bool ddr3;
     bool weightsInPeMemory;
-    bool splitFullConv;
     bool broadcast;
 };
 
@@ -268,7 +267,6 @@ TEST_P(MachineProperty, WorkloadSurvivesConfiguration)
     if (c.ddr3)
         config.dram = DramParams::ddr3();
     config.mapping.weightsInPeMemory = c.weightsInPeMemory;
-    config.splitFullConvPasses = c.splitFullConv;
     config.dram.broadcastDuplicateReads = c.broadcast;
 
     Neurocube cube(config);
@@ -277,16 +275,8 @@ TEST_P(MachineProperty, WorkloadSurvivesConfiguration)
     RunResult run = cube.runForward();
 
     auto expect = referenceForward(net, data, input);
-    if (!c.splitFullConv) {
-        EXPECT_TRUE(tensorsBitEqual(cube.layerOutput(0), expect[0]))
-            << c.name;
-    } else {
-        Tensor split_expect = referenceLayerSplitPasses(
-            net.layers[0], data.weights[0], input);
-        EXPECT_TRUE(
-            tensorsBitEqual(cube.layerOutput(0), split_expect))
-            << c.name;
-    }
+    EXPECT_TRUE(tensorsBitEqual(cube.layerOutput(0), expect[0]))
+        << c.name;
     EXPECT_GT(run.totalOps(), 0u);
     EXPECT_TRUE(cube.fabric().idle());
 }
@@ -294,19 +284,14 @@ TEST_P(MachineProperty, WorkloadSurvivesConfiguration)
 INSTANTIATE_TEST_SUITE_P(
     Configs, MachineProperty,
     ::testing::Values(
-        MachineCase{"mesh", NocTopology::Mesh2D, false, false, false,
-                    false},
+        MachineCase{"mesh", NocTopology::Mesh2D, false, false, false},
         MachineCase{"fully_connected_noc",
-                    NocTopology::FullyConnected, false, false, false,
-                    false},
-        MachineCase{"ddr3", NocTopology::Mesh2D, true, false, false,
-                    false},
+                    NocTopology::FullyConnected, false, false, false},
+        MachineCase{"ddr3", NocTopology::Mesh2D, true, false, false},
         MachineCase{"weight_memory", NocTopology::Mesh2D, false, true,
-                    false, false},
-        MachineCase{"split_full_conv", NocTopology::Mesh2D, false,
-                    false, true, false},
+                    false},
         MachineCase{"broadcast_reads", NocTopology::Mesh2D, false,
-                    false, false, true}),
+                    false, true}),
     [](const ::testing::TestParamInfo<MachineCase> &info) {
         return std::string(info.param.name);
     });
