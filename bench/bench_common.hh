@@ -44,9 +44,11 @@ quickMode()
 
 /**
  * Simulation-engine override from NEUROCUBE_ENGINE=legacy|event|
- * threaded. Lets scripts/bench.sh time the same workload on both
- * cycle loops (EXPERIMENTS.md speedup table); cycle counts and
- * energy are engine-invariant, so the JSON gates are unaffected.
+ * threaded; unset, the machine's default (threaded) runs. Lets the
+ * same workload be timed on every engine (EXPERIMENTS.md speedup
+ * tables). Cycle counts and energy are engine-invariant; the run
+ * manifest records the engine's name, so a run on a non-default
+ * engine differs from the committed baselines in that field only.
  */
 inline SimEngine
 engineFromEnv(SimEngine fallback)
@@ -85,9 +87,10 @@ traceSampleFromEnv()
  * Trace-export override from NEUROCUBE_TRACE_EXPORT=<dir>: give the
  * run a full tracing session writing <dir>/<label>.trace.json and
  * <dir>/<label>.timeseries.csv, sampled per NEUROCUBE_TRACE_SAMPLE.
- * The wake-list engine stays active under the recorder (EngineSkip
- * aggregation); scripts/bench.sh --compare uses this to gate the
- * wall-clock overhead of sampled tracing.
+ * The default threaded engine stays active under the recorder (its
+ * buckets stage events for the recorder's merge);
+ * scripts/bench.sh --compare uses this to gate the wall-clock
+ * overhead of sampled tracing.
  */
 inline void
 applyTraceExportFromEnv(NeurocubeConfig &cfg, const std::string &label)

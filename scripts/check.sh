@@ -3,12 +3,14 @@
 #   default  - RelWithDebInfo with trace instrumentation compiled in
 #   asan     - address + undefined-behaviour sanitizers
 #   notrace  - NC_TRACE compiled out (the zero-overhead configuration)
-#   tsan     - thread sanitizer over the ThreadedLanes engine
-#              workers, which write their lanes' slots of one shared
-#              counter array (runs test_trace, test_metrics,
-#              test_engine_threads, test_batch, test_manifest,
-#              test_serving and the quick engine fuzz; see
-#              CMakePresets)
+#   tsan     - thread sanitizer over the ThreadedLanes engine, whose
+#              bucket threads write their own slots of one shared
+#              counter array and, under a live recorder, stage events
+#              for the recorder's merge (runs test_trace,
+#              test_metrics, test_engine_threads (unbatched fan-out
+#              and traced byte-identity cases included), test_batch,
+#              test_manifest, test_serving and the quick engine fuzz;
+#              see CMakePresets)
 #
 # The presets exclude the "long" ctest label (the 100-seed engine
 # fuzz); run `ctest` directly in a build dir for the full profile.

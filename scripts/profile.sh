@@ -10,7 +10,10 @@
 # the bench tree with -pg -O2 into build-prof/ on first use. Both
 # paths honor the bench environment knobs:
 #
-#   NEUROCUBE_ENGINE=legacy|event|threaded  engine override
+#   NEUROCUBE_ENGINE=legacy|event|threaded  engine override (the gprof
+#                                           path defaults it to event:
+#                                           gprof samples only the main
+#                                           thread)
 #   NEUROCUBE_QUICK=1                       reduced workloads
 #   NEUROCUBE_BENCH_DIR=<dir>               JSON output directory
 #
@@ -72,6 +75,9 @@ cmake --build "$prof_build" --target "$bench" -j"$(nproc)"
 
 bin="$prof_build/bench/$bench"
 echo "=== gprof $bench ==="
+# gprof samples the main thread only: profile the one-scheduler
+# engine unless the caller picked one.
+export NEUROCUBE_ENGINE="${NEUROCUBE_ENGINE:-event}"
 # gmon.out is written to the current directory at process exit.
 rundir="$(mktemp -d)"
 (cd "$rundir" && "$OLDPWD/$bin" "$@")

@@ -47,6 +47,15 @@ struct Rect
         return uint64_t(y - y0) * uint64_t(w) + uint64_t(x - x0);
     }
 
+    /** True when both rectangles are non-empty and share a pixel. */
+    bool
+    overlaps(const Rect &other) const
+    {
+        return count() > 0 && other.count() > 0 && x0 < other.x0 + other.w
+            && other.x0 < x0 + w && y0 < other.y0 + other.h
+            && other.y0 < y0 + h;
+    }
+
     /** Grow by margin on every side, clipped to @p bounds. */
     Rect
     expandedWithin(int32_t margin, const Rect &bounds) const

@@ -41,13 +41,21 @@ enum class SimEngine
      * Wake-list scheduler: components report their next interesting
      * cycle, quiescent components are skipped and their idle time
      * accounted in bulk (see DESIGN.md "Event-driven scheduler").
+     * One scheduler over the whole machine: the reference the
+     * threaded engine's results and traces are compared against.
      */
     Event,
     /**
-     * Event scheduler plus one worker thread per active batch lane
-     * (lanes are bit-exact isolated by construction, so per-lane
-     * schedulers advance concurrently with a barrier at pass end).
-     * Behaves exactly like Event outside runForwardBatch.
+     * Event schedulers on several threads, batched or not. Each pass
+     * is cut into the node groups its compiled traffic never
+     * connects (with data duplication, every vault alone; batch
+     * lanes never join), packed into at most min(groups, CPUs the
+     * process may run on) buckets, and each bucket's
+     * scheduler runs on its own thread until the pass ends. A pass
+     * whose traffic connects every node (DDR3 channels feeding all
+     * PEs) runs one scheduler, as Event does. With a live event
+     * recorder each bucket stages its events, and the recorder
+     * merges them into the stream Event records (DESIGN.md 6b).
      */
     ThreadedLanes,
 };
@@ -60,11 +68,10 @@ struct NeurocubeConfig
      * the event loop stamps executed ticks and aggregates skipped
      * windows into EngineSkip events, producing the same cycle,
      * stall, and energy accounting as a traced legacy run (fuzzed in
-     * tests/test_engine_diff.cc). ThreadedLanes demotes to Event
-     * while a trace-event recorder (a session with sinks) is live —
-     * the recorder ring is single-producer.
+     * tests/test_engine_diff.cc). ThreadedLanes' exports are
+     * byte-identical to Event's (tests/test_engine_threads.cc).
      */
-    SimEngine engine = SimEngine::Event;
+    SimEngine engine = SimEngine::ThreadedLanes;
 
     /** Memory technology (channel count lives here). */
     DramParams dram = DramParams::hmcInternal();

@@ -62,6 +62,7 @@ PassScheduler::step(Tick t)
     // Phase 1: PNGs (ascending channel index, as the legacy loop).
     for (size_t i = 0; i < nc; ++i) {
         if (pngWake_[i] <= t) {
+            NC_TRACE_SLOT(s_.probe, TraceSlot::Png, s_.channelIds[i]);
             if (pngAcct_[i] < t) {
                 skipped_ += t - pngAcct_[i];
                 s_.pngs[i]->skipTicks(pngAcct_[i], t);
@@ -78,6 +79,7 @@ PassScheduler::step(Tick t)
     // down to t, so the tick below sees legacy-identical state.
     for (size_t i = 0; i < nc; ++i) {
         if (chWake_[i] <= t) {
+            NC_TRACE_SLOT(s_.probe, TraceSlot::Channel, s_.channelIds[i]);
             if (chAcct_[i] < t) {
                 skipped_ += t - chAcct_[i];
                 s_.channels[i]->skipTicks(chAcct_[i], t);
@@ -94,9 +96,10 @@ PassScheduler::step(Tick t)
     // the whole slice slept through as skipped component-ticks.
     if (fabricWake_ <= t) {
         if (fabricAcct_ < t)
-            skipped_ += t - fabricAcct_;
+            fabricSkipped_ += t - fabricAcct_;
         s_.fabric->tick(t, s_.view, tickAll_);
         fabricAcct_ = t + 1;
+        fabricTicked_ = true;
         fabricWake_ = tickAll_ || !s_.fabric->routersIdle(s_.view)
                           ? t + 1
                           : tickNever;
@@ -107,6 +110,7 @@ PassScheduler::step(Tick t)
     const size_t np = s_.pes.size();
     for (size_t i = 0; i < np; ++i) {
         if (peWake_[i] <= t) {
+            NC_TRACE_SLOT(s_.probe, TraceSlot::Pe, s_.peIds[i]);
             if (peAcct_[i] < t) {
                 skipped_ += t - peAcct_[i];
                 s_.pes[i]->skipTicks(peAcct_[i], t);
@@ -151,7 +155,7 @@ PassScheduler::catchupAll(Tick final)
         }
     }
     if (fabricAcct_ < final) {
-        skipped_ += final - fabricAcct_;
+        fabricSkipped_ += final - fabricAcct_;
         fabricAcct_ = final;
     }
     s_.fabric->catchUp(final, s_.view);
@@ -226,9 +230,11 @@ PassScheduler::onInject(unsigned node, bool from_mem)
     // to the same tick before the push.
     const Tick when = from_mem ? cur_ : cur_ + 1;
     if (fabricAcct_ < when) {
-        skipped_ += when - fabricAcct_;
+        fabricSkipped_ += when - fabricAcct_;
         fabricAcct_ = when;
     }
+    if (!from_mem)
+        peInjected_ = true;
     if (fabricWake_ > when)
         fabricWake_ = when;
 }

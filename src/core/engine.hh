@@ -28,10 +28,11 @@
  *    fabric, PEs; ascending index within a phase).
  *
  * One PassScheduler drives either the whole machine (Legacy, Event)
- * or one batch lane's slice of it (ThreadedLanes, one scheduler per
- * worker thread over a NocFabric::LaneView). tests/test_engine_diff.cc
- * fuzzes both against tick-all mode, which never skips and so stays
- * the differential oracle.
+ * or one bucket of it: a set of node groups that the pass's traffic
+ * never connects to the rest (ThreadedLanes, one scheduler per thread
+ * over a NocFabric::LaneView). tests/test_engine_diff.cc fuzzes both
+ * against tick-all mode, which never skips and so stays the
+ * differential oracle.
  */
 
 #ifndef NEUROCUBE_CORE_ENGINE_HH
@@ -73,6 +74,22 @@ class PassScheduler final : public WakeSink
         /** Mesh size / global channel count (map dimensions). */
         unsigned numNodes = 0;
         unsigned numChannels = 0;
+        /** The machine's instrumentation (slot marks, NC_TRACE_SLOT). */
+        Probe probe;
+    };
+
+    /**
+     * What the last step() did that a pass split over several
+     * schedulers needs to rebuild the one-scheduler Sim track
+     * (Neurocube::runPass): the component-ticks replayed in bulk,
+     * the fabric's left out, whether the fabric ticked, and whether
+     * a PE injected a packet.
+     */
+    struct StepReport
+    {
+        uint64_t componentSkips = 0;
+        bool fabricTicked = false;
+        bool peInjected = false;
     };
 
     /**
@@ -126,9 +143,24 @@ class PassScheduler final : public WakeSink
     uint64_t
     takeSkippedTicks()
     {
-        const uint64_t skipped = skipped_;
+        const uint64_t fabric = fabricSkipped_;
+        return takeStepReport().componentSkips + fabric;
+    }
+
+    /**
+     * The report of everything since the last take (a step, or a
+     * catchupAll), then reset; the fabric's replayed ticks are
+     * dropped.
+     */
+    StepReport
+    takeStepReport()
+    {
+        const StepReport report{skipped_, fabricTicked_, peInjected_};
         skipped_ = 0;
-        return skipped;
+        fabricSkipped_ = 0;
+        fabricTicked_ = false;
+        peInjected_ = false;
+        return report;
     }
 
   private:
@@ -156,8 +188,12 @@ class PassScheduler final : public WakeSink
     /** Tick currently being executed (valid inside step()). */
     Tick cur_ = 0;
 
-    /** Component-ticks skipped since takeSkippedTicks(). */
+    /** Component-ticks skipped since the last take, fabric apart. */
     uint64_t skipped_ = 0;
+    uint64_t fabricSkipped_ = 0;
+    /** StepReport flags since the last take. */
+    bool fabricTicked_ = false;
+    bool peInjected_ = false;
 };
 
 } // namespace neurocube

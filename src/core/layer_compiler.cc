@@ -1,6 +1,7 @@
 #include "core/layer_compiler.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.hh"
 
@@ -512,6 +513,63 @@ LayerCompiler::buildPlan(const LayerDesc &layer,
     // per plane by the PE (pooling shares one kernel across planes).
     plan.peWeightMemory = !stream_weights;
     return plan_owned;
+}
+
+const std::vector<unsigned> &
+LayerPlan::nodeGroups(const NocFabric &fabric) const
+{
+    std::call_once(groupsOnce_,
+                   [&] { groups_ = trafficGroups(*this, fabric); });
+    return groups_;
+}
+
+std::vector<unsigned>
+trafficGroups(const LayerPlan &plan, const NocFabric &fabric)
+{
+    std::vector<unsigned> root(fabric.config().numNodes);
+    std::iota(root.begin(), root.end(), 0u);
+    auto find = [&](unsigned node) {
+        while (root[node] != node)
+            node = root[node] = root[root[node]];
+        return node;
+    };
+    // Union by the lower root, so every group's root is its lowest
+    // node.
+    auto join_route = [&](unsigned src, unsigned dst, bool to_mem) {
+        for (unsigned node : fabric.routeRouters(src, dst, to_mem)) {
+            const unsigned a = find(src), b = find(node);
+            root[std::max(a, b)] = std::min(a, b);
+        }
+    };
+    auto relocated = [](const std::vector<uint16_t> &nodes, unsigned i) {
+        return nodes.empty() ? i : unsigned(nodes[i]);
+    };
+    for (unsigned ch = 0; ch < plan.programs.size(); ++ch) {
+        const PngProgram &prog = plan.programs[ch];
+        if (!prog.enabled)
+            continue;
+        const unsigned png = relocated(prog.homeNode, ch);
+        for (unsigned t = 0; t < prog.outTiles.numNodes(); ++t) {
+            if (prog.outWalk.overlaps(prog.outTiles.tile(t)))
+                join_route(png, relocated(prog.peNode, t), false);
+        }
+    }
+    if (!plan.programs.empty()) {
+        // Every program shares the destination and home partitions.
+        const PngProgram &prog = plan.programs.front();
+        for (unsigned t = 0; t < prog.outTiles.numNodes(); ++t) {
+            const Rect tile = prog.outTiles.tile(t);
+            for (unsigned h = 0; h < prog.homeTiles.numNodes(); ++h) {
+                if (tile.overlaps(prog.homeTiles.tile(h))) {
+                    join_route(relocated(prog.peNode, t),
+                               relocated(prog.homeNode, h), true);
+                }
+            }
+        }
+    }
+    for (unsigned node = 0; node < root.size(); ++node)
+        root[node] = find(node);
+    return root;
 }
 
 CompiledLayer

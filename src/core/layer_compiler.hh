@@ -44,6 +44,7 @@
 #include "nn/layer.hh"
 #include "nn/mapping.hh"
 #include "nn/tensor.hh"
+#include "noc/fabric.hh"
 #include "pe/pe.hh"
 #include "png/program.hh"
 
@@ -95,7 +96,36 @@ struct LayerPlan
      * output plane. False when weights stream as packets.
      */
     bool peWeightMemory = false;
+
+    /**
+     * Mesh node -> lowest node of its traffic group
+     * (trafficGroups(*this, fabric)), computed on the first call and
+     * cached with the plan.
+     */
+    const std::vector<unsigned> &nodeGroups(const NocFabric &fabric) const;
+
+  private:
+    mutable std::once_flag groupsOnce_;
+    mutable std::vector<unsigned> groups_;
 };
+
+/**
+ * The node groups a plan's traffic never connects, by union-find over
+ * the mesh nodes:
+ *  - each enabled program joins its PNG's node with the PE node of
+ *    every outTiles tile its walk overlaps (operands);
+ *  - each non-empty PE tile joins its node with the home node of
+ *    every homeTiles tile it overlaps (write-backs);
+ *  - each such pair joins every router on its route
+ *    (NocFabric::routeRouters).
+ * A memory channel goes with its PNG's node. Two groups exchange no
+ * packet and touch no common router, so schedulers can step them on
+ * separate threads.
+ *
+ * @return mesh node -> lowest node of its group
+ */
+std::vector<unsigned> trafficGroups(const LayerPlan &plan,
+                                    const NocFabric &fabric);
 
 /**
  * A fully compiled layer: a shared structural plan plus this run's

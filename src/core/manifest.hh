@@ -55,8 +55,8 @@ struct RunManifest
     std::string name;
     /** Build identity (buildGitDescribe()). */
     std::string gitDescribe;
-    /** Engine that executed the run (the *active* engine, after any
-     *  tracing demotion — simEngineName(cube.activeEngine())). */
+    /** Engine that executed the run
+     *  (simEngineName(cube.activeEngine())). */
     std::string engine;
     /** configFingerprint as 16 hex digits. */
     std::string configHash;

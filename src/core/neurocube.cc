@@ -1,8 +1,13 @@
 #include "core/neurocube.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <numeric>
+#include <optional>
 #include <thread>
+
+#include <sched.h>
 
 #include "common/logging.hh"
 #include "core/analytic_model.hh"
@@ -51,6 +56,128 @@ struct LaneCounts
     uint64_t lateral = 0;
     uint64_t local = 0;
 };
+
+/** StepReport flags in the arg of a bucket's EngineSkip mark. */
+constexpr uint32_t markFabricTicked = 1;
+constexpr uint32_t markPeInjected = 2;
+
+/**
+ * The Sim track of a pass split over several schedulers, rebuilt from
+ * their per-tick marks as one scheduler over the whole machine
+ * records it. At every executed tick, EngineSkip carries the
+ * schedulers' replayed component-ticks plus the machine fabric's: the
+ * machine fabric ticks exactly when some scheduler's fabric does, and
+ * a PE injection on a tick it did not tick credits it up to the next
+ * tick (PassScheduler::onInject). LaneDone fires when a lane's last
+ * part is done, in lane order.
+ */
+class MachineSimTrack final : public TraceMarkSink
+{
+  public:
+    /**
+     * @param parts_left per lane, the parts that report LaneDone
+     *        (0: the lane records none)
+     */
+    MachineSimTrack(TraceRecorder &recorder, Tick start,
+                    std::vector<unsigned> parts_left)
+        : recorder_(recorder), start_(start), fabricAcct_(start),
+          partsLeft_(std::move(parts_left))
+    {
+    }
+
+    void
+    tickMarked(Tick t, const TraceEvent *marks, size_t count) override
+    {
+        uint64_t skipped = 0;
+        bool fabric = false;
+        bool pe_injected = false;
+        finished_.clear();
+        for (size_t i = 0; i < count; ++i) {
+            const TraceEvent &m = marks[i];
+            if (m.type == TraceEventType::LaneDone) {
+                if (--partsLeft_[m.instance] == 0)
+                    finished_.push_back(m.instance);
+                continue;
+            }
+            skipped += m.value;
+            fabric = fabric || (m.arg & markFabricTicked);
+            pe_injected = pe_injected || (m.arg & markPeInjected);
+        }
+        if (fabric || pe_injected) {
+            const Tick to = fabric ? t : t + 1;
+            if (fabricAcct_ < to)
+                skipped += to - fabricAcct_;
+            fabricAcct_ = t + 1;
+        }
+        if (skipped > 0)
+            record(t, TraceEventType::EngineSkip, 0, skipped);
+        std::sort(finished_.begin(), finished_.end());
+        for (unsigned lane : finished_)
+            record(t, TraceEventType::LaneDone, lane, t + 1 - start_);
+    }
+
+    /** The machine fabric's ticks replayed by the end-of-pass catch-up. */
+    uint64_t
+    catchUp(Tick final)
+    {
+        const uint64_t skipped =
+            fabricAcct_ < final ? final - fabricAcct_ : 0;
+        fabricAcct_ = std::max(fabricAcct_, final);
+        return skipped;
+    }
+
+  private:
+    void
+    record(Tick t, TraceEventType type, unsigned instance, uint64_t value)
+    {
+        if (!recorder_.accepts(TraceComponent::Sim))
+            return;
+        TraceEvent event;
+        event.tick = t;
+        event.component = TraceComponent::Sim;
+        event.type = type;
+        event.instance = uint16_t(instance);
+        event.value = value;
+        recorder_.push(event);
+    }
+
+    TraceRecorder &recorder_;
+    const Tick start_;
+    Tick fabricAcct_;
+    std::vector<unsigned> partsLeft_;
+    /** Lanes whose last part finished at the tick being rebuilt. */
+    std::vector<unsigned> finished_;
+};
+
+/**
+ * CPUs this process may run on. std::thread::hardware_concurrency()
+ * goes through glibc's get_nprocs, which measured 0.3 MB more peak
+ * RSS per process; the affinity mask is one system call and honours
+ * a cpuset too.
+ */
+unsigned
+usableCpus()
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) != 0)
+        return std::max(1u, std::thread::hardware_concurrency());
+    return unsigned(std::max(1, CPU_COUNT(&set)));
+}
+
+/** Position of mesh node @p node along a Z-order curve over the grid. */
+uint64_t
+zOrder(unsigned node, unsigned width)
+{
+    const unsigned x = node % width;
+    const unsigned y = node / width;
+    uint64_t code = 0;
+    for (unsigned bit = 0; bit < 16; ++bit) {
+        code |= uint64_t((x >> bit) & 1) << (2 * bit);
+        code |= uint64_t((y >> bit) & 1) << (2 * bit + 1);
+    }
+    return code;
+}
 
 } // namespace
 
@@ -142,19 +269,6 @@ Neurocube::setInput(const Tensor &input)
     input_ = input;
 }
 
-SimEngine
-Neurocube::activeEngine() const
-{
-    // The recorder ring is single-threaded; lane workers would race
-    // on it. The single-threaded event loop emits the same stream
-    // (skipped ticks are exactly the ticks no component records at),
-    // so tracing costs the thread fan-out only.
-    if (probe_.recorder != nullptr
-        && config_.engine == SimEngine::ThreadedLanes)
-        return SimEngine::Event;
-    return config_.engine;
-}
-
 std::vector<PhaseSegment>
 Neurocube::tracePhases()
 {
@@ -188,6 +302,7 @@ Neurocube::slice(const Lane &lane, const NocFabric::LaneView *view)
     s.view = view;
     s.numNodes = config_.numPes;
     s.numChannels = unsigned(channels_.size());
+    s.probe = probe_;
     s.channelIds = lane.channels;
     for (unsigned ch : lane.channels) {
         s.channels.push_back(channels_[ch].get());
@@ -200,17 +315,195 @@ Neurocube::slice(const Lane &lane, const NocFabric::LaneView *view)
     return s;
 }
 
-const std::vector<NocFabric::LaneView> &
-Neurocube::laneViews()
+std::vector<Neurocube::Bucket>
+Neurocube::passBuckets(const std::vector<Lane> &lanes,
+                       const std::vector<CompiledLayer> &compiled) const
 {
-    if (laneViews_.empty() && !lanePartition_.empty()) {
-        std::vector<std::vector<unsigned>> partition;
-        partition.reserve(lanePartition_.size());
-        for (const LaneSpec &lane : lanePartition_)
-            partition.push_back(lane.nodes);
-        laneViews_ = fabric_->buildLaneViews(partition);
+    const unsigned active = unsigned(compiled.size());
+    const unsigned n = config_.numPes;
+    auto whole_machine = [&] {
+        std::vector<Bucket> one(1);
+        one[0].slice = machineLane();
+        for (unsigned l = 0; l < active; ++l)
+            one[0].parts.push_back({l, lanes[l]});
+        return one;
+    };
+    if (config_.engine != SimEngine::ThreadedLanes)
+        return whole_machine();
+
+    // The groups: each active lane's traffic groups, and each node of
+    // a parked lane alone. A group's weight is its PNGs' pair budget.
+    struct Group
+    {
+        unsigned lane = 0;
+        uint64_t weight = 0;
+        unsigned bucket = 0;
+    };
+    std::vector<Group> groups;
+    std::vector<unsigned> group_of(n);
+    std::vector<unsigned> group_of_root(n, ~0u);
+    for (unsigned l = 0; l < lanes.size(); ++l) {
+        const std::vector<unsigned> *roots =
+            l < active ? &compiled[l].plan->nodeGroups(*fabric_)
+                       : nullptr;
+        for (unsigned node : lanes[l].nodes) {
+            unsigned &g = group_of_root[roots ? (*roots)[node] : node];
+            if (g == ~0u) {
+                g = unsigned(groups.size());
+                groups.push_back({l});
+            }
+            group_of[node] = g;
+        }
     }
-    return laneViews_;
+    unsigned weighted = 0;
+    for (const auto &png : pngs_) {
+        Group &g = groups[group_of[png->id()]];
+        weighted += g.weight == 0 && png->pairBudget() > 0;
+        g.weight += png->pairBudget();
+    }
+    const unsigned threads = std::min(weighted, usableCpus());
+    if (threads <= 1)
+        return whole_machine();
+
+    // Each node's home bucket follows a Z-order curve over the mesh,
+    // so a node stays on the same thread from pass to pass while the
+    // grouping allows (the quadrants of a 4x4 mesh on 4 threads,
+    // batched into 1, 2 or 4 lanes alike).
+    unsigned width = 1;
+    while (width * width < n)
+        ++width;
+    auto ranked = [&](std::vector<unsigned> nodes) {
+        std::sort(nodes.begin(), nodes.end(),
+                  [&](unsigned a, unsigned b) {
+                      return zOrder(a, width) < zOrder(b, width);
+                  });
+        return nodes;
+    };
+    auto home = [&](const std::vector<unsigned> &order, unsigned first,
+                    unsigned count) {
+        for (size_t r = 0; r < order.size(); ++r) {
+            groups[group_of[order[r]]].bucket =
+                first + unsigned(r * count / order.size());
+        }
+    };
+    // Homes over the whole mesh first; lanes with work override it.
+    std::vector<unsigned> all(n);
+    std::iota(all.begin(), all.end(), 0u);
+    home(ranked(all), 0, threads);
+
+    std::vector<uint64_t> lane_weight(lanes.size(), 0);
+    std::vector<unsigned> lane_groups(lanes.size(), 0);
+    for (const Group &g : groups) {
+        lane_weight[g.lane] += g.weight;
+        lane_groups[g.lane] += g.weight > 0;
+    }
+    std::vector<unsigned> busy;
+    for (unsigned l = 0; l < lanes.size(); ++l) {
+        if (lane_weight[l] > 0)
+            busy.push_back(l);
+    }
+    std::vector<uint64_t> load(threads, 0);
+    if (threads < busy.size()) {
+        // Fewer threads than busy lanes: whole lanes share buckets,
+        // the heaviest lane first onto the lightest bucket.
+        std::stable_sort(busy.begin(), busy.end(),
+                         [&](unsigned a, unsigned b) {
+                             return lane_weight[a] > lane_weight[b];
+                         });
+        std::vector<unsigned> bucket_of_lane(lanes.size());
+        for (unsigned l : busy) {
+            const unsigned b = unsigned(
+                std::min_element(load.begin(), load.end()) - load.begin());
+            bucket_of_lane[l] = b;
+            load[b] += lane_weight[l];
+        }
+        for (Group &g : groups) {
+            if (lane_weight[g.lane] > 0)
+                g.bucket = bucket_of_lane[g.lane];
+        }
+    } else {
+        // Each busy lane gets threads in proportion to its weight (at
+        // most one per weighted group) and a range of buckets, so no
+        // bucket spans two lanes.
+        std::vector<unsigned> share(lanes.size(), 0);
+        for (unsigned l : busy)
+            share[l] = 1;
+        for (size_t left = threads - busy.size(); left > 0; --left) {
+            unsigned pick = ~0u;
+            for (unsigned l : busy) {
+                if (share[l] < lane_groups[l]
+                    && (pick == ~0u
+                        || lane_weight[l] * share[pick]
+                               > lane_weight[pick] * share[l]))
+                    pick = l;
+            }
+            if (pick == ~0u)
+                break;
+            ++share[pick];
+        }
+        unsigned first = 0;
+        for (unsigned l : busy) {
+            home(ranked(lanes[l].nodes), first, share[l]);
+            for (const Group &g : groups) {
+                if (g.lane == l)
+                    load[g.bucket] += g.weight;
+            }
+            // Balance the lane's buckets by weight: move a group from
+            // the heaviest bucket it can leave to the lightest one,
+            // while that lowers the pair's larger load.
+            for (;;) {
+                const auto lo = std::min_element(
+                    load.begin() + first, load.begin() + first + share[l]);
+                Group *move = nullptr;
+                for (Group &g : groups) {
+                    if (g.lane != l || g.weight == 0
+                        || load[g.bucket] <= *lo + g.weight)
+                        continue;
+                    if (move == nullptr
+                        || load[g.bucket] > load[move->bucket]
+                        || (load[g.bucket] == load[move->bucket]
+                            && g.weight > move->weight))
+                        move = &g;
+                }
+                if (move == nullptr)
+                    break;
+                load[move->bucket] -= move->weight;
+                move->bucket = unsigned(lo - load.begin());
+                *lo += move->weight;
+            }
+            first += share[l];
+        }
+    }
+
+    std::vector<Bucket> buckets(threads);
+    for (unsigned node = 0; node < n; ++node)
+        buckets[groups[group_of[node]].bucket].slice.nodes.push_back(node);
+    for (unsigned ch = 0; ch < pngs_.size(); ++ch) {
+        const unsigned node = unsigned(pngs_[ch]->id());
+        buckets[groups[group_of[node]].bucket].slice.channels.push_back(ch);
+    }
+    for (Bucket &bucket : buckets) {
+        for (unsigned l = 0; l < active; ++l) {
+            Bucket::Part part{l, {lanes[l].spec, {}, {}}};
+            for (unsigned node : bucket.slice.nodes) {
+                if (std::binary_search(lanes[l].nodes.begin(),
+                                       lanes[l].nodes.end(), node))
+                    part.members.nodes.push_back(node);
+            }
+            for (unsigned ch : bucket.slice.channels) {
+                if (std::binary_search(lanes[l].channels.begin(),
+                                       lanes[l].channels.end(), ch))
+                    part.members.channels.push_back(ch);
+            }
+            if (!part.members.nodes.empty()
+                || !part.members.channels.empty())
+                bucket.parts.push_back(std::move(part));
+        }
+    }
+    std::erase_if(buckets, [](const Bucket &b) {
+        return b.slice.nodes.empty() && b.slice.channels.empty();
+    });
+    return buckets;
 }
 
 bool
@@ -262,49 +555,147 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
     const Tick start = now_;
     const Tick deadline = start + 10000 + 400 * pairs;
 
-    // The pass loop: step one scheduler until lanes [first, last)
-    // are done, stamping each lane's end tick into done[].
-    std::vector<Tick> done(active, 0);
-    auto drive = [&](PassScheduler &sched, unsigned first,
-                     unsigned last) {
-        unsigned remaining = last - first;
-        for (Tick t = start;;) {
+    // Legacy and Event step one scheduler over the whole machine.
+    // ThreadedLanes cuts the pass into buckets that no packet and no
+    // router connects, each with its own scheduler over its fabric
+    // slice on its own thread. Buckets touch disjoint per-node state;
+    // shared fabric aggregates detour through per-node scratch, and
+    // the lane checker counts any packet that leaves its bucket.
+    std::vector<Bucket> buckets = passBuckets(lanes, compiled);
+    const bool fan_out = buckets.size() > 1;
+    // A live recorder stages each bucket's events for the merge, and
+    // the machine's Sim track is rebuilt from the buckets' marks.
+    TraceRecorder *recorder = fan_out ? probe_.recorder : nullptr;
+    std::optional<MachineSimTrack> sim;
+    std::vector<uint16_t> lane_map;
+    if (fan_out) {
+        std::vector<std::vector<unsigned>> partition;
+        for (const Bucket &bucket : buckets)
+            partition.push_back(bucket.slice.nodes);
+        if (partition != bucketNodes_) {
+            bucketViews_ = fabric_->buildLaneViews(partition);
+            bucketNodes_ = std::move(partition);
+        }
+        fabric_->setLaneStatsMode(true);
+        lane_map = fabric_->laneMap();
+        std::vector<uint16_t> cells(config_.numPes);
+        for (unsigned l = 0; l < lanes.size(); ++l) {
+            for (unsigned node : lanes[l].nodes)
+                cells[node] = uint16_t(l);
+        }
+        for (unsigned b = 0; b < buckets.size(); ++b) {
+            for (unsigned node : buckets[b].slice.nodes)
+                cells[node] = uint16_t(cells[node] + b * lanes.size());
+        }
+        fabric_->setLaneMap(std::move(cells));
+    }
+    if (recorder != nullptr) {
+        std::vector<unsigned> parts_left(lanes.size(), 0);
+        for (const Bucket &bucket : buckets) {
+            for (const Bucket::Part &part : bucket.parts)
+                parts_left[part.lane] += lanes[part.lane].spec != nullptr;
+        }
+        sim.emplace(*recorder, start, std::move(parts_left));
+        recorder->beginFanOut(unsigned(buckets.size()), start, &*sim);
+    }
+    std::vector<std::unique_ptr<PassScheduler>> scheds;
+    for (unsigned b = 0; b < buckets.size(); ++b) {
+        scheds.push_back(std::make_unique<PassScheduler>(
+            slice(buckets[b].slice, fan_out ? &bucketViews_[b] : nullptr),
+            start, config_.engine == SimEngine::Legacy));
+    }
+
+    // Under a recorder, per bucket: the tick it is executing, and,
+    // once its parts are all done, the tick after their last action.
+    std::vector<std::atomic<Tick>> reached(buckets.size());
+    std::vector<std::atomic<Tick>> ended(buckets.size());
+    // Whether one scheduler over the whole machine would still execute
+    // tick @p t: it stops after the last part finishes, so it does
+    // when some other bucket is at t or later, or ended after t.
+    auto pass_reaches = [&](unsigned self, Tick t) {
+        for (;;) {
+            bool all_ended = true;
+            for (unsigned b = 0; b < buckets.size(); ++b) {
+                if (b == self)
+                    continue;
+                const Tick e = ended[b].load(std::memory_order_acquire);
+                if (e > t
+                    || (e == 0
+                        && reached[b].load(std::memory_order_acquire) >= t))
+                    return true;
+                all_ended = all_ended && e != 0;
+            }
+            if (all_ended)
+                return false;
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+        }
+    };
+
+    // The pass loop: step one bucket's scheduler until each of its
+    // parts is done, stamping the tick after the part's last action.
+    auto drive = [&](unsigned b) {
+        PassScheduler &sched = *scheds[b];
+        if (recorder != nullptr)
+            recorder->stageThread(b);
+        auto step = [&](Tick t) {
             // Stamp executed ticks only: a skipped tick is one no
             // component would have recorded an event at (the sleep
             // conditions guarantee it), so the stream matches the
             // tick-all mode's every-tick stamping bit for bit.
             NC_TRACE_TICK(probe_, t);
+            if (recorder != nullptr)
+                reached[b].store(t, std::memory_order_release);
             sched.step(t);
-            if (uint64_t skipped = sched.takeSkippedTicks())
+            if (recorder != nullptr) {
+                const PassScheduler::StepReport r = sched.takeStepReport();
+                const uint32_t flags =
+                    (r.fabricTicked ? markFabricTicked : 0)
+                    | (r.peInjected ? markPeInjected : 0);
+                if (r.componentSkips > 0 || flags != 0) {
+                    recorder->mark(TraceEventType::EngineSkip, 0, flags,
+                                   r.componentSkips);
+                }
+            } else if (uint64_t skipped = sched.takeSkippedTicks()) {
                 NC_TRACE(probe_, TraceComponent::Sim, 0,
                          TraceEventType::EngineSkip, 0, skipped);
+            }
+        };
+        size_t remaining = buckets[b].parts.size();
+        Tick stamp = start;
+        for (Tick t = start;;) {
+            step(t);
             // Done-ness only changes through actions at executed
-            // ticks, so checking after each one finds every lane's
+            // ticks, so checking after each one finds every part's
             // end exactly.
-            const Tick stamp = t + 1;
-            for (unsigned l = first; l < last; ++l) {
-                if (done[l] == 0 && laneDone(lanes[l])) {
-                    done[l] = stamp;
-                    --remaining;
-                    if (lanes[l].spec != nullptr)
-                        NC_TRACE(probe_, TraceComponent::Sim, l,
-                                 TraceEventType::LaneDone, 0,
-                                 stamp - start);
+            stamp = t + 1;
+            for (Bucket::Part &part : buckets[b].parts) {
+                if (part.done != 0 || !laneDone(part.members))
+                    continue;
+                part.done = stamp;
+                --remaining;
+                if (lanes[part.lane].spec == nullptr)
+                    continue;
+                if (recorder != nullptr) {
+                    recorder->mark(TraceEventType::LaneDone,
+                                   uint16_t(part.lane), 0, 0);
+                } else {
+                    NC_TRACE(probe_, TraceComponent::Sim, part.lane,
+                             TraceEventType::LaneDone, 0, stamp - start);
                 }
             }
             if (stamp >= deadline) {
-                nc_panic("pass deadlock: %u lanes pending after %llu "
-                         "ticks (%llu operand pairs)", remaining,
+                nc_panic("pass deadlock: %zu lane parts pending after "
+                         "%llu ticks (%llu operand pairs)", remaining,
                          (unsigned long long)(stamp - start),
                          (unsigned long long)pairs);
             }
             if (remaining == 0)
-                return;
+                break;
             Tick next = sched.minWake();
             if (next == tickNever || next >= deadline) {
                 // Tick-all mode would no-op-tick its way to the
                 // deadline and panic there; report it now.
-                nc_panic("pass deadlock: %u lanes pending, all "
+                nc_panic("pass deadlock: %zu lane parts pending, all "
                          "components asleep at tick %llu (%llu "
                          "operand pairs)", remaining,
                          (unsigned long long)(stamp - start),
@@ -312,51 +703,60 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
             }
             t = next;
         }
-    };
-
-    // Legacy and Event run one scheduler over the whole machine.
-    // ThreadedLanes gives each lane of a batch its own scheduler over
-    // its fabric slice and worker thread. Parked lanes get one too:
-    // they never step, but the catch-up below accounts their idle
-    // components in bulk. The lanes touch disjoint per-node state
-    // (the lane checker asserts no packet crosses lanes); shared
-    // fabric aggregates detour through per-node scratch meanwhile.
-    const SimEngine engine = activeEngine();
-    const bool fan_out = engine == SimEngine::ThreadedLanes
-                      && lanes.front().spec != nullptr;
-    std::vector<std::unique_ptr<PassScheduler>> scheds;
-    if (fan_out) {
-        fabric_->setLaneStatsMode(true);
-        for (unsigned l = 0; l < lanes.size(); ++l) {
-            scheds.push_back(std::make_unique<PassScheduler>(
-                slice(lanes[l], &laneViews()[l]), start));
+        if (recorder == nullptr)
+            return;
+        // A finished part can still hold a pending wake (a PNG woken
+        // by its vault's last serve). One scheduler executes it while
+        // other parts run past it, and the Sim track shows that, so
+        // execute the wakes the pass reaches. Without a recorder the
+        // no-op ticks change nothing observable.
+        ended[b].store(stamp, std::memory_order_release);
+        for (Tick t; (t = sched.minWake()) != tickNever;) {
+            NC_TRACE_TICK(probe_, t); // holds the merge at t meanwhile
+            if (!pass_reaches(b, t))
+                break;
+            step(t);
         }
-        std::vector<std::thread> workers;
-        for (unsigned l = 1; l < active; ++l)
-            workers.emplace_back([&, l] { drive(*scheds[l], l, l + 1); });
-        drive(*scheds[0], 0, 1);
-        for (std::thread &w : workers)
-            w.join();
-    } else {
-        scheds.push_back(std::make_unique<PassScheduler>(
-            slice(machineLane(), nullptr), start,
-            engine == SimEngine::Legacy));
-        drive(*scheds[0], 0, active);
-    }
+        recorder->finishStage();
+    };
+    // The calling thread runs the first bucket, threads spawned for
+    // the pass the others.
+    std::vector<std::thread> workers;
+    for (unsigned b = 1; b < buckets.size(); ++b)
+        workers.emplace_back(drive, b);
+    drive(0);
+    for (std::thread &w : workers)
+        w.join();
+    if (recorder != nullptr)
+        recorder->endFanOut();
 
-    // Every component stays accounted until the pass's global end,
-    // when the slowest lane is done.
+    // A lane is done when its last part is. Every component stays
+    // accounted until the pass's global end, when the slowest lane
+    // is done; the catch-up is one EngineSkip event.
+    std::vector<Tick> done(active, 0);
+    for (const Bucket &bucket : buckets) {
+        for (const Bucket::Part &part : bucket.parts)
+            done[part.lane] = std::max(done[part.lane], part.done);
+    }
     const Tick final = *std::max_element(done.begin(), done.end());
     NC_TRACE_TICK(probe_, final);
+    uint64_t skipped = 0;
     for (auto &sched : scheds) {
         sched->catchupAll(final);
-        if (uint64_t skipped = sched->takeSkippedTicks())
-            NC_TRACE(probe_, TraceComponent::Sim, 0,
-                     TraceEventType::EngineSkip, 0, skipped);
+        skipped += recorder != nullptr
+                       ? sched->takeStepReport().componentSkips
+                       : sched->takeSkippedTicks();
+    }
+    if (recorder != nullptr)
+        skipped += sim->catchUp(final);
+    if (skipped > 0) {
+        NC_TRACE(probe_, TraceComponent::Sim, 0,
+                 TraceEventType::EngineSkip, 0, skipped);
     }
     if (fan_out) {
         fabric_->foldLaneStats();
         fabric_->setLaneStatsMode(false);
+        fabric_->setLaneMap(std::move(lane_map));
     }
     now_ = final;
     statPasses_ += 1;
@@ -552,7 +952,6 @@ Neurocube::setBatchLanes(unsigned lanes)
     // count). The fabric lane map is per-run — runForwardBatch arms
     // it on entry and clears it on exit.
     lanePartition_.clear();
-    laneViews_.clear();
     batchActivations_.clear();
     // The old partition's lane-keyed plans are unreachable now.
     compiler_.invalidatePlanCache();

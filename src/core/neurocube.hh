@@ -178,12 +178,11 @@ class Neurocube
     }
 
     /**
-     * The engine the next pass will run on. Usually config().engine;
-     * while this machine's event recorder is live, ThreadedLanes
-     * demotes to Event (the recorder ring is single-threaded, lane
-     * workers would race on it).
+     * The engine the next pass will run on: config().engine, with or
+     * without a live event recorder (a fanned-out pass stages its
+     * events per thread and merges them, see TraceRecorder).
      */
-    SimEngine activeEngine() const;
+    SimEngine activeEngine() const { return config_.engine; }
 
   private:
     /**
@@ -202,8 +201,39 @@ class Neurocube
         std::vector<unsigned> channels;
     };
 
+    /**
+     * One scheduler's share of a pass: the nodes and channels it
+     * steps, and for each active lane among them that lane's share
+     * (a part), whose done tick the scheduler finds.
+     */
+    struct Bucket
+    {
+        struct Part
+        {
+            /** Index into the pass's lanes (an active lane). */
+            unsigned lane = 0;
+            /** The lane's nodes and channels in this bucket. */
+            Lane members;
+            /** Tick after the part's last action (0: not yet). */
+            Tick done = 0;
+        };
+        Lane slice;
+        std::vector<Part> parts;
+    };
+
     /** The single lane of an unbatched run. */
     Lane machineLane() const;
+    /**
+     * Cut a configured pass into buckets. Legacy and Event run one
+     * bucket over the whole machine. ThreadedLanes cuts each active
+     * lane into the node groups its compiled traffic never connects
+     * (LayerPlan::nodeGroups) and packs them into at most
+     * min(groups, CPUs the process may use) buckets, one per thread,
+     * each within one lane while there are threads enough.
+     */
+    std::vector<Bucket>
+    passBuckets(const std::vector<Lane> &lanes,
+                const std::vector<CompiledLayer> &compiled) const;
     /**
      * Run every pass of one layer on @p lanes and read the layer's
      * statistics off, one LayerResult per compiled lane. compiled[l]
@@ -224,8 +254,6 @@ class Neurocube
     /** Scheduler slice over one lane (@p view nullptr: full fabric). */
     PassScheduler::Slice slice(const Lane &lane,
                                const NocFabric::LaneView *view);
-    /** Lane fabric views for lanePartition_ (built lazily, cached). */
-    const std::vector<NocFabric::LaneView> &laneViews();
     /**
      * True when one lane's PNGs and PEs are done, its channels idle
      * and its nodes quiescent.
@@ -261,8 +289,9 @@ class Neurocube
 
     /** Vault groups for batched execution (batch.lanes entries). */
     std::vector<LaneSpec> lanePartition_;
-    /** Cached fabric slices of lanePartition_ (see laneViews()). */
-    std::vector<NocFabric::LaneView> laneViews_;
+    /** The last fanned-out pass's bucket nodes and fabric views. */
+    std::vector<std::vector<unsigned>> bucketNodes_;
+    std::vector<NocFabric::LaneView> bucketViews_;
     /** Per lane, per layer: gathered outputs of the last batch run. */
     std::vector<std::vector<Tensor>> batchActivations_;
 

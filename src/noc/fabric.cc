@@ -15,10 +15,7 @@ NocFabric::NocFabric(const Config &config, StatGroup *parent,
     : config_(config), probe_(probe),
       pePort_(config.numNodes),
       memPort_(config.numNodes),
-      peDelivery_(config.numNodes, Ring<Packet>(config.deliveryDepth)),
-      memDelivery_(config.numNodes, Ring<Packet>(config.deliveryDepth)),
-      nodeLateral_(config.numNodes, 0),
-      nodeLocal_(config.numNodes, 0),
+      nodes_(config.numNodes),
       nodeSink_(config.numNodes, nullptr),
       statGroup_(parent, "noc"),
       statEjected_(&statGroup_, "ejected", "packets ejected at endpoints"),
@@ -56,7 +53,12 @@ NocFabric::NocFabric(const Config &config, StatGroup *parent,
     all_.nodes.resize(config_.numNodes);
     std::iota(all_.nodes.begin(), all_.nodes.end(), 0u);
     all_.linkMask.assign((links_.size() + 63) / 64, ~uint64_t(0));
-    accounted_.assign(config_.numNodes, 0);
+    all_.occupiedLinks.resize(all_.linkMask.size());
+    all_.ejecting.reserve(config_.numNodes);
+    for (NodeState &node : nodes_) {
+        node.peDelivery = Ring<Packet>(config_.deliveryDepth);
+        node.memDelivery = Ring<Packet>(config_.deliveryDepth);
+    }
 
     // The session sized the registry's node, vault and PE counters;
     // the fabric contributes the link list. One-time, not a hot path.
@@ -210,7 +212,7 @@ NocFabric::accountInjection(unsigned node, const Packet &packet)
     // detour, and the aggregate accessors sum them on demand. The
     // registry counts the same packet for the spatial export.
     const bool local = packet.dst == node;
-    ++(local ? nodeLocal_ : nodeLateral_)[node];
+    ++(local ? nodes_[node].local : nodes_[node].lateral);
     NC_COUNT(probe_,
              local ? SpatialCounter::NodeLocal : SpatialCounter::NodeLateral,
              node, 1);
@@ -353,21 +355,21 @@ NocFabric::ejectNode(unsigned node, Tick now)
         if (ejected && nodeSink_[node] != nullptr)
             nodeSink_[node]->onEject(node, is_mem);
     };
-    eject(pePort_[node], peDelivery_[node], false);
-    eject(memPort_[node], memDelivery_[node], true);
+    eject(pePort_[node], nodes_[node].peDelivery, false);
+    eject(memPort_[node], nodes_[node].memDelivery, true);
 }
 
 void
 NocFabric::tick(Tick now, const LaneView *view, bool tick_all)
 {
     const LaneView &v = viewOrAll(view);
-    // Per-thread scratch (ThreadedLanes ticks views concurrently):
-    // the links whose source FIFO holds a packet, and the nodes with
-    // a packet for an endpoint. Only phase 1 enqueues into output
-    // FIFOs, so both are complete once it is over.
-    thread_local std::vector<uint64_t> occupied_links;
-    thread_local std::vector<unsigned> ejecting;
-    occupied_links.assign(v.linkMask.size(), 0);
+    // The view's scratch: the links whose source FIFO holds a packet,
+    // and the nodes with a packet for an endpoint. Only phase 1
+    // enqueues into output FIFOs, so both are complete once it is
+    // over.
+    std::vector<uint64_t> &occupied_links = v.occupiedLinks;
+    std::vector<unsigned> &ejecting = v.ejecting;
+    std::fill(occupied_links.begin(), occupied_links.end(), 0);
     ejecting.clear();
 
     // Phase 1: switch allocation in every router that holds a packet.
@@ -375,9 +377,10 @@ NocFabric::tick(Tick now, const LaneView *view, bool tick_all)
         Router &router = *routers_[node];
         if (!tick_all && router.idle())
             continue;
+        NC_TRACE_SLOT(probe_, TraceSlot::Switch, node);
         catchUpRouter(node, now);
         router.tick();
-        accounted_[node] = now + 1;
+        nodes_[node].accounted = now + 1;
         const uint64_t outputs = router.occupiedOutputs();
         for (uint64_t m = outputs & linkPorts_[node]; m != 0;
              m &= m - 1) {
@@ -399,13 +402,16 @@ NocFabric::tick(Tick now, const LaneView *view, bool tick_all)
         for (uint64_t m = occupied_links[w] & v.linkMask[w]; m != 0;
              m &= m - 1) {
             const size_t index = w * 64 + std::countr_zero(m);
+            NC_TRACE_SLOT(probe_, TraceSlot::Link, index);
             traverseLink(links_[index], index, now);
         }
     }
 
     // Phase 3: ejection into endpoint delivery queues.
-    for (unsigned node : ejecting)
+    for (unsigned node : ejecting) {
+        NC_TRACE_SLOT(probe_, TraceSlot::Eject, node);
         ejectNode(node, now);
+    }
 }
 
 bool
@@ -422,7 +428,7 @@ void
 NocFabric::restartAccounting(Tick start, const LaneView *view)
 {
     for (unsigned node : viewOrAll(view).nodes)
-        accounted_[node] = start;
+        nodes_[node].accounted = start;
 }
 
 void
@@ -430,6 +436,24 @@ NocFabric::catchUp(Tick final, const LaneView *view)
 {
     for (unsigned node : viewOrAll(view).nodes)
         catchUpRouter(node, final);
+}
+
+std::vector<unsigned>
+NocFabric::routeRouters(unsigned src, unsigned dst, bool to_mem) const
+{
+    const unsigned index =
+        routeIndex(uint16_t(dst), to_mem, config_.numNodes);
+    std::vector<unsigned> path{src};
+    for (unsigned node = src;;) {
+        const size_t link =
+            linkAt_[node * numPorts_ + routers_[node]->route(index)];
+        if (link == SIZE_MAX)
+            return path; // an endpoint port: the packet ejects here
+        node = links_[link].dstRouter;
+        path.push_back(node);
+        nc_assert(path.size() <= config_.numNodes,
+                  "route from %u to %u loops", src, dst);
+    }
 }
 
 std::vector<NocFabric::LaneView>
@@ -440,6 +464,8 @@ NocFabric::buildLaneViews(
     std::vector<size_t> lane_of(config_.numNodes, SIZE_MAX);
     for (size_t l = 0; l < partition.size(); ++l) {
         views[l].linkMask.assign((links_.size() + 63) / 64, 0);
+        views[l].occupiedLinks.resize(views[l].linkMask.size());
+        views[l].ejecting.reserve(partition[l].size());
         views[l].nodes = partition[l];
         std::sort(views[l].nodes.begin(), views[l].nodes.end());
         for (unsigned node : views[l].nodes) {
@@ -489,21 +515,15 @@ NocFabric::foldLaneStats()
 bool
 NocFabric::nodeQuiescent(unsigned node) const
 {
-    return routers_[node]->idle() && peDelivery_[node].empty()
-        && memDelivery_[node].empty();
+    return routers_[node]->idle() && nodes_[node].peDelivery.empty()
+        && nodes_[node].memDelivery.empty();
 }
 
 bool
 NocFabric::idle() const
 {
-    if (!routersIdle())
-        return false;
-    for (const auto &q : peDelivery_) {
-        if (!q.empty())
-            return false;
-    }
-    for (const auto &q : memDelivery_) {
-        if (!q.empty())
+    for (unsigned node = 0; node < config_.numNodes; ++node) {
+        if (!nodeQuiescent(node))
             return false;
     }
     return true;

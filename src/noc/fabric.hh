@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cache_line.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "common/wake.hh"
@@ -78,12 +79,21 @@ class NocFabric
     void injectFromPe(PeId p, const Packet &packet, Tick now);
 
     /** Packets delivered to PE p; the PE pops from the front. */
-    Ring<Packet> &peDelivery(PeId p) { return peDelivery_[p]; }
+    Ring<Packet> &peDelivery(PeId p) { return nodes_[p].peDelivery; }
     /** Packets delivered to the PNG/memory port at node v. */
     Ring<Packet> &memDelivery(VaultId v)
     {
-        return memDelivery_[v];
+        return nodes_[v].memDelivery;
     }
+
+    /**
+     * Every router a packet from node @p src to node @p dst's PE port
+     * (with @p to_mem, its memory port) passes through, both ends
+     * included, in route order. Walks the routers' own route tables,
+     * so it holds for every topology.
+     */
+    std::vector<unsigned> routeRouters(unsigned src, unsigned dst,
+                                       bool to_mem) const;
 
     /**
      * Structural slice of the fabric: a set of routers and the links
@@ -101,9 +111,21 @@ class NocFabric
         std::vector<unsigned> nodes;
         /** Bit i of word i / 64 set: links_[i] is in the view. */
         std::vector<uint64_t> linkMask;
+        /**
+         * tick()'s scratch, sized when the view is built: the links
+         * whose source FIFO holds a packet, and the nodes with a
+         * packet for an endpoint. One scheduler (one thread) ticks a
+         * view, and its tick() allocates nothing.
+         */
+        mutable std::vector<uint64_t> occupiedLinks;
+        mutable std::vector<unsigned> ejecting;
     };
 
-    /** Slice the fabric along a node partition (one view per lane). */
+    /**
+     * Slice the fabric along a node partition (one view per part: a
+     * batch lane, or a group of nodes that no pass traffic connects
+     * to the others).
+     */
     std::vector<LaneView>
     buildLaneViews(
         const std::vector<std::vector<unsigned>> &partition) const;
@@ -145,7 +167,7 @@ class NocFabric
      */
     void setWakeSink(WakeSink *sink);
 
-    /** Install the wake sink of one node (per-lane schedulers). */
+    /** Install the wake sink of one node (one scheduler per part). */
     void
     setNodeWakeSink(unsigned node, WakeSink *sink)
     {
@@ -156,11 +178,11 @@ class NocFabric
      * Route the fabric-level aggregate stats (ejection counts,
      * latency histogram, link flits, lane-violation count) through
      * per-node scratch counters instead of the shared Stat objects,
-     * so concurrent per-lane tick() calls never touch shared
-     * state. foldLaneStats() merges the scratch back (the fold is
-     * exact: all quantities are integer-valued). Per-node stats
-     * (router objects, nodeLateral_/nodeLocal_, registry counters)
-     * are already disjoint and stay direct.
+     * so views ticked concurrently on several threads never touch
+     * shared state. foldLaneStats() merges the scratch back (the
+     * fold is exact: all quantities are integer-valued). Per-node
+     * state (router objects, NodeState, registry counters) is
+     * already disjoint and stays direct.
      */
     void setLaneStatsMode(bool enabled);
 
@@ -186,6 +208,9 @@ class NocFabric
      */
     void setLaneMap(std::vector<uint16_t> lane_of);
 
+    /** The installed node -> lane assignment (empty: none). */
+    const std::vector<uint16_t> &laneMap() const { return laneOf_; }
+
     /** Packets that violated the lane map (0 when lanes isolate). */
     uint64_t crossLanePackets() const { return crossLanePackets_; }
 
@@ -201,8 +226,8 @@ class NocFabric
     lateralPackets() const
     {
         uint64_t total = 0;
-        for (uint64_t n : nodeLateral_)
-            total += n;
+        for (const NodeState &n : nodes_)
+            total += n.lateral;
         return total;
     }
     /** Packets delivered to a same-node destination. */
@@ -210,8 +235,8 @@ class NocFabric
     localPackets() const
     {
         uint64_t total = 0;
-        for (uint64_t n : nodeLocal_)
-            total += n;
+        for (const NodeState &n : nodes_)
+            total += n.local;
         return total;
     }
     /** Total packets ejected at endpoints. */
@@ -235,13 +260,13 @@ class NocFabric
     uint64_t
     nodeLateralPackets(unsigned node) const
     {
-        return nodeLateral_[node];
+        return nodes_[node].lateral;
     }
     /** Node-local packets injected at one node. */
     uint64_t
     nodeLocalPackets(unsigned node) const
     {
-        return nodeLocal_[node];
+        return nodes_[node].local;
     }
 
     /** Total packet transfers over router-to-router links. */
@@ -291,9 +316,10 @@ class NocFabric
     void
     catchUpRouter(unsigned node, Tick to)
     {
-        if (accounted_[node] < to) {
-            routers_[node]->skipTicks(to - accounted_[node]);
-            accounted_[node] = to;
+        Tick &accounted = nodes_[node].accounted;
+        if (accounted < to) {
+            routers_[node]->skipTicks(to - accounted);
+            accounted = to;
         }
     }
     /** Move packets across one link (phase 2 body of tick @p now).
@@ -303,11 +329,28 @@ class NocFabric
     /** Eject into one node's delivery queues (phase 3 body). */
     void ejectNode(unsigned node, Tick now);
 
+    /**
+     * The per-node state the node's own scheduler writes, on cache
+     * lines of its own: threads stepping neighbouring nodes never
+     * share a line.
+     */
+    struct alignas(cacheLineBytes) NodeState
+    {
+        Ring<Packet> peDelivery;
+        Ring<Packet> memDelivery;
+        /** First tick the node's router has not accounted (tick()). */
+        Tick accounted = 0;
+        /** Lateral/local packets injected here (kept apart from the
+         *  registry, which exists only while tracing). */
+        uint64_t lateral = 0;
+        uint64_t local = 0;
+    };
+
     /** Per-node stat accumulation while laneMode_ is set. The
-     *  lateral/local injection counts are not here: nodeLateral_/
-     *  nodeLocal_ are already per-node disjoint, so they are the
-     *  single accounting path in every mode. */
-    struct NodeScratch
+     *  lateral/local injection counts are not here: NodeState's are
+     *  already per-node disjoint, so they are the single accounting
+     *  path in every mode. */
+    struct alignas(cacheLineBytes) NodeScratch
     {
         uint64_t ejected = 0;
         uint64_t latencySum = 0;
@@ -329,26 +372,19 @@ class NocFabric
     std::vector<size_t> linkAt_;
     /** Per node: output ports that feed a link. */
     std::vector<uint64_t> linkPorts_;
-    /** Per router: first tick not yet accounted (see tick()). */
-    std::vector<Tick> accounted_;
     /** Per node: output port feeding the PE endpoint. */
     std::vector<unsigned> pePort_;
     /** Per node: output port feeding the memory endpoint. */
     std::vector<unsigned> memPort_;
-    std::vector<Ring<Packet>> peDelivery_;
-    std::vector<Ring<Packet>> memDelivery_;
-
-    /** Per node: lateral/local packets injected there (kept apart
-     *  from the registry, which exists only while tracing). */
-    std::vector<uint64_t> nodeLateral_;
-    std::vector<uint64_t> nodeLocal_;
+    /** Per node: delivery queues, router accounting, injections. */
+    std::vector<NodeState> nodes_;
     /** Node -> lane assignment (empty = no checking). */
     std::vector<uint16_t> laneOf_;
     uint64_t crossLanePackets_ = 0;
 
     /** Per-node scheduler wake sinks (null outside a pass). */
     std::vector<WakeSink *> nodeSink_;
-    /** Aggregate stats detour through scratch_ (threaded lanes). */
+    /** Aggregate stats detour through scratch_ (threaded views). */
     bool laneMode_ = false;
     std::vector<NodeScratch> scratch_;
 

@@ -87,6 +87,12 @@ class Router
     /** Install the output port for a destination index. */
     void setRoute(unsigned route_index, unsigned out_port);
 
+    /** The output port a destination index routes to. */
+    unsigned route(unsigned route_index) const
+    {
+        return routeTable_[route_index];
+    }
+
     /** Free slots in an input FIFO (credits held by the upstream). */
     unsigned
     inputSpace(unsigned port) const

@@ -44,6 +44,12 @@ Png::configure(const PngProgram &program)
 {
     nc_assert(busySlots_ == 0 && outQueue_.empty(),
               "reprogramming PNG %u with work in flight", unsigned(id_));
+    // A disabled PNG never absorbs write-backs, yet reports done: the
+    // pass would stall on them with no hint why.
+    nc_assert(program.enabled || program.expectedWriteBacks == 0,
+              "disabled program for vault %u expects %llu write-backs",
+              unsigned(id_),
+              (unsigned long long)program.expectedWriteBacks);
     program_ = program;
     generator_.configure(program);
     lut_ = &sharedLut(program.activation);

@@ -114,18 +114,20 @@ MetricsRegistry::layOut()
 {
     // Counters that share an instance space sit together, instance-
     // major: one component instance's stall classes, or one node's
-    // energy kinds, are adjacent slots.
+    // energy kinds, are adjacent slots. Each instance block is padded
+    // to whole cache lines, so two instances never share one.
     const unsigned nodes = topology_.numNodes;
     const unsigned pes = topology_.numPes;
     const unsigned vaults = topology_.numVaults;
+    constexpr unsigned line = cacheLineBytes / sizeof(uint64_t);
     uint32_t next = 0;
     auto group = [&](Counter first, unsigned counters,
                      InstanceSpace space, unsigned count) {
+        const unsigned stride = (counters + line - 1) / line * line;
         for (unsigned k = 0; k < counters; ++k) {
-            state_.layout[first.id() + k] = {next + k, counters, count,
-                                             space};
+            layout_[first.id() + k] = {next + k, stride, count, space};
         }
-        next += counters * count;
+        next += stride * count;
     };
     auto stalls = [&](TraceComponent c, InstanceSpace space,
                       unsigned count) {
@@ -146,7 +148,7 @@ MetricsRegistry::layOut()
     group(SpatialCounter::VaultByte, 2, InstanceSpace::Vault, vaults);
     group(SpatialCounter::PeMac, 1, InstanceSpace::Node, pes);
     group(SpatialCounter::NodeLateral, 2, InstanceSpace::Node, nodes);
-    state_.slots.assign(next, 0);
+    slots_.assign(next, 0);
 }
 
 MetricsSnapshot

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/cache_line.hh"
 #include "common/types.hh"
 #include "trace/energy.hh"
 #include "trace/events.hh"
@@ -162,7 +163,9 @@ enum class InstanceSpace : uint8_t
 
 /**
  * Where one counter lives in the registry's slot array: instance i
- * is slot base + i * stride, for i < count.
+ * is slot base + i * stride, for i < count. The counters of one
+ * instance share a block, and every block starts a cache line (see
+ * MetricsRegistry::add).
  */
 struct CounterSlots
 {
@@ -175,14 +178,17 @@ struct CounterSlots
 
 /**
  * A copy of every counter at one point in time, or a delta of two
- * such copies. Also the storage the live MetricsRegistry mutates. The
- * layout travels with the slots, so a snapshot reads back on its own.
+ * such copies. The layout travels with the slots, so a snapshot reads
+ * back on its own.
  */
 struct MetricsSnapshot
 {
     /** Per counter (Counter::id()), where its instances live. */
     std::array<CounterSlots, Counter::count> layout{};
-    /** Every counter instance, zero-initialised by the registry. */
+    /**
+     * Every counter instance, plus the padding that ends each
+     * instance block on a cache line in the live registry.
+     */
     std::vector<uint64_t> slots;
 
     /** Instances of one counter. */
@@ -226,6 +232,12 @@ struct MetricsSnapshot
  * NC_COUNT. Sized with configure() and configureLinks() before
  * counting; counts for instances outside a counter's range are
  * dropped (never undefined behaviour).
+ *
+ * Each instance's block of counters is padded to whole cache lines
+ * and the array starts on one, so threads that step disjoint node
+ * groups (SimEngine::ThreadedLanes) never write the same line. Every
+ * read goes through the layout, so the padding moves no exported
+ * value.
  */
 class MetricsRegistry
 {
@@ -257,13 +269,17 @@ class MetricsRegistry
     void
     add(Counter counter, unsigned instance, uint64_t amount)
     {
-        const CounterSlots &c = state_.layout[counter.id()];
+        const CounterSlots &c = layout_[counter.id()];
         if (instance < c.count)
-            state_.slots[c.base + size_t(instance) * c.stride] += amount;
+            slots_[c.base + size_t(instance) * c.stride] += amount;
     }
 
     /** Deep copy of the current counters. */
-    MetricsSnapshot snapshot() const { return state_; }
+    MetricsSnapshot
+    snapshot() const
+    {
+        return {layout_, {slots_.begin(), slots_.end()}};
+    }
 
     /**
      * Restrict a delta to one set of mesh nodes (batch-lane
@@ -284,7 +300,10 @@ class MetricsRegistry
     void layOut();
 
     SpatialTopology topology_;
-    MetricsSnapshot state_;
+    /** Where each counter lives in slots_ (MetricsSnapshot::layout). */
+    std::array<CounterSlots, Counter::count> layout_{};
+    /** The live counters, each instance block on its own line(s). */
+    CacheLineVector<uint64_t> slots_;
 };
 
 /** Five-number summary of one Histogram (for reports/JSON). */

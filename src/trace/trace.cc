@@ -1,7 +1,9 @@
 #include "trace/trace.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <fstream>
+#include <thread>
 
 #include "common/logging.hh"
 #include "trace/chrome_exporter.hh"
@@ -176,6 +178,153 @@ TraceRecorder::finish()
     drain();
     for (TraceSink *sink : sinks_)
         sink->finish();
+}
+
+void
+TraceRecorder::beginFanOut(unsigned buckets, Tick start,
+                           TraceMarkSink *marks)
+{
+    // A stage holds a few thousand ticks of one bucket's events; a
+    // bucket that outruns the slowest one waits for it (makeRoom).
+    constexpr size_t stage_capacity = size_t(1) << 13;
+    while (stages_.size() < buckets)
+        stages_.push_back(std::make_unique<TraceStage>(stage_capacity));
+    for (unsigned b = 0; b < buckets; ++b) {
+        TraceStage &stage = *stages_[b];
+        stage.head_.store(0, std::memory_order_relaxed);
+        stage.tail_.store(0, std::memory_order_relaxed);
+        stage.published_.store(start, std::memory_order_relaxed);
+        stage.tailSeen_ = 0;
+        stage.now_ = start;
+        stage.slot_ = 0;
+        stage.sampleOpen_ = windowSampled(start);
+    }
+    activeStages_ = buckets;
+    markSink_ = marks;
+    marks_.clear();
+    fanOut_ = true;
+}
+
+void
+TraceRecorder::endFanOut()
+{
+    {
+        std::lock_guard<std::mutex> lock(mergeLock_);
+        mergeStaged();
+    }
+    for (unsigned b = 0; b < activeStages_; ++b) {
+        const TraceStage &stage = *stages_[b];
+        nc_assert(stage.head_.load(std::memory_order_relaxed)
+                      == stage.tail_.load(std::memory_order_relaxed),
+                  "bucket %u still staging at the end of a fan-out", b);
+    }
+    fanOut_ = false;
+    activeStages_ = 0;
+    markSink_ = nullptr;
+}
+
+void
+TraceRecorder::makeRoom(TraceStage &stage)
+{
+    for (;;) {
+        {
+            std::lock_guard<std::mutex> lock(mergeLock_);
+            mergeStaged();
+            const uint64_t head = stage.head_.load(std::memory_order_relaxed);
+            const uint64_t tail = stage.tail_.load(std::memory_order_relaxed);
+            if (head - tail < stage.ring_.size())
+                return;
+            // Everything below the slowest bucket's tick is merged. If
+            // that is this bucket's own tick, the ring holds only that
+            // tick's events, which no other bucket can release: grow.
+            bool slowest = true;
+            for (unsigned b = 0; b < activeStages_; ++b) {
+                slowest = slowest
+                    && stages_[b]->published_.load(std::memory_order_acquire)
+                           >= stage.now_;
+            }
+            if (slowest) {
+                const size_t size = stage.ring_.size();
+                std::vector<StagedEvent> grown(2 * size);
+                for (uint64_t i = tail; i != head; ++i)
+                    grown[i & (2 * size - 1)] = stage.ring_[i & (size - 1)];
+                stage.ring_ = std::move(grown);
+                return;
+            }
+        }
+        // A slower bucket holds the merge back: sleep, so this thread
+        // does not take a core from it while it catches up.
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+}
+
+void
+TraceRecorder::mergeStaged()
+{
+    // No bucket can still stage an event below the slowest bucket's
+    // current tick. Read every bucket's tick before its staged count,
+    // so everything below the bound is already counted.
+    const unsigned n = activeStages_;
+    Tick bound = tickNever;
+    for (unsigned b = 0; b < n; ++b) {
+        bound = std::min(bound, stages_[b]->published_.load(
+                                    std::memory_order_acquire));
+    }
+    std::vector<uint64_t> next(n), end(n);
+    for (unsigned b = 0; b < n; ++b) {
+        next[b] = stages_[b]->tail_.load(std::memory_order_relaxed);
+        end[b] = stages_[b]->head_.load(std::memory_order_acquire);
+    }
+    auto at = [&](unsigned b) -> const StagedEvent & {
+        const std::vector<StagedEvent> &ring = stages_[b]->ring_;
+        return ring[next[b] & (ring.size() - 1)];
+    };
+    auto before = [](const StagedEvent &a, const StagedEvent &b) {
+        return a.event.tick != b.event.tick ? a.event.tick < b.event.tick
+                                            : a.slot < b.slot;
+    };
+    for (;;) {
+        // The bucket with the smallest key, and the runner-up.
+        unsigned best = n, second = n;
+        for (unsigned b = 0; b < n; ++b) {
+            if (next[b] == end[b])
+                continue;
+            if (best == n || before(at(b), at(best))) {
+                second = best;
+                best = b;
+            } else if (second == n || before(at(b), at(second))) {
+                second = b;
+            }
+        }
+        if (best == n || at(best).event.tick >= bound)
+            break;
+        // Deliver the best bucket's run until the runner-up's key.
+        do {
+            const StagedEvent &staged = at(best);
+            if (!marks_.empty() && staged.event.tick != markTick_)
+                flushMarks();
+            if (staged.slot >> 24 == uint32_t(TraceSlot::TickEnd)) {
+                markTick_ = staged.event.tick;
+                marks_.push_back(staged.event);
+            } else {
+                push(staged.event);
+            }
+            ++next[best];
+        } while (next[best] != end[best] && at(best).event.tick < bound
+                 && (second == n || before(at(best), at(second))));
+    }
+    for (unsigned b = 0; b < n; ++b)
+        stages_[b]->tail_.store(next[b], std::memory_order_release);
+    // Every mark of a tick below the bound is in.
+    if (!marks_.empty() && markTick_ < bound)
+        flushMarks();
+}
+
+void
+TraceRecorder::flushMarks()
+{
+    markSink_->tickMarked(markTick_, marks_.data(), marks_.size());
+    marks_.clear();
 }
 
 TraceSession::TraceSession(const TraceConfig &config,

@@ -15,19 +15,28 @@
  * The recorder is a ring drained inline: the simulation loop pushes,
  * and drain() hands contiguous batches to the registered sinks when
  * the ring fills and at finish(), so no recorded event is ever
- * dropped. Only the simulation thread touches it, which is why
- * ThreadedLanes demotes to Event while a recorder is live.
+ * dropped. Outside a fanned-out pass only the simulation thread
+ * touches it. While SimEngine::ThreadedLanes steps a pass's node
+ * groups on several threads (beginFanOut), each thread stages its
+ * events in its own bucket's ring, keyed by the tick and the slot
+ * (TraceSlot) that published them, and the merge delivers them to
+ * the ring in key order: exactly the stream one scheduler over the
+ * whole machine records, whatever the thread timing.
  */
 
 #ifndef NEUROCUBE_TRACE_TRACE_HH
 #define NEUROCUBE_TRACE_TRACE_HH
 
+#include <atomic>
 #include <cstddef>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <vector>
 
+#include "common/cache_line.hh"
 #include "common/types.hh"
+#include "common/wake.hh"
 #include "trace/events.hh"
 #include "trace/metrics.hh"
 #include "trace/phase_detector.hh"
@@ -60,6 +69,88 @@ class TraceSink
 
     /** Flush any buffered output; the trace is complete. */
     virtual void finish() {}
+};
+
+/**
+ * Where in an executed tick an event is published: the pass loop's
+ * slots in the order PassScheduler::step and NocFabric::tick visit
+ * them. Slots of one kind are numbered by their component: a PNG or a
+ * channel by channel, a router switch, an ejection or a PE by node, a
+ * link by link index. TickEnd holds the per-tick marks a fanned-out
+ * scheduler stages for the Sim track (TraceRecorder::mark).
+ */
+enum class TraceSlot : uint8_t
+{
+    Png = 0,
+    Channel,
+    Switch,
+    Link,
+    Eject,
+    Pe,
+    TickEnd,
+};
+
+/** An event a fanned-out bucket staged, with its slot. */
+struct StagedEvent
+{
+    TraceEvent event;
+    /** TraceSlot << 24 | slot number; (event.tick, slot) orders. */
+    uint32_t slot = 0;
+};
+
+/**
+ * Receives the per-tick marks of a fanned-out pass. Once every
+ * component event of tick t is delivered, the merge hands over the
+ * marks all buckets staged at t (in no particular order), so the
+ * receiver can record the machine-level Sim events of that tick
+ * (TraceRecorder::push) before any event of a later tick.
+ */
+class TraceMarkSink
+{
+  public:
+    virtual ~TraceMarkSink() = default;
+
+    /** The marks of tick @p tick; each event's type says its kind. */
+    virtual void tickMarked(Tick tick, const TraceEvent *marks,
+                            size_t count) = 0;
+};
+
+class TraceRecorder;
+
+/**
+ * One fan-out bucket's staging ring: the bucket's thread appends, and
+ * the merge, under the recorder's lock, takes events from the front.
+ */
+class alignas(cacheLineBytes) TraceStage
+{
+  public:
+    explicit TraceStage(size_t capacity) : ring_(capacity) {}
+
+  private:
+    friend class TraceRecorder;
+
+    /** Append one event (the bucket's thread). */
+    inline void push(TraceRecorder &owner, const TraceEvent &event,
+                     uint32_t slot);
+
+    std::vector<StagedEvent> ring_;
+    /** Events staged so far (written by the bucket's thread). */
+    std::atomic<uint64_t> head_{0};
+    /** Events merged so far (written by the merge). */
+    std::atomic<uint64_t> tail_{0};
+    /**
+     * The bucket's current tick: it stages nothing earlier from now
+     * on. tickNever once the bucket finished.
+     */
+    std::atomic<Tick> published_{0};
+
+    // The bucket's thread's own copies.
+    /** tail_ as last read (the ring is full only if it looks full). */
+    uint64_t tailSeen_ = 0;
+    /** Tick, slot and sampling window of the events being staged. */
+    Tick now_ = 0;
+    uint32_t slot_ = 0;
+    bool sampleOpen_ = true;
 };
 
 /** Ring buffer delivering events to sinks, drained inline. */
@@ -110,10 +201,21 @@ class TraceRecorder
                || (tick / sampleWindow_) % samplePeriod_ == 0;
     }
 
-    /** Advance the timestamp applied to subsequent events. */
+    /**
+     * Advance the timestamp applied to subsequent events (of the
+     * calling thread's bucket while a pass is fanned out).
+     */
     void
     setNow(Tick now)
     {
+        if (fanOut_) {
+            if (TraceStage *stage = stage_) {
+                stage->now_ = now;
+                stage->sampleOpen_ = windowSampled(now);
+                stage->published_.store(now, std::memory_order_release);
+                return;
+            }
+        }
         now_ = now;
         if (samplePeriod_ > 1)
             sampleOpen_ = windowSampled(now);
@@ -129,20 +231,95 @@ class TraceRecorder
     {
         if (!(componentMask_ & (1u << unsigned(component))))
             return;
-        if (!sampleOpen_ && component != TraceComponent::Sim)
+        TraceStage *stage = fanOut_ ? stage_ : nullptr;
+        if (!(stage ? stage->sampleOpen_ : sampleOpen_)
+            && component != TraceComponent::Sim)
             return;
         TraceEvent event;
-        event.tick = now_;
+        event.tick = stage ? stage->now_ : now_;
         event.component = component;
         event.type = type;
         event.instance = instance;
         event.arg = arg;
         event.value = value;
-        push(event);
+        if (stage)
+            stage->push(*this, event, stage->slot_);
+        else
+            push(event);
     }
 
-    /** Append a fully formed event (tests, replay tools). */
+    /**
+     * Append a fully formed event (tests, replay tools, and the
+     * TraceMarkSink of a fanned-out pass).
+     */
     void push(const TraceEvent &event);
+
+    /** True when events of @p component pass the component mask. */
+    bool
+    accepts(TraceComponent component) const
+    {
+        return componentMask_ & (1u << unsigned(component));
+    }
+
+    /**
+     * Fan the next pass out over @p buckets threads: until
+     * endFanOut(), every thread that called stageThread() stages its
+     * events in its bucket's ring, and the merge delivers them in
+     * (tick, slot) order, handing each tick's marks to @p marks.
+     * @p start is the pass's first tick. Called by the thread that
+     * owns the recorder, before the bucket threads start.
+     */
+    void beginFanOut(unsigned buckets, Tick start,
+                     TraceMarkSink *marks);
+
+    /** Stage the calling thread's events in bucket @p bucket. */
+    void
+    stageThread(unsigned bucket)
+    {
+        stage_ = stages_[bucket].get();
+    }
+
+    /** The calling thread's bucket finished: stop staging. */
+    void
+    finishStage()
+    {
+        stage_->published_.store(tickNever, std::memory_order_release);
+        stage_ = nullptr;
+    }
+
+    /**
+     * Deliver what the buckets staged and end the fan-out. Called by
+     * the owning thread once every bucket thread has finished.
+     */
+    void endFanOut();
+
+    /** Name the slot the calling thread's bucket publishes from. */
+    void
+    markSlot(TraceSlot slot, size_t number)
+    {
+        if (fanOut_) {
+            if (TraceStage *stage = stage_)
+                stage->slot_ = uint32_t(slot) << 24 | uint32_t(number);
+        }
+    }
+
+    /**
+     * Stage one mark of the calling thread's bucket for the
+     * TraceMarkSink, at the end of its current tick. Marks bypass
+     * the component mask and sampling: they are no events.
+     */
+    void
+    mark(TraceEventType type, uint16_t instance, uint32_t arg,
+         uint64_t value)
+    {
+        TraceEvent event;
+        event.tick = stage_->now_;
+        event.type = type;
+        event.instance = instance;
+        event.arg = arg;
+        event.value = value;
+        stage_->push(*this, event, uint32_t(TraceSlot::TickEnd) << 24);
+    }
 
     /** Deliver all pending events to the sinks. */
     void drain();
@@ -157,6 +334,37 @@ class TraceRecorder
     size_t capacity() const { return ring_.size(); }
 
   private:
+    friend class TraceStage;
+
+    /**
+     * Make room in a bucket's full ring (its own thread): merge, and
+     * wait for slower buckets, or grow the ring when the bucket is
+     * the slowest and only its current tick's events are left.
+     */
+    void makeRoom(TraceStage &stage);
+    /**
+     * Deliver every staged event below the slowest bucket's current
+     * tick, in key order. @pre mergeLock_ held
+     */
+    void mergeStaged();
+    /** Hand the collected marks of markTick_ to the mark sink. */
+    void flushMarks();
+
+    /** The calling thread's bucket while a pass is fanned out. */
+    static inline thread_local TraceStage *stage_ = nullptr;
+
+    /** Set between beginFanOut() and endFanOut(). */
+    bool fanOut_ = false;
+    /** Staging rings, kept for reuse; the first activeStages_ live. */
+    std::vector<std::unique_ptr<TraceStage>> stages_;
+    unsigned activeStages_ = 0;
+    /** Serialises merges (and with them the ring and the sinks). */
+    std::mutex mergeLock_;
+    TraceMarkSink *markSink_ = nullptr;
+    /** Marks of the tick markTick_ that the sink has not seen yet. */
+    std::vector<TraceEvent> marks_;
+    Tick markTick_ = 0;
+
     std::vector<TraceEvent> ring_;
     size_t mask_;
     /** Total events pushed. */
@@ -175,6 +383,22 @@ class TraceRecorder
 
     std::vector<TraceSink *> sinks_;
 };
+
+void
+TraceStage::push(TraceRecorder &owner, const TraceEvent &event,
+                 uint32_t slot)
+{
+    const uint64_t head = head_.load(std::memory_order_relaxed);
+    if (head - tailSeen_ == ring_.size()) {
+        tailSeen_ = tail_.load(std::memory_order_acquire);
+        if (head - tailSeen_ == ring_.size()) {
+            owner.makeRoom(*this);
+            tailSeen_ = tail_.load(std::memory_order_acquire);
+        }
+    }
+    ring_[head & (ring_.size() - 1)] = {event, slot};
+    head_.store(head + 1, std::memory_order_release);
+}
 
 /**
  * One machine's instrumentation, handed to each component when it is
@@ -296,6 +520,13 @@ class TraceSession
 /** Stamp the tick applied to a probe's subsequent NC_TRACE events. */
 #define NC_TRACE_TICK(probe, now) \
     NC_PROBE_CALL_((probe).recorder, setNow(now))
+
+/**
+ * Name the slot (TraceSlot, number) the following NC_TRACE events of
+ * an executed tick come from: NC_TRACE_SLOT(probe, slot, number).
+ */
+#define NC_TRACE_SLOT(probe, slot, number) \
+    NC_PROBE_CALL_((probe).recorder, markSlot((slot), (number)))
 
 /**
  * Count @p amount units of one counter at one instance in a probe's

@@ -5,8 +5,9 @@
  * networks (layer shapes, kernel geometry, activation mix), machine
  * configurations (DRAM technology, NoC buffer/link widths, mapping
  * knobs) and batch lane counts, the legacy tick-every-cycle loop,
- * the event-driven wake-list scheduler and the threaded per-lane
- * scheduler are run on the same workload and compared on:
+ * the event-driven wake-list scheduler and the threaded scheduler
+ * (one per bucket of node groups) are run on the same workload and
+ * compared on:
  *
  *   - final cycle counts (total and per layer),
  *   - computed outputs (every layer tensor, bit for bit),
@@ -15,6 +16,10 @@
  *   - every slot of the counter registry at the end of the run
  *     (each stall, energy and spatial counter of each instance),
  *   - for batches, each lane's metrics and spatial JSON.
+ *
+ * A fanned-out ThreadedLanes pass arms the fabric's lane checker with
+ * its buckets, so every threaded case also asserts that no packet
+ * left its bucket (crossLanePackets() == 0).
  *
  * The seed count defaults to 100 full-profile iterations; sanitizer
  * builds (asan/tsan) and CI quick runs drop to a handful via
@@ -185,6 +190,8 @@ struct RunSnapshot
     std::string spatialJson;
     EnergyCounts energy;
     std::vector<uint64_t> counters;
+    /** Packets that left their lane, or their bucket when fanned out. */
+    uint64_t crossLanePackets = 0;
 };
 
 RunSnapshot
@@ -209,6 +216,7 @@ snapshotForward(const NeurocubeConfig &base, SimEngine engine,
     snap.spatialJson = run.spatialJson();
     snap.energy = run.energyCounts();
     snap.counters = registrySlots(cube);
+    snap.crossLanePackets = cube.fabric().crossLanePackets();
     return snap;
 }
 
@@ -271,7 +279,7 @@ snapshotsEqual(const RunSnapshot &ref, const RunSnapshot &got)
     return slotsEqual(ref.counters, got.counters);
 }
 
-TEST(EngineDiff, FuzzForwardLegacyVsEvent)
+TEST(EngineDiff, FuzzForwardAllThreeEngines)
 {
     const unsigned seeds = fuzzSeedCount();
     for (unsigned seed = 1; seed <= seeds; ++seed) {
@@ -288,10 +296,15 @@ TEST(EngineDiff, FuzzForwardLegacyVsEvent)
                                              net, data, input);
         RunSnapshot event = snapshotForward(config, SimEngine::Event,
                                             net, data, input);
+        RunSnapshot threaded = snapshotForward(
+            config, SimEngine::ThreadedLanes, net, data, input);
         ASSERT_TRUE(snapshotsEqual(legacy, event))
             << "seed " << seed << " net " << net.layers.size()
             << " layers, " << net.inputWidth() << "x"
             << net.inputHeight();
+        ASSERT_TRUE(snapshotsEqual(legacy, threaded))
+            << "seed " << seed << " (threaded)";
+        ASSERT_EQ(threaded.crossLanePackets, 0u) << "seed " << seed;
         ASSERT_GT(legacy.totalCycles, 0u) << "seed " << seed;
     }
 }
@@ -306,6 +319,7 @@ struct BatchSnapshot
     std::vector<std::string> laneSpatial;
     std::vector<std::string> laneMetrics;
     std::vector<uint64_t> counters;
+    uint64_t crossLanePackets = 0;
 };
 
 BatchSnapshot
@@ -334,6 +348,7 @@ snapshotBatch(const NeurocubeConfig &base, SimEngine engine,
             snap.outputs.push_back(cube.batchLayerOutput(l, i));
     }
     snap.counters = registrySlots(cube);
+    snap.crossLanePackets = cube.fabric().crossLanePackets();
     return snap;
 }
 
@@ -412,6 +427,7 @@ TEST(EngineDiff, FuzzBatchAllThreeEngines)
         ASSERT_TRUE(batchSnapshotsEqual(legacy, threaded))
             << "seed " << seed << " lanes " << lanes << " occupied "
             << occupied << " (threaded)";
+        ASSERT_EQ(threaded.crossLanePackets, 0u) << "seed " << seed;
         ASSERT_GT(legacy.cycles, 0u) << "seed " << seed;
     }
 }
@@ -468,8 +484,8 @@ TEST(EngineDiff, FuzzForwardWithLiveSampledRecorder)
     // The zero-compromise telemetry contract: with a live recorder
     // (real event sinks) in sampled mode, the event engine must stay
     // bit-identical to Legacy-with-tracing in cycles, stall totals
-    // and energy counts. ThreadedLanes demotes to Event under the
-    // recorder, so it must match too.
+    // and energy counts. ThreadedLanes stages its buckets' events
+    // under the recorder and must match too.
     const std::string tag = "engine_diff_sampled";
     const unsigned seeds = std::max(1u, fuzzSeedCount() / 4);
     for (unsigned seed = 1; seed <= seeds; ++seed) {
@@ -493,6 +509,7 @@ TEST(EngineDiff, FuzzForwardWithLiveSampledRecorder)
             << "seed " << seed << " (event, sampled recorder)";
         ASSERT_TRUE(snapshotsEqual(legacy, threaded))
             << "seed " << seed << " (threaded, sampled recorder)";
+        ASSERT_EQ(threaded.crossLanePackets, 0u) << "seed " << seed;
     }
     removeSinkFiles(tag);
 }
@@ -531,6 +548,7 @@ TEST(EngineDiff, FuzzBatchWithLiveSampledRecorder)
         ASSERT_TRUE(batchSnapshotsEqual(legacy, threaded))
             << "seed " << seed << " lanes " << lanes
             << " (threaded, sampled recorder)";
+        ASSERT_EQ(threaded.crossLanePackets, 0u) << "seed " << seed;
     }
     removeSinkFiles(tag);
 }
@@ -588,15 +606,15 @@ TEST(EngineDiff, ActiveEngineUnderLiveRecorder)
         EXPECT_EQ(cube.activeEngine(), SimEngine::Event);
     }
 
-    // The recorder ring is single-producer, so ThreadedLanes demotes
-    // to Event (not Legacy) while the recorder is live.
+    // ThreadedLanes stays active under the recorder too: its buckets
+    // stage their events and the recorder merges them.
     config.engine = SimEngine::ThreadedLanes;
     {
         Neurocube cube(config);
-        EXPECT_EQ(cube.activeEngine(), SimEngine::Event);
+        EXPECT_EQ(cube.activeEngine(), SimEngine::ThreadedLanes);
     }
 
-    // A counters-only session has no recorder: nothing demotes.
+    // A counters-only session has no recorder either way.
     NeurocubeConfig counters_only;
     counters_only.engine = SimEngine::ThreadedLanes;
     counters_only.trace.enabled = true;

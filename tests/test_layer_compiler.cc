@@ -1,10 +1,13 @@
 /**
  * @file
  * Unit tests of the layer program compiler: memory layout, program
- * register contents, host gather, and the plane-loop collapse.
+ * register contents, host gather, the plane-loop collapse, and the
+ * traffic groups a plan splits the mesh into.
  */
 
 #include <gtest/gtest.h>
+
+#include <numeric>
 
 #include "core/layer_compiler.hh"
 #include "core/neurocube.hh"
@@ -307,6 +310,191 @@ TEST_F(CompilerTest, PlanCacheHitsOnRepeatAndBindsIdentically)
     EXPECT_EQ(cold_compiler.planCacheHits(), 0u);
     EXPECT_EQ(cold_compiler.planCacheMisses(), 2u);
     EXPECT_TRUE(snapshot() == cold);
+}
+
+/**
+ * A layer's plan on one machine shape, with the machine's fabric: the
+ * inputs of trafficGroups.
+ */
+struct PlannedLayer
+{
+    explicit PlannedLayer(const NeurocubeConfig &config)
+        : cube(config), compiler(config)
+    {
+    }
+
+    /** Compile @p layer onto the machine, or onto @p lane of it. */
+    std::shared_ptr<const LayerPlan>
+    plan(const LayerDesc &layer, const LaneSpec *lane = nullptr)
+    {
+        std::vector<BackingStore *> stores;
+        if (lane != nullptr) {
+            for (unsigned node : lane->nodes)
+                stores.push_back(&cube.channel(node).store());
+        } else {
+            for (unsigned ch = 0; ch < cube.config().dram.numChannels;
+                 ++ch)
+                stores.push_back(&cube.channel(ch).store());
+        }
+        std::vector<Fixed> weights(layer.weightCount());
+        Tensor input(layer.inMaps, layer.inHeight, layer.inWidth);
+        return compiler.compile(layer, weights, input, stores, lane).plan;
+    }
+
+    Neurocube cube;
+    LayerCompiler compiler;
+};
+
+LayerDesc
+groupConv()
+{
+    LayerDesc conv = smallConv();
+    conv.inWidth = 24;
+    conv.inHeight = 24;
+    return conv;
+}
+
+/**
+ * The groups an independent union-find finds: every PNG joined with
+ * the PE of every tile its walk overlaps, every PE with the home of
+ * every home tile its tile overlaps, and, on the mesh, the routers of
+ * the X-Y route between them.
+ */
+std::vector<unsigned>
+expectedGroups(const LayerPlan &plan, bool mesh)
+{
+    std::vector<unsigned> root(16);
+    std::iota(root.begin(), root.end(), 0u);
+    auto find = [&](unsigned n) {
+        while (root[n] != n)
+            n = root[n];
+        return n;
+    };
+    auto join = [&](unsigned a, unsigned b) {
+        const unsigned ra = find(a), rb = find(b);
+        root[std::max(ra, rb)] = std::min(ra, rb);
+    };
+    auto join_route = [&](unsigned src, unsigned dst) {
+        join(src, dst);
+        if (!mesh)
+            return;
+        unsigned x = src % 4, y = src / 4;
+        while (x != dst % 4) {
+            x = x < dst % 4 ? x + 1 : x - 1;
+            join(src, y * 4 + x);
+        }
+        while (y != dst / 4) {
+            y = y < dst / 4 ? y + 1 : y - 1;
+            join(src, y * 4 + x);
+        }
+    };
+    const PngProgram &first = plan.programs.front();
+    auto node = [](const std::vector<uint16_t> &nodes, unsigned i) {
+        return nodes.empty() ? i : unsigned(nodes[i]);
+    };
+    for (unsigned ch = 0; ch < plan.programs.size(); ++ch) {
+        const PngProgram &prog = plan.programs[ch];
+        for (unsigned t = 0; prog.enabled && t < 16; ++t) {
+            if (prog.outWalk.overlaps(prog.outTiles.tile(t)))
+                join_route(node(prog.homeNode, ch), node(prog.peNode, t));
+        }
+    }
+    for (unsigned t = 0; t < 16; ++t) {
+        for (unsigned h = 0; h < first.homeTiles.numNodes(); ++h) {
+            if (first.outTiles.tile(t).overlaps(first.homeTiles.tile(h)))
+                join_route(node(first.peNode, t), node(first.homeNode, h));
+        }
+    }
+    for (unsigned n = 0; n < 16; ++n)
+        root[n] = find(n);
+    return root;
+}
+
+TEST(TrafficGroups, DuplicatedHmcConvSplitsIntoSingleVaults)
+{
+    PlannedLayer m{NeurocubeConfig{}};
+    const std::vector<unsigned> &groups =
+        m.plan(groupConv())->nodeGroups(m.cube.fabric());
+    std::vector<unsigned> alone(16);
+    std::iota(alone.begin(), alone.end(), 0u);
+    EXPECT_EQ(groups, alone);
+}
+
+TEST(TrafficGroups, Ddr3ConvIsOneGroup)
+{
+    NeurocubeConfig config;
+    config.dram = DramParams::ddr3();
+    PlannedLayer m{config};
+    EXPECT_EQ(m.plan(groupConv())->nodeGroups(m.cube.fabric()),
+              std::vector<unsigned>(16, 0));
+}
+
+/**
+ * A 2x2/2 pool whose 26-pixel rows split unevenly: the input tiles of
+ * the second and third vault columns (and rows) reach into the next
+ * output tile, the first column's do not.
+ */
+LayerDesc
+unevenPool()
+{
+    LayerDesc pool = groupConv();
+    pool.type = LayerType::Pool;
+    pool.kernel = 2;
+    pool.stride = 2;
+    pool.inWidth = 26;
+    pool.inHeight = 26;
+    pool.outMaps = pool.inMaps;
+    return pool;
+}
+
+TEST(TrafficGroups, NoDuplicationJoinsAlongXyRoutes)
+{
+    NeurocubeConfig config;
+    config.mapping.duplicateConvHalo = false;
+    PlannedLayer m{config};
+    // The conv's halos chain every vault into one group.
+    const auto conv = m.plan(groupConv());
+    EXPECT_EQ(trafficGroups(*conv, m.cube.fabric()),
+              expectedGroups(*conv, true));
+    // The uneven pool leaves four.
+    const auto pool = m.plan(unevenPool());
+    const std::vector<unsigned> groups =
+        trafficGroups(*pool, m.cube.fabric());
+    EXPECT_EQ(groups, expectedGroups(*pool, true));
+    EXPECT_EQ(groups, (std::vector<unsigned>{0, 1, 1, 1, 4, 5, 5, 5,
+                                             4, 5, 5, 5, 4, 5, 5, 5}));
+}
+
+TEST(TrafficGroups, FullyConnectedJoinsNoIntermediateRouter)
+{
+    NeurocubeConfig config;
+    config.mapping.duplicateConvHalo = false;
+    config.noc.topology = NocTopology::FullyConnected;
+    PlannedLayer m{config};
+    for (const LayerDesc &layer : {groupConv(), unevenPool()}) {
+        const auto plan = m.plan(layer);
+        EXPECT_EQ(trafficGroups(*plan, m.cube.fabric()),
+                  expectedGroups(*plan, false))
+            << layerTypeName(layer.type);
+    }
+}
+
+TEST(TrafficGroups, BatchLanesNeverJoin)
+{
+    NeurocubeConfig config;
+    config.batch.lanes = 2;
+    config.mapping.duplicateConvHalo = false;
+    PlannedLayer m{config};
+    for (const LaneSpec &lane : m.cube.lanePartition()) {
+        const std::vector<unsigned> groups =
+            trafficGroups(*m.plan(groupConv(), &lane), m.cube.fabric());
+        for (unsigned node : lane.nodes) {
+            EXPECT_TRUE(std::count(lane.nodes.begin(), lane.nodes.end(),
+                                   groups[node]))
+                << "lane " << lane.index << " node " << node
+                << " joined node " << groups[node];
+        }
+    }
 }
 
 } // namespace

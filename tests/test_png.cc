@@ -470,6 +470,17 @@ TEST_F(PngTest, ReprogrammingWithReadsInFlightPanics)
     EXPECT_DEATH(png_.configure(smallConvProgram()), "work in flight");
 }
 
+TEST_F(PngTest, DisabledProgramOwningWriteBacksPanicsAtLoad)
+{
+    // A disabled PNG never absorbs write-backs yet reports done, so a
+    // pass would only stall on them: configure names the vault.
+    PngProgram program = smallConvProgram();
+    program.enabled = false;
+    ASSERT_GT(program.expectedWriteBacks, 0u);
+    EXPECT_DEATH(png_.configure(program),
+                 "disabled program for vault 0 expects");
+}
+
 TEST_F(PngTest, UnmatchedResponseTagPanics)
 {
     png_.configure(smallConvProgram());
