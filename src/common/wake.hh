@@ -21,7 +21,8 @@
  *    one-tick-stale internal clock (see MemoryChannel::now_).
  *  - onChannelServe(ch): the channel served a word at tick t; the PNG
  *    may now have responses to match, queue credit to issue into, or
- *    write-buffer space — wake it for t + 1 (its phase already ran).
+ *    write-buffer space — wake it for t + 1 (its phase already ran),
+ *    unless it is done: a done PNG's tick is a no-op.
  *  - onEject(node, to_mem): the fabric delivered a packet at tick t.
  *    A PE consumes it the same tick (phase 4 runs after the fabric);
  *    a PNG consumes it at t + 1 (its phase precedes the fabric's).
@@ -49,7 +50,8 @@ class WakeSink
 
     /** A request entered channel @p ch this tick (catch up first). */
     virtual void onChannelEnqueue(unsigned ch) = 0;
-    /** Channel @p ch served a word this tick (wake its PNG next). */
+    /** Channel @p ch served a word this tick (wake its PNG next,
+     *  unless it is done). */
     virtual void onChannelServe(unsigned ch) = 0;
     /** A packet was delivered at @p node (to_mem: PNG, else PE). */
     virtual void onEject(unsigned node, bool to_mem) = 0;

@@ -103,13 +103,6 @@ struct NeurocubeConfig
     BatchConfig batch;
 
     /**
-     * Mesh node each memory channel attaches to. Empty = identity
-     * (channel i at node i), which requires numChannels == numPes.
-     * For scarcer channels (DDR3) the compiler places them evenly.
-     */
-    std::vector<unsigned> memoryNodes;
-
-    /**
      * Host programming cost charged per pass (one per layer), in
      * reference ticks (writing the PNG configuration registers,
      * Fig. 8c).
@@ -129,12 +122,15 @@ struct NeurocubeConfig
     /** Event tracing (off by default; see src/trace/). */
     TraceConfig trace;
 
-    /** Resolve memoryNodes (filling the default placement). */
+    /**
+     * Mesh node each memory channel attaches to: channels spread
+     * evenly over the nodes, so channel i sits at node i when there
+     * are as many channels as PEs (the HMC) and the two DDR3
+     * channels at nodes 4 and 12.
+     */
     std::vector<unsigned>
     resolvedMemoryNodes() const
     {
-        if (!memoryNodes.empty())
-            return memoryNodes;
         std::vector<unsigned> nodes(dram.numChannels);
         for (unsigned c = 0; c < dram.numChannels; ++c) {
             // Spread channels evenly across the node space.

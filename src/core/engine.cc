@@ -191,10 +191,13 @@ PassScheduler::onChannelServe(unsigned ch)
     // Fires from the channel's phase-2 tick. The PNG consuming the
     // response (or the freed queue slot) already ticked this cycle in
     // phase 1, so its first chance to act is the next tick — exactly
-    // when legacy has it pick the response up.
+    // when legacy has it pick the response up. A done PNG has no read
+    // in flight and owes no write-back (the serve was one of its
+    // last writes): its next tick would be a no-op, so it sleeps on,
+    // and a finished lane part holds no wake at all.
     const int slot = chSlotOfChannel_[ch];
     nc_assert(slot >= 0, "serve wake for foreign channel %u", ch);
-    if (pngWake_[slot] > cur_ + 1)
+    if (pngWake_[slot] > cur_ + 1 && !s_.pngs[slot]->done())
         pngWake_[slot] = cur_ + 1;
 }
 

@@ -130,8 +130,8 @@ configFingerprint(const NeurocubeConfig &config)
 
     f.u64(config.batch.lanes);
     f.u64(0); // slot of a removed flag; keeps the recorded hashes
-    // Resolved (not raw) placement: an explicit memoryNodes equal to
-    // the default placement is the same machine.
+    // The channel placement follows from the channel and PE counts;
+    // hashing it keeps the recorded hashes.
     for (unsigned node : config.resolvedMemoryNodes())
         f.u64(node);
     f.u64(config.configTicksPerPass);

@@ -1,8 +1,6 @@
 #include "core/neurocube.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <numeric>
 #include <optional>
 #include <thread>
@@ -190,14 +188,7 @@ Neurocube::Neurocube(const NeurocubeConfig &config)
 {
     config_.noc.numNodes = config_.numPes;
 
-    std::vector<unsigned> mem_nodes = config_.resolvedMemoryNodes();
-    nc_assert(mem_nodes.size() == config_.dram.numChannels,
-              "memoryNodes size %zu != channel count %u",
-              mem_nodes.size(), config_.dram.numChannels);
-    for (unsigned node : mem_nodes) {
-        nc_assert(node < config_.numPes,
-                  "memory node %u outside the mesh", node);
-    }
+    const std::vector<unsigned> mem_nodes = config_.resolvedMemoryNodes();
 
     if (config_.batch.lanes > 1)
         buildBatchLanes();
@@ -558,16 +549,14 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
     // Legacy and Event step one scheduler over the whole machine.
     // ThreadedLanes cuts the pass into buckets that no packet and no
     // router connects, each with its own scheduler over its fabric
-    // slice on its own thread. Buckets touch disjoint per-node state;
-    // shared fabric aggregates detour through per-node scratch, and
-    // the lane checker counts any packet that leaves its bucket.
+    // slice on its own thread. Buckets touch disjoint per-node state,
+    // the fabric's counts included.
     std::vector<Bucket> buckets = passBuckets(lanes, compiled);
     const bool fan_out = buckets.size() > 1;
     // A live recorder stages each bucket's events for the merge, and
     // the machine's Sim track is rebuilt from the buckets' marks.
     TraceRecorder *recorder = fan_out ? probe_.recorder : nullptr;
     std::optional<MachineSimTrack> sim;
-    std::vector<uint16_t> lane_map;
     if (fan_out) {
         std::vector<std::vector<unsigned>> partition;
         for (const Bucket &bucket : buckets)
@@ -576,8 +565,10 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
             bucketViews_ = fabric_->buildLaneViews(partition);
             bucketNodes_ = std::move(partition);
         }
-        fabric_->setLaneStatsMode(true);
-        lane_map = fabric_->laneMap();
+    }
+    // Arm the fabric's lane checker with one cell per (lane, bucket):
+    // it counts any packet that leaves its lane or its bucket.
+    if (lanes.size() * buckets.size() > 1) {
         std::vector<uint16_t> cells(config_.numPes);
         for (unsigned l = 0; l < lanes.size(); ++l) {
             for (unsigned node : lanes[l].nodes)
@@ -605,46 +596,19 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
             start, config_.engine == SimEngine::Legacy));
     }
 
-    // Under a recorder, per bucket: the tick it is executing, and,
-    // once its parts are all done, the tick after their last action.
-    std::vector<std::atomic<Tick>> reached(buckets.size());
-    std::vector<std::atomic<Tick>> ended(buckets.size());
-    // Whether one scheduler over the whole machine would still execute
-    // tick @p t: it stops after the last part finishes, so it does
-    // when some other bucket is at t or later, or ended after t.
-    auto pass_reaches = [&](unsigned self, Tick t) {
-        for (;;) {
-            bool all_ended = true;
-            for (unsigned b = 0; b < buckets.size(); ++b) {
-                if (b == self)
-                    continue;
-                const Tick e = ended[b].load(std::memory_order_acquire);
-                if (e > t
-                    || (e == 0
-                        && reached[b].load(std::memory_order_acquire) >= t))
-                    return true;
-                all_ended = all_ended && e != 0;
-            }
-            if (all_ended)
-                return false;
-            std::this_thread::sleep_for(std::chrono::microseconds(20));
-        }
-    };
-
     // The pass loop: step one bucket's scheduler until each of its
     // parts is done, stamping the tick after the part's last action.
     auto drive = [&](unsigned b) {
         PassScheduler &sched = *scheds[b];
         if (recorder != nullptr)
             recorder->stageThread(b);
-        auto step = [&](Tick t) {
+        size_t remaining = buckets[b].parts.size();
+        for (Tick t = start;;) {
             // Stamp executed ticks only: a skipped tick is one no
             // component would have recorded an event at (the sleep
             // conditions guarantee it), so the stream matches the
             // tick-all mode's every-tick stamping bit for bit.
             NC_TRACE_TICK(probe_, t);
-            if (recorder != nullptr)
-                reached[b].store(t, std::memory_order_release);
             sched.step(t);
             if (recorder != nullptr) {
                 const PassScheduler::StepReport r = sched.takeStepReport();
@@ -659,15 +623,10 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
                 NC_TRACE(probe_, TraceComponent::Sim, 0,
                          TraceEventType::EngineSkip, 0, skipped);
             }
-        };
-        size_t remaining = buckets[b].parts.size();
-        Tick stamp = start;
-        for (Tick t = start;;) {
-            step(t);
             // Done-ness only changes through actions at executed
             // ticks, so checking after each one finds every part's
             // end exactly.
-            stamp = t + 1;
+            const Tick stamp = t + 1;
             for (Bucket::Part &part : buckets[b].parts) {
                 if (part.done != 0 || !laneDone(part.members))
                     continue;
@@ -703,21 +662,15 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
             }
             t = next;
         }
-        if (recorder == nullptr)
-            return;
-        // A finished part can still hold a pending wake (a PNG woken
-        // by its vault's last serve). One scheduler executes it while
-        // other parts run past it, and the Sim track shows that, so
-        // execute the wakes the pass reaches. Without a recorder the
-        // no-op ticks change nothing observable.
-        ended[b].store(stamp, std::memory_order_release);
-        for (Tick t; (t = sched.minWake()) != tickNever;) {
-            NC_TRACE_TICK(probe_, t); // holds the merge at t meanwhile
-            if (!pass_reaches(b, t))
-                break;
-            step(t);
-        }
-        recorder->finishStage();
+        // A done part holds no wake (a vault serving a done PNG
+        // leaves it asleep), so no component of a finished bucket
+        // acts again this pass: one scheduler over the whole machine
+        // executes no tick for it either.
+        nc_assert(config_.engine == SimEngine::Legacy
+                      || sched.minWake() == tickNever,
+                  "finished bucket %u still holds a wake", b);
+        if (recorder != nullptr)
+            recorder->finishStage();
     };
     // The calling thread runs the first bucket, threads spawned for
     // the pass the others.
@@ -753,11 +706,8 @@ Neurocube::runPass(const std::vector<Lane> &lanes,
         NC_TRACE(probe_, TraceComponent::Sim, 0,
                  TraceEventType::EngineSkip, 0, skipped);
     }
-    if (fan_out) {
-        fabric_->foldLaneStats();
-        fabric_->setLaneStatsMode(false);
-        fabric_->setLaneMap(std::move(lane_map));
-    }
+    fabric_->setLaneMap({});
+    fabric_->refreshStats();
     now_ = final;
     statPasses_ += 1;
     std::vector<Tick> cycles(active);
@@ -922,18 +872,12 @@ Neurocube::buildBatchLanes()
     const unsigned lanes = std::max(1u, config_.batch.lanes);
     if (lanes > 1) {
         // Lane compilation addresses channel i through mesh node i, so
-        // batching needs the HMC-style identity attachment (one vault
-        // under every PE).
+        // batching needs the HMC-style identity attachment: one vault
+        // under every PE, which the even placement then gives.
         nc_assert(config_.dram.numChannels == config_.numPes,
                   "batch lanes need one memory channel per PE "
                   "(%u channels, %u PEs)",
                   config_.dram.numChannels, config_.numPes);
-        std::vector<unsigned> mem_nodes = config_.resolvedMemoryNodes();
-        for (unsigned ch = 0; ch < mem_nodes.size(); ++ch) {
-            nc_assert(mem_nodes[ch] == ch,
-                      "batch lanes need identity channel attachment "
-                      "(channel %u at node %u)", ch, mem_nodes[ch]);
-        }
     }
     lanePartition_ = buildLanePartition(config_.numPes, lanes);
 }
@@ -949,8 +893,8 @@ Neurocube::setBatchLanes(unsigned lanes)
     config_.batch.lanes = lanes;
     // Drop state tied to the old partition: gathered lane outputs
     // and the partition itself (rebuilt below against the new lane
-    // count). The fabric lane map is per-run — runForwardBatch arms
-    // it on entry and clears it on exit.
+    // count). The fabric's lane checker holds nothing between passes:
+    // runPass arms it with each pass's lanes and clears it after.
     lanePartition_.clear();
     batchActivations_.clear();
     // The old partition's lane-keyed plans are unreachable now.
@@ -998,17 +942,6 @@ Neurocube::runForwardBatch(const std::vector<Tensor> &inputs)
                   first.inMaps, first.inHeight, first.inWidth);
     }
 
-    // Arm the fabric's lane checker: with >1 lane, any packet that
-    // leaves its vault group is counted as a violation.
-    if (lanes.size() > 1) {
-        std::vector<uint16_t> lane_of(config_.numPes, 0);
-        for (const LaneSpec &lane : lanePartition_) {
-            for (unsigned node : lane.nodes)
-                lane_of[node] = uint16_t(lane.index);
-        }
-        fabric_->setLaneMap(std::move(lane_of));
-    }
-
     batchActivations_.assign(lanes.size(), {});
     for (unsigned l = 0; l < active; ++l)
         batchActivations_[l].assign(net_.layers.size(), Tensor());
@@ -1047,7 +980,6 @@ Neurocube::runForwardBatch(const std::vector<Tensor> &inputs)
     }
 
     result.cycles = now_ - batch_start;
-    fabric_->setLaneMap({});
     return result;
 }
 

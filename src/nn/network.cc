@@ -16,15 +16,6 @@ NetworkDesc::totalOps() const
     return ops;
 }
 
-uint64_t
-NetworkDesc::totalWeights() const
-{
-    uint64_t count = 0;
-    for (const LayerDesc &layer : layers)
-        count += layer.weightCount();
-    return count;
-}
-
 void
 NetworkDesc::validate() const
 {

@@ -35,8 +35,6 @@ struct NetworkDesc
 
     /** Total multiply+add operations for one forward execution. */
     uint64_t totalOps() const;
-    /** Total synaptic weights. */
-    uint64_t totalWeights() const;
     /** fatal() unless layer shapes chain consistently. */
     void validate() const;
 };

@@ -207,21 +207,15 @@ NocFabric::buildFullyConnected()
 void
 NocFabric::accountInjection(unsigned node, const Packet &packet)
 {
-    // Per-node counters are the fabric's single accounting path:
-    // they are disjoint per node, so they need no lane-mode scratch
-    // detour, and the aggregate accessors sum them on demand. The
-    // registry counts the same packet for the spatial export.
+    // The registry counts the same packet for the spatial export.
+    NodeState &n = nodes_[node];
     const bool local = packet.dst == node;
-    ++(local ? nodes_[node].local : nodes_[node].lateral);
+    ++(local ? n.local : n.lateral);
     NC_COUNT(probe_,
              local ? SpatialCounter::NodeLocal : SpatialCounter::NodeLateral,
              node, 1);
-    if (!laneOf_.empty() && laneOf_[node] != laneOf_[packet.dst]) {
-        if (laneMode_)
-            ++scratch_[node].crossLane;
-        else
-            ++crossLanePackets_;
-    }
+    if (!laneOf_.empty() && laneOf_[node] != laneOf_[packet.dst])
+        ++n.crossLane;
 }
 
 void
@@ -296,19 +290,12 @@ NocFabric::traverseLink(const Link &link, size_t index, Tick now)
         // With a lane map installed, a packet entering a router
         // outside its destination's lane escaped its sub-mesh.
         if (!laneOf_.empty()
-            && laneOf_[link.dstRouter] != laneOf_[out.front().dst]) {
-            if (laneMode_)
-                ++scratch_[link.dstRouter].crossLane;
-            else
-                ++crossLanePackets_;
-        }
+            && laneOf_[link.dstRouter] != laneOf_[out.front().dst])
+            ++nodes_[link.dstRouter].crossLane;
         dst.pushInput(link.dstPort, out.front());
         src.popOutput(link.srcPort);
         --budget;
-        if (laneMode_)
-            ++scratch_[link.srcRouter].linkFlits;
-        else
-            statLinkFlits_ += 1;
+        ++nodes_[link.srcRouter].linkFlits;
         NC_COUNT(probe_, SpatialCounter::LinkFlit, index, 1);
         NC_COUNT(probe_, EnergyEventKind::NocLink, link.srcRouter,
                  link.distance);
@@ -327,6 +314,7 @@ void
 NocFabric::ejectNode(unsigned node, Tick now)
 {
     Router &router = *routers_[node];
+    NodeState &n = nodes_[node];
     auto eject = [&](unsigned port, Ring<Packet> &sink,
                      bool is_mem) {
         const Ring<Packet> &out = router.outputQueue(port);
@@ -335,16 +323,9 @@ NocFabric::ejectNode(unsigned node, Tick now)
         while (budget > 0 && !out.empty()
                && sink.size() < config_.deliveryDepth) {
             Tick latency = now - out.front().injectTick;
-            if (laneMode_) {
-                NodeScratch &s = scratch_[node];
-                ++s.ejected;
-                s.latencySum += latency;
-                s.latency.sample(latency);
-            } else {
-                statEjected_ += 1;
-                statLatencySum_ += latency;
-                histLatency_.sample(latency);
-            }
+            ++n.ejected;
+            n.latencySum += latency;
+            n.latency.sample(latency);
             NC_TRACE(probe_, TraceComponent::Router, node,
                      TraceEventType::PacketEject, is_mem ? 1 : 0, latency);
             sink.push_back(out.front());
@@ -355,8 +336,8 @@ NocFabric::ejectNode(unsigned node, Tick now)
         if (ejected && nodeSink_[node] != nullptr)
             nodeSink_[node]->onEject(node, is_mem);
     };
-    eject(pePort_[node], nodes_[node].peDelivery, false);
-    eject(memPort_[node], nodes_[node].memDelivery, true);
+    eject(pePort_[node], n.peDelivery, false);
+    eject(memPort_[node], n.memDelivery, true);
 }
 
 void
@@ -484,32 +465,24 @@ NocFabric::buildLaneViews(
     return views;
 }
 
-void
-NocFabric::setWakeSink(WakeSink *sink)
+Histogram
+NocFabric::latencyHistogram() const
 {
-    for (auto &slot : nodeSink_)
-        slot = sink;
+    Histogram latency(nullptr, "", "");
+    for (const NodeState &n : nodes_)
+        latency.merge(n.latency);
+    return latency;
 }
 
 void
-NocFabric::setLaneStatsMode(bool enabled)
+NocFabric::refreshStats()
 {
-    laneMode_ = enabled;
-    if (enabled && scratch_.size() != config_.numNodes)
-        scratch_.resize(config_.numNodes);
-}
-
-void
-NocFabric::foldLaneStats()
-{
-    for (NodeScratch &s : scratch_) {
-        statEjected_ += s.ejected;
-        statLatencySum_ += s.latencySum;
-        statLinkFlits_ += s.linkFlits;
-        crossLanePackets_ += s.crossLane;
-        histLatency_.merge(s.latency);
-        s = NodeScratch{};
-    }
+    // Every count is integer-valued, so the sums are exact.
+    statEjected_.set(double(ejectedPackets()));
+    statLatencySum_.set(double(sumNodes(&NodeState::latencySum)));
+    statLinkFlits_.set(double(linkFlits()));
+    histLatency_.reset();
+    histLatency_.merge(latencyHistogram());
 }
 
 bool

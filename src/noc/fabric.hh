@@ -160,14 +160,11 @@ class NocFabric
     void catchUp(Tick final, const LaneView *view = nullptr);
 
     /**
-     * Install one wake sink for every node (single event scheduler),
-     * or nullptr to detach. Ejections into a node's delivery queues
-     * report onEject(node, to_mem) and injections report
-     * onInject(node, from_mem) to the node's sink.
+     * Install the wake sink of one node (its scheduler), or nullptr
+     * to detach. Ejections into the node's delivery queues report
+     * onEject(node, to_mem) and injections report
+     * onInject(node, from_mem) to it.
      */
-    void setWakeSink(WakeSink *sink);
-
-    /** Install the wake sink of one node (one scheduler per part). */
     void
     setNodeWakeSink(unsigned node, WakeSink *sink)
     {
@@ -175,19 +172,12 @@ class NocFabric
     }
 
     /**
-     * Route the fabric-level aggregate stats (ejection counts,
-     * latency histogram, link flits, lane-violation count) through
-     * per-node scratch counters instead of the shared Stat objects,
-     * so views ticked concurrently on several threads never touch
-     * shared state. foldLaneStats() merges the scratch back (the
-     * fold is exact: all quantities are integer-valued). Per-node
-     * state (router objects, NodeState, registry counters) is
-     * already disjoint and stays direct.
+     * Copy the per-node counts into the registered stats the stats
+     * dump prints (noc.ejected, latencySum, linkFlits, latency).
+     * The accessors below sum the nodes themselves; the pass driver
+     * refreshes the stats once per pass.
      */
-    void setLaneStatsMode(bool enabled);
-
-    /** Merge per-node scratch stats into the shared Stats. */
-    void foldLaneStats();
+    void refreshStats();
 
     /** True when no packet is anywhere in the fabric. */
     bool idle() const;
@@ -202,59 +192,40 @@ class NocFabric
 
     /**
      * Install a node -> lane assignment. While set, every injection
-     * and every link traversal is checked against it: a packet whose
-     * source, destination or traversed router disagree on the lane
-     * bumps crossLanePackets(). Pass an empty vector to remove.
+     * and every link traversal is checked against it: a packet
+     * injected toward another lane counts once at its source, and
+     * once more at each router it enters outside its destination's
+     * lane (crossLanePackets()). Pass an empty vector to remove.
      */
     void setLaneMap(std::vector<uint16_t> lane_of);
 
-    /** The installed node -> lane assignment (empty: none). */
-    const std::vector<uint16_t> &laneMap() const { return laneOf_; }
-
     /** Packets that violated the lane map (0 when lanes isolate). */
-    uint64_t crossLanePackets() const { return crossLanePackets_; }
+    uint64_t
+    crossLanePackets() const
+    {
+        return sumNodes(&NodeState::crossLane);
+    }
 
     /** Structural parameters. */
     const Config &config() const { return config_; }
 
-    /**
-     * Packets whose source and destination node differ. Derived by
-     * summing the per-node injection counters — the single
-     * accounting path (the old aggregate Stat duplicated them).
-     */
-    uint64_t
-    lateralPackets() const
-    {
-        uint64_t total = 0;
-        for (const NodeState &n : nodes_)
-            total += n.lateral;
-        return total;
-    }
+    /** Packets whose source and destination node differ. */
+    uint64_t lateralPackets() const { return sumNodes(&NodeState::lateral); }
     /** Packets delivered to a same-node destination. */
-    uint64_t
-    localPackets() const
-    {
-        uint64_t total = 0;
-        for (const NodeState &n : nodes_)
-            total += n.local;
-        return total;
-    }
+    uint64_t localPackets() const { return sumNodes(&NodeState::local); }
     /** Total packets ejected at endpoints. */
-    uint64_t
-    ejectedPackets() const
-    {
-        return statEjected_.count();
-    }
+    uint64_t ejectedPackets() const { return sumNodes(&NodeState::ejected); }
     /** Mean end-to-end packet latency in ticks. */
     double
     meanLatency() const
     {
-        uint64_t n = statEjected_.count();
-        return n ? statLatencySum_.value() / double(n) : 0.0;
+        const uint64_t n = ejectedPackets();
+        return n ? double(sumNodes(&NodeState::latencySum)) / double(n)
+                 : 0.0;
     }
 
     /** End-to-end packet latency distribution (ticks). */
-    const Histogram &latencyHistogram() const { return histLatency_; }
+    Histogram latencyHistogram() const;
 
     /** Lateral packets injected at one node (per-lane accounting). */
     uint64_t
@@ -270,7 +241,7 @@ class NocFabric
     }
 
     /** Total packet transfers over router-to-router links. */
-    uint64_t linkFlits() const { return statLinkFlits_.count(); }
+    uint64_t linkFlits() const { return sumNodes(&NodeState::linkFlits); }
 
     /** Fraction of traffic that crossed between nodes. */
     double
@@ -332,7 +303,9 @@ class NocFabric
     /**
      * The per-node state the node's own scheduler writes, on cache
      * lines of its own: threads stepping neighbouring nodes never
-     * share a line.
+     * share a line. The fabric's counts live here, kept apart from
+     * the registry (which exists only while tracing), and the
+     * accessors sum them.
      */
     struct alignas(cacheLineBytes) NodeState
     {
@@ -340,24 +313,28 @@ class NocFabric
         Ring<Packet> memDelivery;
         /** First tick the node's router has not accounted (tick()). */
         Tick accounted = 0;
-        /** Lateral/local packets injected here (kept apart from the
-         *  registry, which exists only while tracing). */
+        /** Lateral/local packets injected here. */
         uint64_t lateral = 0;
         uint64_t local = 0;
-    };
-
-    /** Per-node stat accumulation while laneMode_ is set. The
-     *  lateral/local injection counts are not here: NodeState's are
-     *  already per-node disjoint, so they are the single accounting
-     *  path in every mode. */
-    struct alignas(cacheLineBytes) NodeScratch
-    {
+        /** Packets ejected here and the sum of their latencies. */
         uint64_t ejected = 0;
         uint64_t latencySum = 0;
+        /** Link transfers out of this node's router. */
         uint64_t linkFlits = 0;
+        /** Lane-map violations injected at or entering this node. */
         uint64_t crossLane = 0;
         Histogram latency{nullptr, "latency", ""};
     };
+
+    /** Sum one per-node count over every node. */
+    uint64_t
+    sumNodes(uint64_t NodeState::*count) const
+    {
+        uint64_t total = 0;
+        for (const NodeState &n : nodes_)
+            total += n.*count;
+        return total;
+    }
 
     Config config_;
     Probe probe_;
@@ -376,17 +353,13 @@ class NocFabric
     std::vector<unsigned> pePort_;
     /** Per node: output port feeding the memory endpoint. */
     std::vector<unsigned> memPort_;
-    /** Per node: delivery queues, router accounting, injections. */
+    /** Per node: delivery queues, router accounting, counts. */
     std::vector<NodeState> nodes_;
     /** Node -> lane assignment (empty = no checking). */
     std::vector<uint16_t> laneOf_;
-    uint64_t crossLanePackets_ = 0;
 
     /** Per-node scheduler wake sinks (null outside a pass). */
     std::vector<WakeSink *> nodeSink_;
-    /** Aggregate stats detour through scratch_ (threaded views). */
-    bool laneMode_ = false;
-    std::vector<NodeScratch> scratch_;
 
     StatGroup statGroup_;
     Stat statEjected_;

@@ -50,12 +50,6 @@ PowerModel::PowerModel(TechNode node, unsigned num_pes)
 }
 
 double
-PowerModel::logicClockGhz() const
-{
-    return node_ == TechNode::Nm28 ? 0.3 : 5.12;
-}
-
-double
 PowerModel::throughputClockGhz() const
 {
     // The 28 nm PE tops out at 300 MHz, so the vault I/O and NoC run

@@ -69,9 +69,6 @@ class PowerModel
     /** The node. */
     TechNode node() const { return node_; }
 
-    /** Logic clock in GHz (0.3 for 28 nm, 5.12 for 15 nm SRAM). */
-    double logicClockGhz() const;
-
     /**
      * Effective throughput clock in GHz: the clock at which the
      * compute layer consumes vault data. 5 GHz (the vault I/O rate)

@@ -4,12 +4,12 @@
  * the tsan preset (scripts/check.sh, CI): each pass is cut into
  * buckets of node groups that its traffic never connects, batched or
  * not, and each bucket's scheduler runs on its own thread. The
- * buckets must never touch shared state without the fabric's
- * per-node scratch detour, and under a live recorder they stage
- * their events for the recorder's merge. The checks themselves are
- * determinism checks — a data race that corrupts counters or event
- * order shows up as a mismatch against the one-scheduler Event
- * engine even when tsan is not watching.
+ * buckets must touch only their own nodes' state (the fabric counts
+ * per node), and under a live recorder they stage their events for
+ * the recorder's merge. The checks themselves are determinism
+ * checks — a data race that corrupts counters or event order shows
+ * up as a mismatch against the one-scheduler Event engine even when
+ * tsan is not watching.
  */
 
 #include <gtest/gtest.h>
@@ -354,10 +354,12 @@ TEST(EngineThreads, BatchedTracesMatchEventByteForByte)
 
 TEST(EngineThreads, FinishedBucketsWakeLikeOneScheduler)
 {
-    // The scene net's last FC layer: some buckets finish while a PNG
-    // still holds a wake from its vault's last serve. One scheduler
-    // executes it as a no-op tick while the others run, which every
-    // per-tick EngineSkip of a 1-tick-window time series shows.
+    // The scene net's last FC layer: buckets finish at different
+    // ticks, some right after their vault's last serve. A finished
+    // bucket holds no wake (a served PNG that is done stays asleep),
+    // so one scheduler executes no tick for it while the others run
+    // either, which every per-tick EngineSkip of a 1-tick-window time
+    // series shows.
     NetworkDesc net = sceneLabelingNetwork(160, 120);
     const size_t last = net.layers.size() - 1;
     const LayerDesc &fc = net.layers[last];

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+
 #include "core/neurocube.hh"
 #include "nn/reference.hh"
 
@@ -403,6 +406,84 @@ TEST(Integration, StatsDumpIsWellFormed)
     EXPECT_NE(out.find("neurocube.passes"), std::string::npos);
     EXPECT_NE(out.find("vault0"), std::string::npos);
     EXPECT_NE(out.find("noc"), std::string::npos);
+}
+
+/** The stats dump's values by path, printed exactly. */
+std::map<std::string, double>
+dumpValues(Neurocube &cube)
+{
+    std::ostringstream os;
+    os.precision(17);
+    cube.stats().dump(os);
+    std::map<std::string, double> values;
+    std::istringstream lines(os.str());
+    for (std::string line; std::getline(lines, line);) {
+        std::istringstream fields(line);
+        std::string path;
+        double value = 0.0;
+        if (fields >> path >> value)
+            values[path] = value;
+    }
+    return values;
+}
+
+/** The dump's NoC lines must equal the fabric's per-node sums. */
+void
+expectDumpMatchesFabric(Neurocube &cube)
+{
+    const NocFabric &fabric = cube.fabric();
+    std::map<std::string, double> dump = dumpValues(cube);
+    EXPECT_EQ(dump.at("neurocube.noc.ejected"),
+              double(fabric.ejectedPackets()));
+    EXPECT_EQ(dump.at("neurocube.noc.linkFlits"),
+              double(fabric.linkFlits()));
+    const Histogram latency = fabric.latencyHistogram();
+    EXPECT_EQ(dump.at("neurocube.noc.latency.count"),
+              double(latency.count()));
+    EXPECT_EQ(dump.at("neurocube.noc.latency.min"), double(latency.min()));
+    EXPECT_EQ(dump.at("neurocube.noc.latency.max"), double(latency.max()));
+    EXPECT_EQ(dump.at("neurocube.noc.latency.mean"), latency.mean());
+    EXPECT_EQ(dump.at("neurocube.noc.latency.p50"), latency.p50());
+    EXPECT_EQ(dump.at("neurocube.noc.latency.p99"), latency.p99());
+    EXPECT_EQ(latency.count(), fabric.ejectedPackets());
+    // Without duplication operands cross the mesh, so every count
+    // above is non-zero.
+    EXPECT_GT(fabric.linkFlits(), 0u);
+}
+
+TEST(Integration, StatsDumpCarriesTheFabricCounts)
+{
+    NetworkDesc net = tinyConvNet();
+    NetworkData data = NetworkData::randomized(net, 32);
+    NeurocubeConfig config;
+    config.mapping.duplicateConvHalo = false;
+
+    // A fanned-out run: four batch lanes on the threaded engine.
+    config.batch.lanes = 4;
+    std::vector<Tensor> inputs;
+    for (uint64_t l = 0; l < 4; ++l) {
+        Tensor in(net.inputMaps(), net.inputHeight(), net.inputWidth());
+        Rng rng(33 + l);
+        in.randomize(rng);
+        inputs.push_back(std::move(in));
+    }
+    {
+        Neurocube cube(config);
+        cube.loadNetwork(net, data);
+        cube.runForwardBatch(inputs);
+        SCOPED_TRACE("threaded batch");
+        expectDumpMatchesFabric(cube);
+    }
+
+    // One scheduler over the whole machine.
+    config.batch.lanes = 1;
+    config.engine = SimEngine::Event;
+    Neurocube cube(config);
+    cube.loadNetwork(net, data);
+    cube.setInput(inputs[0]);
+    cube.runForward();
+    SCOPED_TRACE("event");
+    expectDumpMatchesFabric(cube);
 }
 
 } // namespace

@@ -100,16 +100,6 @@ TEST(Manifest, FingerprintPinsTheBaselineHashes)
     EXPECT_EQ(configFingerprint(config), 0x450cb9ed9ba3a923ull);
 }
 
-TEST(Manifest, ExplicitDefaultChannelPlacementHashesLikeImplicit)
-{
-    NeurocubeConfig a;
-    NeurocubeConfig b;
-    b.memoryNodes = a.resolvedMemoryNodes();
-    EXPECT_EQ(configFingerprint(a), configFingerprint(b));
-    b.memoryNodes[0] = (b.memoryNodes[0] + 1) % b.numPes;
-    EXPECT_NE(configFingerprint(a), configFingerprint(b));
-}
-
 TEST(Manifest, BuildRunManifestFillsTheIdentityBlock)
 {
     NeurocubeConfig config;

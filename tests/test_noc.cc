@@ -185,6 +185,40 @@ TEST_F(FabricTest, LatencyAccounted)
     EXPECT_EQ(fabric_->ejectedPackets(), 1u);
 }
 
+TEST_F(FabricTest, LaneMapCountsEscapingPackets)
+{
+    build(meshConfig());
+    // Two lanes: the top two rows (nodes 0-7) and the bottom two.
+    std::vector<uint16_t> lane_of(16);
+    for (unsigned node = 0; node < 16; ++node)
+        lane_of[node] = uint16_t(node / 8);
+    fabric_->setLaneMap(lane_of);
+
+    // A packet within its lane counts nowhere.
+    fabric_->injectFromMem(0, operandTo(5), now_);
+    drain();
+    ASSERT_EQ(fabric_->peDelivery(5).size(), 1u);
+    EXPECT_EQ(fabric_->crossLanePackets(), 0u);
+
+    // Node 3 to node 12: one count at injection, then one for each
+    // router it enters outside lane 1. X-Y routing goes west along
+    // row 0 (2, 1, 0), then south (4, 8, 12): four routers.
+    fabric_->injectFromMem(3, operandTo(12), now_);
+    EXPECT_EQ(fabric_->crossLanePackets(), 1u);
+    drain();
+    ASSERT_EQ(fabric_->peDelivery(12).size(), 1u);
+    ASSERT_EQ(fabric_->routeRouters(3, 12, false),
+              (std::vector<unsigned>{3, 2, 1, 0, 4, 8, 12}));
+    EXPECT_EQ(fabric_->crossLanePackets(), 1u + 4u);
+
+    // With the map cleared, the same packet counts nothing.
+    fabric_->setLaneMap({});
+    fabric_->injectFromMem(3, operandTo(12), now_);
+    drain();
+    ASSERT_EQ(fabric_->peDelivery(12).size(), 2u);
+    EXPECT_EQ(fabric_->crossLanePackets(), 5u);
+}
+
 TEST_F(FabricTest, LateralFraction)
 {
     build(meshConfig());
