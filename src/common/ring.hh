@@ -41,6 +41,8 @@ class Ring
 
     const T &front() const { return buf_[head_]; }
     T &front() { return buf_[head_]; }
+    const T &back() const { return buf_[slot(size_ - 1)]; }
+    T &back() { return buf_[slot(size_ - 1)]; }
 
     /** Element @p i positions behind the front. @pre i < size() */
     const T &operator[](size_t i) const { return buf_[slot(i)]; }

@@ -799,18 +799,23 @@ void
 Neurocube::fillHistogramSummaries(BottleneckReport &report,
                                   const Lane &lane)
 {
-    report.nocLatency = summarize(fabric_->latencyHistogram());
-
     // Free-standing aggregation targets (never registered/dumped).
     Histogram dram(nullptr, "", "");
     Histogram pe_cache(nullptr, "", "");
     Histogram png_queue(nullptr, "", "");
+    Histogram noc_latency(nullptr, "", "");
     for (unsigned ch : lane.channels) {
         dram.merge(channels_[ch]->queueResidencyHistogram());
         png_queue.merge(pngs_[ch]->outQueueDepthHistogram());
     }
-    for (unsigned node : lane.nodes)
+    // A packet's latency counts at the node that ejects it, and a
+    // batch lane's packets stay inside its nodes; the machine lane
+    // holds every node.
+    for (unsigned node : lane.nodes) {
         pe_cache.merge(pes_[node]->cacheOccupancyHistogram());
+        noc_latency.merge(fabric_->nodeLatencyHistogram(node));
+    }
+    report.nocLatency = summarize(noc_latency);
     report.dramQueueResidency = summarize(dram);
     report.peCacheOccupancy = summarize(pe_cache);
     report.pngOutQueueDepth = summarize(png_queue);

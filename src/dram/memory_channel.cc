@@ -1,6 +1,7 @@
 #include "dram/memory_channel.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/logging.hh"
@@ -11,8 +12,6 @@ namespace neurocube
 namespace
 {
 constexpr uint64_t noRow = std::numeric_limits<uint64_t>::max();
-/** Queue entries scanned when looking for rows to pre-activate. */
-constexpr size_t lookaheadWindow = 48;
 } // namespace
 
 MemoryChannel::MemoryChannel(const DramParams &params, StatGroup *parent,
@@ -22,7 +21,8 @@ MemoryChannel::MemoryChannel(const DramParams &params, StatGroup *parent,
       openRow_(params.banksPerChannel, noRow),
       bankReady_(params.banksPerChannel, 0),
       pendingRow_(params.banksPerChannel, noRow),
-      rowElements_(params.elementsPerRow()),
+      rowShift_(unsigned(std::countr_zero(params.elementsPerRow()))),
+      bankMask_(params.banksPerChannel - 1),
       statGroup_(parent, name),
       statReads_(&statGroup_, "reads", "element reads serviced"),
       statWrites_(&statGroup_, "writes", "element writes serviced"),
@@ -37,7 +37,13 @@ MemoryChannel::MemoryChannel(const DramParams &params, StatGroup *parent,
       histQueueResidency_(&statGroup_, "queueResidency",
                           "ticks a request waited before service")
 {
-    nc_assert(params_.banksPerChannel > 0, "channel needs >= 1 bank");
+    nc_assert(std::has_single_bit(params_.elementsPerRow()),
+              "dram.rowBytes / bytesPerElement (%u) must be a power of "
+              "two",
+              params_.elementsPerRow());
+    nc_assert(std::has_single_bit(params_.banksPerChannel),
+              "dram.banksPerChannel (%u) must be a power of two",
+              params_.banksPerChannel);
     nc_assert(params_.burstLength > 0, "burst length must be positive");
 }
 
@@ -52,12 +58,8 @@ MemoryChannel::enqueue(const MemRequest &req)
         sink_->onChannelEnqueue(traceId_);
     MemRequest stamped = req;
     stamped.enqueueTick = now_;
-    stamped.row = rowOf(req.addr);
-    stamped.bank = bankOfRow(stamped.row);
-    // The new entry lands inside the lookahead window only when its
-    // queue holds fewer than lookaheadWindow entries.
-    if ((req.write ? writeQueue_ : queue_).size() < lookaheadWindow)
-        lookaheadStale_ = true;
+    const uint64_t row = rowOf(req.addr);
+    const unsigned bank = bankOfRow(row);
     if (req.write) {
         if (writeQueue_.empty()) {
             writeLo_ = req.addr;
@@ -66,7 +68,7 @@ MemoryChannel::enqueue(const MemRequest &req)
             writeLo_ = std::min(writeLo_, req.addr);
             writeHi_ = std::max(writeHi_, req.addr);
         }
-        writeQueue_.push_back(stamped);
+        writeQueue_.push_back(stamped, row, bank);
         NC_TRACE(probe_, TraceComponent::Vault, traceId_,
                  TraceEventType::DramQueueDepth, 1, writeQueue_.size());
     } else {
@@ -75,7 +77,7 @@ MemoryChannel::enqueue(const MemRequest &req)
             // buffer before any further reads are serviced.
             hazardDrain_ = true;
         }
-        queue_.push_back(stamped);
+        queue_.push_back(stamped, row, bank);
         NC_TRACE(probe_, TraceComponent::Vault, traceId_,
                  TraceEventType::DramQueueDepth, 0, queue_.size());
     }
@@ -108,80 +110,64 @@ MemoryChannel::resetTiming()
         row = noRow;
     drainWrites_ = false;
     lookaheadArmed_ = true;
-    lookaheadStale_ = true;
     pendingActivations_ = 0;
 }
 
 void
-MemoryChannel::lookaheadActivate(Tick now,
-                                 const Ring<MemRequest> &queue)
+MemoryChannel::lookaheadActivate(Tick now, const RowRunQueue &queue)
 {
-    size_t window = std::min(queue.size(), lookaheadWindow);
-    uint64_t prev_row = noRow;
-    unsigned distinct_rows = 0;
-    uint32_t banks_needed = 0; // banks earlier queue entries rely on
-    for (size_t i = 0; i < window && distinct_rows < 6; ++i) {
-        uint64_t row = queue[i].row;
-        if (row == prev_row)
-            continue; // streaming within one row
-        prev_row = row;
-        ++distinct_rows;
-        unsigned bank = queue[i].bank;
-        uint32_t bank_bit = 1u << (bank % 32);
-        bool activating = now < bankReady_[bank];
-        bool open = !activating && openRow_[bank] == row;
+    uint32_t banks_needed = 0; // banks earlier runs rely on
+    queue.walkRuns(lookaheadWindow, lookaheadRows,
+                   [&](size_t k, size_t) {
+        const RowRunQueue::Run &run = queue.run(k);
+        const uint32_t bank_bit = 1u << (run.bank % 32);
+        const bool activating = now < bankReady_[run.bank];
+        const bool open = !activating && openRow_[run.bank] == run.row;
         if (!activating && !open && !(banks_needed & bank_bit)) {
-            // Safe to pre-activate: no earlier entry still needs the
+            // Safe to pre-activate: no earlier run still needs the
             // row currently open in this bank.
-            pendingRow_[bank] = row;
-            bankReady_[bank] = now + params_.activateTicks();
+            pendingRow_[run.bank] = run.row;
+            bankReady_[run.bank] = now + params_.activateTicks();
             ++pendingActivations_;
             statRowMisses_ += 1;
             NC_TRACE(probe_, TraceComponent::Vault, traceId_,
-                     TraceEventType::DramRowActivate, bank, row);
-            // One activation start per tick (command-bus limit). The
-            // activation changed a bank's state, so stay stale.
-            return;
+                     TraceEventType::DramRowActivate, run.bank, run.row);
+            return true; // one activation start per tick (command bus)
         }
         banks_needed |= bank_bit;
-    }
-    // Nothing to start: until an input changes, a rescan would
-    // reach the same verdict.
-    lookaheadStale_ = false;
+        return false;
+    });
 }
 
-size_t
-MemoryChannel::pickServeIndex(Tick now) const
+MemoryChannel::RunPos
+MemoryChannel::pickServeRun(Tick now) const
 {
-    size_t window = std::min(queue_.size(), reorderWindow);
-    for (size_t i = 0; i < window; ++i) {
-        const MemRequest &req = queue_[i];
-        bool open = now >= bankReady_[req.bank]
-                 && openRow_[req.bank] == req.row;
-        if (open)
-            return i;
-    }
-    return SIZE_MAX;
+    RunPos pick{SIZE_MAX, 0};
+    queue_.walkRuns(reorderWindow, SIZE_MAX, [&](size_t k, size_t first) {
+        if (!rowOpen(now, queue_.run(k)))
+            return false;
+        pick = {k, first};
+        return true;
+    });
+    return pick;
 }
 
 void
-MemoryChannel::serveWord(Tick now, Ring<MemRequest> &queue, size_t idx)
+MemoryChannel::serveWord(Tick now, RowRunQueue &queue, RunPos pos)
 {
-    const uint64_t row = queue[idx].row;
-    const bool is_write = queue[idx].write;
+    const size_t available = queue.run(pos.run).count;
+    const bool is_write = queue[pos.first].write;
 
-    // Pack up to a word's worth of same-row, same-direction
-    // contiguous requests. With the broadcast ablation enabled,
-    // requests repeating the previous address ride for free: the
-    // vault controller reads the element once and the PNG broadcasts
-    // it into multiple packets.
+    // Pack up to a word's worth of the run's requests, which share
+    // its row and the queue's direction. With the broadcast ablation
+    // enabled, requests repeating the previous address ride for
+    // free: the vault controller reads the element once and the PNG
+    // broadcasts it into multiple packets.
     unsigned packed = 0;
     size_t taken = 0;
     Addr prev_addr = ~Addr(0);
-    while (idx + taken < queue.size()) {
-        const MemRequest &req = queue[idx + taken];
-        if (req.write != is_write || req.row != row)
-            break;
+    while (taken < available) {
+        const MemRequest &req = queue[pos.first + taken];
         bool duplicate = params_.broadcastDuplicateReads && !is_write
                       && req.addr == prev_addr;
         if (!duplicate && packed >= params_.elementsPerWord())
@@ -204,8 +190,7 @@ MemoryChannel::serveWord(Tick now, Ring<MemRequest> &queue, size_t idx)
         ++taken;
     }
 
-    queue.erase(idx, taken);
-    lookaheadStale_ = true;
+    queue.eraseRunFront(pos.run, pos.first, taken);
 
     // One controller transaction moved `packed` elements' bits over
     // the DRAM interface (duplicates ride the broadcast for free).
@@ -257,7 +242,6 @@ MemoryChannel::tick(Tick now)
                 openRow_[b] = pendingRow_[b];
                 pendingRow_[b] = noRow;
                 --pendingActivations_;
-                lookaheadStale_ = true;
             }
         }
     }
@@ -288,13 +272,11 @@ MemoryChannel::tick(Tick now)
             drainWrites_ = false;
             hazardDrain_ = writeQueue_.empty() ? false : hazardDrain_;
             lookaheadArmed_ = true;
-            lookaheadStale_ = true;
         }
     } else if (hazardDrain_ || writeQueue_.size() >= writeDrainHigh
                || queue_.empty()) {
         drainWrites_ = !writeQueue_.empty();
         lookaheadArmed_ = true;
-        lookaheadStale_ = true;
     }
     if (writeQueue_.empty())
         hazardDrain_ = false;
@@ -302,12 +284,9 @@ MemoryChannel::tick(Tick now)
     // Lookahead only needs to re-scan at burst boundaries or while
     // stalled; in the middle of a burst nothing it could start has
     // changed (one activation start per boundary keeps the command
-    // bus honest anyway). Of those scans, one whose inputs are
-    // unchanged since a scan that activated nothing is skipped: it
-    // would activate nothing again.
+    // bus honest anyway).
     if (burstWords_ == 0 || lookaheadArmed_) {
-        if (lookaheadStale_)
-            lookaheadActivate(now, drainWrites_ ? writeQueue_ : queue_);
+        lookaheadActivate(now, drainWrites_ ? writeQueue_ : queue_);
         lookaheadArmed_ = false;
     }
 
@@ -336,10 +315,10 @@ MemoryChannel::tick(Tick now)
 
     if (drainWrites_) {
         // Writes drain strictly in order.
-        const MemRequest &head = writeQueue_.front();
+        const RowRunQueue::Run &head = writeQueue_.run(0);
         const unsigned bank = head.bank;
-        if (now >= bankReady_[bank] && openRow_[bank] == head.row) {
-            serveWord(now, writeQueue_, 0);
+        if (rowOpen(now, head)) {
+            serveWord(now, writeQueue_, {0, 0});
             NC_COUNT(probe_,
                      Counter::stall(TraceComponent::Vault, StallClass::Busy),
                      traceId_, 1);
@@ -371,8 +350,8 @@ MemoryChannel::tick(Tick now)
         lookaheadArmed_ = true;
         return;
     }
-    size_t idx = pickServeIndex(now);
-    if (idx == SIZE_MAX) {
+    const RunPos pick = pickServeRun(now);
+    if (pick.run == SIZE_MAX) {
         statStallTicks_ += 1;
         NC_TRACE(probe_, TraceComponent::Vault, traceId_,
                  TraceEventType::DramStall,
@@ -382,7 +361,7 @@ MemoryChannel::tick(Tick now)
                  traceId_, 1);
         lookaheadArmed_ = true; // stalled: re-scan next tick
     } else {
-        serveWord(now, queue_, idx);
+        serveWord(now, queue_, pick);
         NC_COUNT(probe_,
                  Counter::stall(TraceComponent::Vault, StallClass::Busy),
                  traceId_, 1);
@@ -405,7 +384,6 @@ MemoryChannel::skipTicks(Tick from, Tick to)
                 openRow_[b] = pendingRow_[b];
                 pendingRow_[b] = noRow;
                 --pendingActivations_;
-                lookaheadStale_ = true;
             }
         }
     }

@@ -44,10 +44,98 @@ struct MemRequest
     uint64_t tag = 0;
     /** Tick the channel accepted the request (set by enqueue). */
     Tick enqueueTick = 0;
-    /** DRAM row of addr (cached by enqueue; divisions are hot). */
-    uint64_t row = 0;
-    /** Bank of addr (cached by enqueue). */
-    unsigned bank = 0;
+};
+
+/**
+ * One request queue of a channel, indexed by row run: the requests in
+ * arrival order, plus one (row, bank, count) record per maximal
+ * stretch of consecutive requests to the same row. Neighbouring runs
+ * always differ in row, so a walk over the runs meets exactly the
+ * requests at which a front-to-back scan sees the row change, and
+ * every request of a run shares the run's row and bank.
+ *
+ * The queue owns both, and only two mutations touch them: push_back()
+ * extends the tail run or appends one, and eraseRunFront() shrinks a
+ * run, dropping it when it empties and merging its neighbours when
+ * they then share a row.
+ */
+class RowRunQueue
+{
+  public:
+    /** A maximal stretch of consecutive same-row requests. */
+    struct Run
+    {
+        uint64_t row;
+        unsigned bank;
+        /** Requests in the run (never 0). */
+        unsigned count;
+    };
+
+    bool empty() const { return requests_.empty(); }
+    size_t size() const { return requests_.size(); }
+    /** Request @p i positions behind the front. @pre i < size() */
+    const MemRequest &operator[](size_t i) const { return requests_[i]; }
+
+    size_t runCount() const { return runs_.size(); }
+    /** Run @p k positions behind the front run. @pre k < runCount() */
+    const Run &run(size_t k) const { return runs_[k]; }
+
+    /**
+     * Append a request to DRAM row @p row in bank @p bank. @pre the
+     * bank is a function of the row
+     */
+    void
+    push_back(const MemRequest &req, uint64_t row, unsigned bank)
+    {
+        requests_.push_back(req);
+        if (!runs_.empty() && runs_.back().row == row)
+            ++runs_.back().count;
+        else
+            runs_.push_back({row, bank, 1});
+    }
+
+    /**
+     * Remove the first @p n requests of run @p k, whose first request
+     * sits at index @p first. @pre 0 < n <= run(k).count
+     */
+    void
+    eraseRunFront(size_t k, size_t first, size_t n)
+    {
+        requests_.erase(first, n);
+        runs_[k].count -= unsigned(n);
+        if (runs_[k].count > 0)
+            return;
+        if (k > 0 && k + 1 < runs_.size()
+            && runs_[k - 1].row == runs_[k + 1].row) {
+            runs_[k - 1].count += runs_[k + 1].count;
+            runs_.erase(k, 2);
+        } else {
+            runs_.erase(k, 1);
+        }
+    }
+
+    /**
+     * Visit, front to back, the runs whose first request lies among
+     * the first @p window requests, at most @p max_runs of them.
+     * visit(k, first) gets each run's index and the index of its first
+     * request, and returns true to stop the walk.
+     */
+    template <typename Visit>
+    void
+    walkRuns(size_t window, size_t max_runs, Visit &&visit) const
+    {
+        size_t first = 0;
+        for (size_t k = 0;
+             k < runs_.size() && k < max_runs && first < window; ++k) {
+            if (visit(k, first))
+                return;
+            first += runs_[k].count;
+        }
+    }
+
+  private:
+    Ring<MemRequest> requests_;
+    Ring<Run> runs_;
 };
 
 /** Completion record for one serviced read. */
@@ -194,9 +282,16 @@ class MemoryChannel
      */
     static constexpr size_t responseBacklogLimit = 16;
 
+    /** Requests inspected for out-of-order row hits. */
+    static constexpr size_t reorderWindow = 48;
+    /** Requests scanned when looking for rows to pre-activate. */
+    static constexpr size_t lookaheadWindow = 48;
+    /** Distinct upcoming rows the lookahead considers. */
+    static constexpr size_t lookaheadRows = 6;
+
   private:
     /** Row index of an element address. */
-    uint64_t rowOf(Addr addr) const { return addr / rowElements_; }
+    uint64_t rowOf(Addr addr) const { return addr >> rowShift_; }
     /**
      * Bank a DRAM row maps to. The row index is hashed so that
      * independent sequential streams (states vs weights) rarely fall
@@ -205,29 +300,46 @@ class MemoryChannel
     unsigned
     bankOfRow(uint64_t row) const
     {
-        return unsigned((row ^ (row >> 4)) % params_.banksPerChannel);
+        return unsigned((row ^ (row >> 4)) & bankMask_);
+    }
+
+    /** True when @p run's row is open and its bank not activating. */
+    bool
+    rowOpen(Tick now, const RowRunQueue::Run &run) const
+    {
+        return now >= bankReady_[run.bank]
+            && openRow_[run.bank] == run.row;
     }
 
     /**
-     * Start a pre-activation for an upcoming row in an idle bank.
-     * Clears lookaheadStale_ when the scan activates nothing.
+     * Start a pre-activation for an upcoming row in an idle bank:
+     * the first of the first lookaheadRows runs starting inside the
+     * lookahead window whose bank neither holds its row nor is needed
+     * by an earlier run.
      */
-    void lookaheadActivate(Tick now, const Ring<MemRequest> &queue);
+    void lookaheadActivate(Tick now, const RowRunQueue &queue);
+
+    /** A run of a queue and the index of its first request. */
+    struct RunPos
+    {
+        size_t run;
+        size_t first;
+    };
 
     /**
-     * Pick the read-queue index to serve this tick: the head when
-     * its row is open, otherwise the first open-row read within the
-     * reorder window (FR-FCFS row-hit-first). Only reads are
+     * Pick the read run to serve this tick: the head run when its
+     * row is open, otherwise the first open-row run starting within
+     * the reorder window (FR-FCFS row-hit-first). Only reads are
      * reordered: writes wait in writeQueue_ and drain in order, and
      * a read that depends on a buffered write sets hazardDrain_,
      * which drains the write buffer before any further read is
-     * served, so read-after-write order holds without this scan
+     * served, so read-after-write order holds without this walk
      * looking at writes.
      *
-     * @return index into the queue, or SIZE_MAX when nothing can be
+     * @return the run, with run == SIZE_MAX when nothing can be
      *         served this tick
      */
-    size_t pickServeIndex(Tick now) const;
+    RunPos pickServeRun(Tick now) const;
 
     /**
      * True when a buffered write targets @p addr (read-after-write):
@@ -236,11 +348,9 @@ class MemoryChannel
      */
     bool readsBufferedWrite(Addr addr) const;
 
-    /** Serve up to one word's worth of requests starting at idx. */
-    void serveWord(Tick now, Ring<MemRequest> &queue, size_t idx);
-
-    /** Requests inspected for out-of-order row hits. */
-    static constexpr size_t reorderWindow = 48;
+    /** Serve up to one word's worth of requests from the front of
+     *  run @p pos. */
+    void serveWord(Tick now, RowRunQueue &queue, RunPos pos);
 
     DramParams params_;
     BackingStore store_;
@@ -253,8 +363,8 @@ class MemoryChannel
      * indexing and erasing sit on the per-tick path. They start empty
      * and grow on first use, which keeps channel construction cheap.
      */
-    Ring<MemRequest> queue_;
-    Ring<MemRequest> writeQueue_;
+    RowRunQueue queue_;
+    RowRunQueue writeQueue_;
     /**
      * Address range of the buffered writes (the RAW guard's filter):
      * meaningful while writeQueue_ is non-empty, restarted by the
@@ -283,12 +393,6 @@ class MemoryChannel
     Tick gapRemaining_ = 0;
     /** Force a lookahead re-scan on the next tick. */
     bool lookaheadArmed_ = true;
-    /**
-     * Something lookaheadActivate() reads may have changed since its
-     * last scan that activated nothing; while false a scan would
-     * activate nothing again, so tick() skips it (DESIGN.md 6b).
-     */
-    bool lookaheadStale_ = true;
     /** Activations in flight (skips the promotion scan when 0). */
     unsigned pendingActivations_ = 0;
     /** Scheduler hook (null outside a pass). */
@@ -301,7 +405,10 @@ class MemoryChannel
     /** Per-bank row being activated (valid while now < bankReady_). */
     std::vector<uint64_t> pendingRow_;
 
-    unsigned rowElements_;
+    /** log2 of the elements per row: rowOf() shifts. */
+    unsigned rowShift_;
+    /** banksPerChannel - 1: bankOfRow() masks. */
+    uint64_t bankMask_;
 
     StatGroup statGroup_;
     Stat statReads_;

@@ -239,6 +239,18 @@ class NocFabric
     {
         return nodes_[node].local;
     }
+    /** Packets ejected at one node. */
+    uint64_t
+    nodeEjectedPackets(unsigned node) const
+    {
+        return nodes_[node].ejected;
+    }
+    /** Latency distribution of the packets ejected at one node. */
+    const Histogram &
+    nodeLatencyHistogram(unsigned node) const
+    {
+        return nodes_[node].latency;
+    }
 
     /** Total packet transfers over router-to-router links. */
     uint64_t linkFlits() const { return sumNodes(&NodeState::linkFlits); }

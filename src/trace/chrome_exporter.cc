@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "trace/energy.hh"
 
@@ -112,9 +113,9 @@ ChromeTraceExporter::emitCounter(uint32_t pid, const std::string &name,
                                  Tick ts, double value)
 {
     emitComma();
-    os_ << "{\"name\":\"" << name << "\",\"ph\":\"C\",\"ts\":" << ts
-        << ",\"pid\":" << pid << ",\"args\":{\"value\":" << value
-        << "}}";
+    os_ << "{\"name\":" << jsonString(name) << ",\"ph\":\"C\",\"ts\":"
+        << ts << ",\"pid\":" << pid
+        << ",\"args\":{\"value\":" << jsonNumber(value) << "}}";
 }
 
 void

@@ -185,6 +185,38 @@ TEST(Batch, PartialBatchLeavesTrailingLanesIdle)
     EXPECT_EQ(cube.fabric().crossLanePackets(), 0u);
 }
 
+#if NEUROCUBE_TRACE_ENABLED // bottleneck reports need the registry
+TEST(Batch, LaneNocLatencyCountsOnlyTheLanesPackets)
+{
+    // A lane's latency histogram merges only its own nodes, where its
+    // packets eject; the lanes together account for every ejection.
+    NetworkDesc net = convFcNet();
+    NetworkData data = NetworkData::randomized(net, 2);
+    std::vector<Tensor> inputs = laneInputs(net, 2, 200);
+
+    NeurocubeConfig config;
+    config.batch.lanes = 4;
+    config.trace.enabled = true;
+    Neurocube cube(config);
+    cube.loadNetwork(net, data);
+    BatchRunResult run = cube.runForwardBatch(inputs);
+
+    ASSERT_EQ(run.lanes.size(), 2u);
+    uint64_t total = 0;
+    for (unsigned l = 0; l < 2; ++l) {
+        uint64_t ejected = 0;
+        for (unsigned node : cube.lanePartition()[l].nodes)
+            ejected += cube.fabric().nodeEjectedPackets(node);
+        const BottleneckReport &last = run.lanes[l].layers.back().bottleneck;
+        ASSERT_TRUE(last.valid);
+        EXPECT_GT(ejected, 0u) << "lane " << l;
+        EXPECT_EQ(last.nocLatency.count, ejected) << "lane " << l;
+        total += last.nocLatency.count;
+    }
+    EXPECT_EQ(total, cube.fabric().ejectedPackets());
+}
+#endif
+
 TEST(Batch, AggregateBeatsSequentialOnConvFc)
 {
     NetworkDesc net = convFcNet();

@@ -3,8 +3,8 @@
  * Differential fuzz harness for the simulation engines: every
  * SimEngine must produce bit-identical results. For seeded random
  * networks (layer shapes, kernel geometry, activation mix), machine
- * configurations (DRAM technology, NoC buffer/link widths, mapping
- * knobs) and batch lane counts, the legacy tick-every-cycle loop,
+ * configurations (DRAM technology and burst gap, NoC buffer/link
+ * widths, mapping knobs, data duplication) and batch lane counts, the legacy tick-every-cycle loop,
  * the event-driven wake-list scheduler and the threaded scheduler
  * (one per bucket of node groups) are run on the same workload and
  * compared on:
@@ -131,6 +131,13 @@ randomConfig(Rng &rng, bool need_identity_channels)
             break;
         }
     }
+    const Tick burst_gaps[] = {0, 1, 2, 4};
+    config.dram.burstGapTicks = burst_gaps[rng.below(4)];
+    // Without duplication several PEs' streams share one vault's
+    // queue, so FR-FCFS serves from its middle (about one case in
+    // four for each layer kind).
+    config.mapping.duplicateConvHalo = rng.below(4) != 0;
+    config.mapping.duplicateFcInput = rng.below(4) != 0;
     // About one case in four runs the 17-port fully connected NoC.
     if (rng.below(4) == 0)
         config.noc.topology = NocTopology::FullyConnected;

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
+#include "common/rng.hh"
 #include "dram/backing_store.hh"
 #include "dram/dram_params.hh"
 #include "dram/memory_channel.hh"
@@ -257,10 +259,10 @@ TEST_F(ChannelTest, RowHitOvertakesHeadWaitingOnActivation)
 TEST_F(ChannelTest, ResetTimingMidStreamReactivatesRows)
 {
     // Stream one row and stop in the burst gap after the first burst
-    // (8 words, 16 elements): the lookahead has just rescanned and
-    // found the row open. resetTiming then closes every bank while 48
-    // reads still wait; nothing else changes, so only the reset itself
-    // can prompt the lookahead to activate the row again.
+    // (8 words, 16 elements), with the row open. resetTiming then
+    // closes every bank while 48 reads still wait and no new request
+    // arrives: the lookahead must activate the row again on its own,
+    // or the reads wait forever.
     for (Addr a = 0; a < MemoryChannel::queueCapacity; ++a)
         channel_.enqueue({false, a, Fixed(), a});
     size_t seen = 0;
@@ -277,11 +279,11 @@ TEST_F(ChannelTest, ResetTimingMidStreamReactivatesRows)
 TEST_F(ChannelTest, HazardBehindLongReadQueueDrainsTheWrite)
 {
     // A write to row 3 waits in the buffer behind 64 row-0 reads. In
-    // the burst gap after the first 16 reads the lookahead has just
-    // rescanned the read queue; then a read of the written address
-    // arrives at index 48, outside the lookahead window. Its hazard
-    // flips the channel to draining writes, and that flip alone must
-    // send the lookahead to activate row 3.
+    // the burst gap after the first 16 reads, a read of the written
+    // address arrives at index 48, outside the read queue's lookahead
+    // window. Its hazard flips the channel to draining writes; the
+    // lookahead must then walk the write queue and activate row 3, or
+    // the drain stalls with the row closed.
     const Addr hazard = Addr(params_.elementsPerRow()) * 3 + 5;
     const Addr reads = MemoryChannel::queueCapacity;
     for (Addr a = 0; a < reads; ++a) {
@@ -439,6 +441,129 @@ TEST_F(ChannelTest, EnergyTracksBits)
     EXPECT_EQ(channel_.bitsTransferred(), 32u);
     EXPECT_NEAR(channel_.energyJoules(),
                 32 * params_.energyPjPerBit * 1e-12, 1e-18);
+}
+
+TEST(ChannelParams, RejectsNonPowerOfTwoGeometry)
+{
+    // rowOf() shifts and bankOfRow() masks, so both counts must be
+    // powers of two; the message names the offending field.
+    StatGroup root(nullptr, "t");
+    DramParams rows = DramParams::hmcInternal();
+    rows.rowBytes = 3000;
+    EXPECT_DEATH(MemoryChannel(rows, &root, "ch"),
+                 "dram.rowBytes / bytesPerElement \\(1500\\)");
+    DramParams banks = DramParams::hmcInternal();
+    banks.banksPerChannel = 12;
+    EXPECT_DEATH(MemoryChannel(banks, &root, "ch"),
+                 "dram.banksPerChannel \\(12\\)");
+}
+
+TEST(RowRunQueue, RunWalkMatchesEntryScan)
+{
+    // Random enqueues and serves from the front of any run (mid-queue
+    // serves included, as FR-FCFS makes them), checked after every
+    // step against a plain list of each request's row: the runs tile
+    // the list, the lookahead's run walk meets the rows a per-entry
+    // scan sees change, and the first open run starts at the first
+    // open entry a per-entry scan finds.
+    const size_t window = MemoryChannel::lookaheadWindow;
+    ASSERT_EQ(MemoryChannel::reorderWindow, window);
+    auto bank_of = [](uint64_t row) { return unsigned(row % 3); };
+    Rng rng(24);
+    RowRunQueue queue;
+    std::vector<std::pair<uint64_t, uint64_t>> model; // (tag, row)
+    uint64_t next_tag = 0;
+    uint64_t last_row = 0;
+    unsigned mid_serves = 0;
+    unsigned merges = 0;
+    unsigned runs_at_window = 0;
+    for (int step = 0; step < 20000; ++step) {
+        // Phases of 500 steps fill or drain the queue, with short or
+        // long runs, so runs often start right at the window's end.
+        const unsigned phase = unsigned(step / 500) % 4;
+        const uint64_t pushes_in_4 = (phase & 1) ? 3 : 1;
+        const uint64_t new_row_odds = (phase & 2) ? 12 : 2;
+        if (queue.empty()
+            || (queue.size() < MemoryChannel::queueCapacity
+                && rng.below(4) < pushes_in_4)) {
+            // Streams repeat their row; five rows make equal-row
+            // neighbours common.
+            if (rng.below(new_row_odds) == 0)
+                last_row = rng.below(5);
+            MemRequest req;
+            req.tag = next_tag++;
+            queue.push_back(req, last_row, bank_of(last_row));
+            model.emplace_back(req.tag, last_row);
+        } else {
+            const size_t k = rng.below(queue.runCount());
+            size_t first = 0;
+            for (size_t j = 0; j < k; ++j)
+                first += queue.run(j).count;
+            const size_t count = queue.run(k).count;
+            const size_t n = rng.below(2) == 0 ? count
+                                               : 1 + rng.below(count);
+            mid_serves += k > 0;
+            merges += n == count && k > 0 && k + 1 < queue.runCount()
+                   && queue.run(k - 1).row == queue.run(k + 1).row;
+            queue.eraseRunFront(k, first, n);
+            model.erase(model.begin() + first, model.begin() + first + n);
+        }
+
+        ASSERT_EQ(queue.size(), model.size()) << "step " << step;
+        size_t at = 0;
+        for (size_t k = 0; k < queue.runCount(); ++k) {
+            const RowRunQueue::Run &run = queue.run(k);
+            ASSERT_GT(run.count, 0u) << "step " << step;
+            ASSERT_EQ(run.bank, bank_of(run.row));
+            runs_at_window += at == window;
+            if (k > 0) {
+                ASSERT_NE(run.row, queue.run(k - 1).row)
+                    << "step " << step;
+            }
+            for (unsigned i = 0; i < run.count; ++i, ++at) {
+                ASSERT_EQ(queue[at].tag, model[at].first);
+                ASSERT_EQ(run.row, model[at].second) << "step " << step;
+            }
+        }
+        ASSERT_EQ(at, model.size());
+
+        // Lookahead candidates: up to lookaheadRows row changes
+        // inside the window.
+        std::vector<std::pair<size_t, uint64_t>> walked, scanned;
+        queue.walkRuns(window, MemoryChannel::lookaheadRows,
+                       [&](size_t k, size_t first) {
+            walked.emplace_back(first, queue.run(k).row);
+            return false;
+        });
+        const size_t end = std::min(model.size(), window);
+        for (size_t i = 0;
+             i < end && scanned.size() < MemoryChannel::lookaheadRows;
+             ++i) {
+            if (i == 0 || model[i].second != model[i - 1].second)
+                scanned.emplace_back(i, model[i].second);
+        }
+        ASSERT_EQ(walked, scanned) << "step " << step;
+
+        // FR-FCFS pick under a random set of open rows.
+        const uint64_t open_rows = rng.below(32);
+        auto open = [&](uint64_t row) { return (open_rows >> row) & 1; };
+        size_t picked = SIZE_MAX;
+        queue.walkRuns(window, SIZE_MAX, [&](size_t k, size_t first) {
+            if (!open(queue.run(k).row))
+                return false;
+            picked = first;
+            return true;
+        });
+        size_t want = SIZE_MAX;
+        for (size_t i = 0; i < end && want == SIZE_MAX; ++i) {
+            if (open(model[i].second))
+                want = i;
+        }
+        ASSERT_EQ(picked, want) << "step " << step;
+    }
+    EXPECT_GT(mid_serves, 1000u);
+    EXPECT_GT(merges, 100u);
+    EXPECT_GT(runs_at_window, 100u);
 }
 
 TEST(ChannelRate, Ddr3SlowerThanReference)

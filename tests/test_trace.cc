@@ -630,6 +630,27 @@ TEST(ChromeExporter, EmitsPowerCounterTrack)
     EXPECT_NE(json.find("power.W"), std::string::npos);
 }
 
+TEST(ChromeExporter, LargeWindowCountsAreExact)
+{
+    // A window that skipped 1,624,616 ticks (quick fig12 has one)
+    // must not be rounded to six significant digits.
+    std::ostringstream os;
+    TraceTopology topology;
+    ChromeTraceExporter exporter(os, topology, 1u << 21);
+    feed(exporter, 1624617, TraceComponent::Sim, 0,
+         TraceEventType::EngineSkip, 0, 1624616);
+    exporter.finish();
+
+    const std::string json = os.str();
+    JsonChecker checker(json);
+    EXPECT_TRUE(checker.parse()) << json.substr(0, 400);
+    EXPECT_NE(json.find("{\"name\":\"skippedTicks/win\""),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"value\":1624616}"), std::string::npos) << json;
+    EXPECT_EQ(json.find("e+06"), std::string::npos) << json;
+}
+
 TEST(ChromeExporter, NoPowerTrackWithoutEnergyBearingEvents)
 {
     std::ostringstream os;
