@@ -179,8 +179,7 @@ runForward(const NeurocubeConfig &config, const NetworkDesc &net,
     RunResult run = cube.runForward();
     run.wallMs = timer.elapsedMs();
     if (manifest != nullptr) {
-        *manifest = buildRunManifest(cfg, cube.activeEngine(), "",
-                                     quickMode());
+        *manifest = buildRunManifest(cfg, "", quickMode());
     }
     if (phases_json != nullptr) {
         std::vector<PhaseSegment> phases = cube.tracePhases();

@@ -148,8 +148,8 @@ runPoint(size_t index, Tick batch4, const NetworkDesc &net,
     WallTimer timer;
     ServingResult result = sim.run(arrivals, input);
     SweepPoint point{factor, buildServingReport(result),
-                     buildRunManifest(machine, cube.activeEngine(),
-                                      pointName(factor), quickMode()),
+                     buildRunManifest(machine, pointName(factor),
+                                      quickMode()),
                      timer.elapsedMs(), {}};
     if (result.spatial.valid()) {
         point.spatialJson = spatialSnapshotJson(

@@ -109,16 +109,6 @@ struct NeurocubeConfig
      */
     Tick configTicksPerPass = 64;
 
-    /**
-     * Memoize structural layer plans in the compiler (keyed by
-     * layer descriptor + lane partition + mapping policy), so
-     * repeated compiles of the same shape — every batch of a
-     * serving run, every epoch of training — pay only the value
-     * binding. Bit-exact either way; off forces a full rebuild per
-     * compile (the equivalence tests exercise both).
-     */
-    bool planCache = true;
-
     /** Event tracing (off by default; see src/trace/). */
     TraceConfig trace;
 

@@ -141,11 +141,6 @@ std::shared_ptr<const LayerPlan>
 LayerCompiler::planFor(const LayerDesc &layer, unsigned num_channels,
                        unsigned num_pes, const LaneSpec *lane) const
 {
-    if (!config_.planCache) {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        ++misses_;
-        return buildPlan(layer, num_channels, num_pes, lane);
-    }
     std::string key = planKey(layer, lane);
     {
         std::lock_guard<std::mutex> lock(cacheMutex_);

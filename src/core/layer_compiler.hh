@@ -201,9 +201,11 @@ class LayerCompiler
      * when the lane partition is rebuilt; plans are keyed by lane
      * node list so stale entries could never be *served* wrongly,
      * but the old partition's plans are dead weight from then on.
+     * Const like planFor (it touches only the mutable cache), so a
+     * holder of Neurocube::compiler() can force cold compiles.
      */
     void
-    invalidatePlanCache()
+    invalidatePlanCache() const
     {
         std::lock_guard<std::mutex> lock(cacheMutex_);
         planCache_.clear();

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/json.hh"
 #include "pe/pe.hh"
 #include "png/png.hh"
 
@@ -135,19 +136,19 @@ configFingerprint(const NeurocubeConfig &config)
     for (unsigned node : config.resolvedMemoryNodes())
         f.u64(node);
     f.u64(config.configTicksPerPass);
-    f.u64(config.planCache ? 1 : 0);
+    f.u64(1); // slot of the removed plan-cache flag (always on)
 
     return f.h;
 }
 
 RunManifest
-buildRunManifest(const NeurocubeConfig &config, SimEngine active,
-                 const std::string &name, bool quick)
+buildRunManifest(const NeurocubeConfig &config, const std::string &name,
+                 bool quick)
 {
     RunManifest m;
     m.name = name;
     m.gitDescribe = buildGitDescribe();
-    m.engine = simEngineName(active);
+    m.engine = simEngineName(config.engine);
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(
@@ -155,6 +156,32 @@ buildRunManifest(const NeurocubeConfig &config, SimEngine active,
     m.configHash = hex;
     m.quick = quick;
     return m;
+}
+
+std::string
+manifestJsonFields(const RunManifest &m)
+{
+    return "\"name\":" + jsonString(m.name)
+         + ",\"git_describe\":" + jsonString(m.gitDescribe)
+         + ",\"engine\":" + jsonString(m.engine)
+         + ",\"config_hash\":" + jsonString(m.configHash)
+         + ",\"quick\":" + (m.quick ? "true" : "false");
+}
+
+std::string
+promRunLabels(const RunManifest &m)
+{
+    return "{run=\"" + m.name + "\"}";
+}
+
+std::string
+promRunInfo(const RunManifest &m)
+{
+    return "# TYPE neurocube_run_info gauge\n"
+           "neurocube_run_info{run=\"" + m.name + "\",engine=\""
+         + m.engine + "\",git=\"" + m.gitDescribe + "\",config=\""
+         + m.configHash + "\",quick=\"" + (m.quick ? "1" : "0")
+         + "\"} 1\n";
 }
 
 } // namespace neurocube

@@ -55,8 +55,7 @@ struct RunManifest
     std::string name;
     /** Build identity (buildGitDescribe()). */
     std::string gitDescribe;
-    /** Engine that executed the run
-     *  (simEngineName(cube.activeEngine())). */
+    /** Engine that executed the run (simEngineName(config.engine)). */
     std::string engine;
     /** configFingerprint as 16 hex digits. */
     std::string configHash;
@@ -64,11 +63,27 @@ struct RunManifest
     bool quick = false;
 };
 
-/** Assemble the identity block for one run. */
+/** Assemble the identity block for one run on @p config. */
 RunManifest buildRunManifest(const NeurocubeConfig &config,
-                             SimEngine active,
                              const std::string &name,
                              bool quick = false);
+
+/**
+ * The identity block as JSON object members, without the braces:
+ * name, git_describe, engine, config_hash and quick. Every run and
+ * serving JSON export opens with it.
+ */
+std::string manifestJsonFields(const RunManifest &manifest);
+
+/** The Prometheus label block of a run's gauges: {run="<name>"}. */
+std::string promRunLabels(const RunManifest &manifest);
+
+/**
+ * The neurocube_run_info gauge (its TYPE line and its sample), which
+ * carries the identity on every textfile dump so scrapes can join
+ * metrics to the manifest without parsing JSON.
+ */
+std::string promRunInfo(const RunManifest &manifest);
 
 /**
  * One structured JSON document for a forward run: the manifest

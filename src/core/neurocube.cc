@@ -312,21 +312,11 @@ Neurocube::passBuckets(const std::vector<Lane> &lanes,
 {
     const unsigned active = unsigned(compiled.size());
     const unsigned n = config_.numPes;
-    auto whole_machine = [&] {
-        std::vector<Bucket> one(1);
-        one[0].slice = machineLane();
-        for (unsigned l = 0; l < active; ++l)
-            one[0].parts.push_back({l, lanes[l]});
-        return one;
-    };
-    if (config_.engine != SimEngine::ThreadedLanes)
-        return whole_machine();
 
     // The groups: each active lane's traffic groups, and each node of
     // a parked lane alone. A group's weight is its PNGs' pair budget.
     struct Group
     {
-        unsigned lane = 0;
         uint64_t weight = 0;
         unsigned bucket = 0;
     };
@@ -341,7 +331,7 @@ Neurocube::passBuckets(const std::vector<Lane> &lanes,
             unsigned &g = group_of_root[roots ? (*roots)[node] : node];
             if (g == ~0u) {
                 g = unsigned(groups.size());
-                groups.push_back({l});
+                groups.emplace_back();
             }
             group_of[node] = g;
         }
@@ -352,118 +342,50 @@ Neurocube::passBuckets(const std::vector<Lane> &lanes,
         weighted += g.weight == 0 && png->pairBudget() > 0;
         g.weight += png->pairBudget();
     }
-    const unsigned threads = std::min(weighted, usableCpus());
-    if (threads <= 1)
-        return whole_machine();
+    // One bucket per thread, at most one per weighted group; Legacy
+    // and Event pack everything into one.
+    const unsigned threads =
+        config_.engine == SimEngine::ThreadedLanes
+            ? std::max(1u, std::min(weighted, usableCpus()))
+            : 1u;
 
     // Each node's home bucket follows a Z-order curve over the mesh,
     // so a node stays on the same thread from pass to pass while the
     // grouping allows (the quadrants of a 4x4 mesh on 4 threads,
-    // batched into 1, 2 or 4 lanes alike).
+    // batched into 1, 2 or 4 lanes alike). A group goes home with its
+    // last node along the curve.
     unsigned width = 1;
     while (width * width < n)
         ++width;
-    auto ranked = [&](std::vector<unsigned> nodes) {
-        std::sort(nodes.begin(), nodes.end(),
-                  [&](unsigned a, unsigned b) {
-                      return zOrder(a, width) < zOrder(b, width);
-                  });
-        return nodes;
-    };
-    auto home = [&](const std::vector<unsigned> &order, unsigned first,
-                    unsigned count) {
-        for (size_t r = 0; r < order.size(); ++r) {
-            groups[group_of[order[r]]].bucket =
-                first + unsigned(r * count / order.size());
-        }
-    };
-    // Homes over the whole mesh first; lanes with work override it.
-    std::vector<unsigned> all(n);
-    std::iota(all.begin(), all.end(), 0u);
-    home(ranked(all), 0, threads);
-
-    std::vector<uint64_t> lane_weight(lanes.size(), 0);
-    std::vector<unsigned> lane_groups(lanes.size(), 0);
-    for (const Group &g : groups) {
-        lane_weight[g.lane] += g.weight;
-        lane_groups[g.lane] += g.weight > 0;
-    }
-    std::vector<unsigned> busy;
-    for (unsigned l = 0; l < lanes.size(); ++l) {
-        if (lane_weight[l] > 0)
-            busy.push_back(l);
-    }
+    std::vector<unsigned> order(n);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
+        return zOrder(a, width) < zOrder(b, width);
+    });
+    for (unsigned r = 0; r < n; ++r)
+        groups[group_of[order[r]]].bucket = r * threads / n;
     std::vector<uint64_t> load(threads, 0);
-    if (threads < busy.size()) {
-        // Fewer threads than busy lanes: whole lanes share buckets,
-        // the heaviest lane first onto the lightest bucket.
-        std::stable_sort(busy.begin(), busy.end(),
-                         [&](unsigned a, unsigned b) {
-                             return lane_weight[a] > lane_weight[b];
-                         });
-        std::vector<unsigned> bucket_of_lane(lanes.size());
-        for (unsigned l : busy) {
-            const unsigned b = unsigned(
-                std::min_element(load.begin(), load.end()) - load.begin());
-            bucket_of_lane[l] = b;
-            load[b] += lane_weight[l];
-        }
+    for (const Group &g : groups)
+        load[g.bucket] += g.weight;
+    // Balance the buckets by weight: move a group from the heaviest
+    // bucket it can leave to the lightest one, while that lowers the
+    // pair's larger load.
+    for (;;) {
+        const auto lo = std::min_element(load.begin(), load.end());
+        Group *move = nullptr;
         for (Group &g : groups) {
-            if (lane_weight[g.lane] > 0)
-                g.bucket = bucket_of_lane[g.lane];
+            if (g.weight == 0 || load[g.bucket] <= *lo + g.weight)
+                continue;
+            if (move == nullptr || load[g.bucket] > load[move->bucket]
+                || (load[g.bucket] == load[move->bucket]
+                    && g.weight > move->weight))
+                move = &g;
         }
-    } else {
-        // Each busy lane gets threads in proportion to its weight (at
-        // most one per weighted group) and a range of buckets, so no
-        // bucket spans two lanes.
-        std::vector<unsigned> share(lanes.size(), 0);
-        for (unsigned l : busy)
-            share[l] = 1;
-        for (size_t left = threads - busy.size(); left > 0; --left) {
-            unsigned pick = ~0u;
-            for (unsigned l : busy) {
-                if (share[l] < lane_groups[l]
-                    && (pick == ~0u
-                        || lane_weight[l] * share[pick]
-                               > lane_weight[pick] * share[l]))
-                    pick = l;
-            }
-            if (pick == ~0u)
-                break;
-            ++share[pick];
-        }
-        unsigned first = 0;
-        for (unsigned l : busy) {
-            home(ranked(lanes[l].nodes), first, share[l]);
-            for (const Group &g : groups) {
-                if (g.lane == l)
-                    load[g.bucket] += g.weight;
-            }
-            // Balance the lane's buckets by weight: move a group from
-            // the heaviest bucket it can leave to the lightest one,
-            // while that lowers the pair's larger load.
-            for (;;) {
-                const auto lo = std::min_element(
-                    load.begin() + first, load.begin() + first + share[l]);
-                Group *move = nullptr;
-                for (Group &g : groups) {
-                    if (g.lane != l || g.weight == 0
-                        || load[g.bucket] <= *lo + g.weight)
-                        continue;
-                    if (move == nullptr
-                        || load[g.bucket] > load[move->bucket]
-                        || (load[g.bucket] == load[move->bucket]
-                            && g.weight > move->weight))
-                        move = &g;
-                }
-                if (move == nullptr)
-                    break;
-                load[move->bucket] -= move->weight;
-                move->bucket = unsigned(lo - load.begin());
-                *lo += move->weight;
-            }
-            first += share[l];
-        }
+        if (move == nullptr)
+            break;
+        load[move->bucket] -= move->weight;
+        move->bucket = unsigned(lo - load.begin());
+        *lo += move->weight;
     }
 
     std::vector<Bucket> buckets(threads);

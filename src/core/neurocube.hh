@@ -177,13 +177,6 @@ class Neurocube
         return total;
     }
 
-    /**
-     * The engine the next pass will run on: config().engine, with or
-     * without a live event recorder (a fanned-out pass stages its
-     * events per thread and merges them, see TraceRecorder).
-     */
-    SimEngine activeEngine() const { return config_.engine; }
-
   private:
     /**
      * One vault group the pass loop runs. An unbatched run is a
@@ -224,12 +217,15 @@ class Neurocube
     /** The single lane of an unbatched run. */
     Lane machineLane() const;
     /**
-     * Cut a configured pass into buckets. Legacy and Event run one
-     * bucket over the whole machine. ThreadedLanes cuts each active
-     * lane into the node groups its compiled traffic never connects
-     * (LayerPlan::nodeGroups) and packs them into at most
-     * min(groups, CPUs the process may use) buckets, one per thread,
-     * each within one lane while there are threads enough.
+     * Cut a configured pass into buckets. Each active lane splits
+     * into the node groups its compiled traffic never connects
+     * (LayerPlan::nodeGroups), each parked node is a group alone, and
+     * one rule packs the groups, batched or not: a group goes to its
+     * last node's home along a Z-order curve over the mesh, then a
+     * move-to-lightest balance evens the buckets' pair budgets.
+     * ThreadedLanes packs into at most min(weighted groups, CPUs the
+     * process may use) buckets, one per thread, and Legacy and Event
+     * into one over the whole machine.
      */
     std::vector<Bucket>
     passBuckets(const std::vector<Lane> &lanes,

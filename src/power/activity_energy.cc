@@ -270,31 +270,13 @@ aggregateStalls(const RunResult &run)
     return agg;
 }
 
-void
-appendManifestFields(std::ostringstream &os, const RunManifest &m)
-{
-    os << "\"name\":" << jsonString(m.name);
-    os << ",\"git_describe\":" << jsonString(m.gitDescribe);
-    os << ",\"engine\":" << jsonString(m.engine);
-    os << ",\"config_hash\":" << jsonString(m.configHash);
-    os << ",\"quick\":" << (m.quick ? "true" : "false");
-}
-
-/** The {run=...} label block shared by every metric line. */
-std::string
-promLabels(const RunManifest &m)
-{
-    return "{run=\"" + m.name + "\"}";
-}
-
 } // namespace
 
 std::string
 runManifestJson(const RunManifest &manifest, const RunResult &run)
 {
     std::ostringstream os;
-    os << "{";
-    appendManifestFields(os, manifest);
+    os << "{" << manifestJsonFields(manifest);
     os << ",\"cycles\":" << run.totalCycles();
     os << ",\"ops\":" << run.totalOps();
     os << ",\"layers\":" << run.layers.size();
@@ -343,16 +325,9 @@ runManifestJson(const RunManifest &manifest, const RunResult &run)
 std::string
 runMetricsTextfile(const RunManifest &manifest, const RunResult &run)
 {
-    const std::string labels = promLabels(manifest);
+    const std::string labels = promRunLabels(manifest);
     std::ostringstream os;
-    // Build/config identity rides on an info-style gauge so scrapes
-    // can join metrics to the manifest without parsing JSON.
-    os << "# TYPE neurocube_run_info gauge\n";
-    os << "neurocube_run_info{run=\"" << manifest.name
-       << "\",engine=\"" << manifest.engine << "\",git=\""
-       << manifest.gitDescribe << "\",config=\""
-       << manifest.configHash << "\",quick=\""
-       << (manifest.quick ? "1" : "0") << "\"} 1\n";
+    os << promRunInfo(manifest);
 
     os << "# TYPE neurocube_total_cycles gauge\n";
     os << "neurocube_total_cycles" << labels << " "

@@ -9,6 +9,23 @@
 namespace neurocube
 {
 
+namespace
+{
+
+/**
+ * %.17g round-trips doubles exactly, keeping the serving exports
+ * bit-identical across runs of the same build.
+ */
+std::string
+num(double value)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
+}
+
+} // namespace
+
 ServingReport
 buildServingReport(const ServingResult &result)
 {
@@ -65,13 +82,6 @@ buildServingReport(const ServingResult &result)
 std::string
 servingReportJson(const ServingReport &report)
 {
-    // %.17g round-trips doubles exactly, keeping the file
-    // bit-identical across runs of the same build.
-    auto num = [](double value) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", value);
-        return std::string(buf);
-    };
     std::ostringstream out;
     out << "{"
         << "\"offered\": " << report.offered
@@ -103,39 +113,18 @@ std::string
 servingManifestJson(const RunManifest &manifest,
                     const ServingReport &report, double wall_ms)
 {
-    auto num = [](double value) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", value);
-        return std::string(buf);
-    };
-    std::ostringstream out;
-    out << "{\"name\":" << jsonString(manifest.name)
-        << ",\"git_describe\":" << jsonString(manifest.gitDescribe)
-        << ",\"engine\":" << jsonString(manifest.engine)
-        << ",\"config_hash\":" << jsonString(manifest.configHash)
-        << ",\"quick\":" << (manifest.quick ? "true" : "false")
-        << ",\"wall_ms\":" << num(wall_ms) << ",\"report\":"
-        << servingReportJson(report) << "}";
-    return out.str();
+    return "{" + manifestJsonFields(manifest)
+         + ",\"wall_ms\":" + num(wall_ms)
+         + ",\"report\":" + servingReportJson(report) + "}";
 }
 
 std::string
 servingMetricsTextfile(const RunManifest &manifest,
                        const ServingReport &report, double wall_ms)
 {
-    auto num = [](double value) {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", value);
-        return std::string(buf);
-    };
-    const std::string labels = "{run=\"" + manifest.name + "\"}";
+    const std::string labels = promRunLabels(manifest);
     std::ostringstream os;
-    os << "# TYPE neurocube_run_info gauge\n";
-    os << "neurocube_run_info{run=\"" << manifest.name
-       << "\",engine=\"" << manifest.engine << "\",git=\""
-       << manifest.gitDescribe << "\",config=\""
-       << manifest.configHash << "\",quick=\""
-       << (manifest.quick ? "1" : "0") << "\"} 1\n";
+    os << promRunInfo(manifest);
 
     auto gauge = [&os, &labels](const char *name,
                                 const std::string &value) {

@@ -201,6 +201,24 @@ struct RunSnapshot
     uint64_t crossLanePackets = 0;
 };
 
+/** The snapshot of @p run, the forward run @p cube just finished. */
+RunSnapshot
+snapshotRun(Neurocube &cube, const RunResult &run)
+{
+    RunSnapshot snap;
+    snap.totalCycles = run.totalCycles();
+    for (const LayerResult &l : run.layers)
+        snap.layerCycles.push_back(l.cycles);
+    for (size_t i = 0; i < run.layers.size(); ++i)
+        snap.outputs.push_back(cube.layerOutput(i));
+    snap.metricsJson = run.metricsJson();
+    snap.spatialJson = run.spatialJson();
+    snap.energy = run.energyCounts();
+    snap.counters = registrySlots(cube);
+    snap.crossLanePackets = cube.fabric().crossLanePackets();
+    return snap;
+}
+
 RunSnapshot
 snapshotForward(const NeurocubeConfig &base, SimEngine engine,
                 const NetworkDesc &net, const NetworkData &data,
@@ -211,20 +229,7 @@ snapshotForward(const NeurocubeConfig &base, SimEngine engine,
     Neurocube cube(config);
     cube.loadNetwork(net, data);
     cube.setInput(input);
-    RunResult run = cube.runForward();
-
-    RunSnapshot snap;
-    snap.totalCycles = run.totalCycles();
-    for (const LayerResult &l : run.layers)
-        snap.layerCycles.push_back(l.cycles);
-    for (size_t i = 0; i < net.layers.size(); ++i)
-        snap.outputs.push_back(cube.layerOutput(i));
-    snap.metricsJson = run.metricsJson();
-    snap.spatialJson = run.spatialJson();
-    snap.energy = run.energyCounts();
-    snap.counters = registrySlots(cube);
-    snap.crossLanePackets = cube.fabric().crossLanePackets();
-    return snap;
+    return snapshotRun(cube, cube.runForward());
 }
 
 ::testing::AssertionResult
@@ -439,33 +444,51 @@ TEST(EngineDiff, FuzzBatchAllThreeEngines)
     }
 }
 
-TEST(EngineDiff, FuzzPlanCacheOnVsOff)
+TEST(EngineDiff, FuzzCachedPlansMatchColdCompiles)
 {
     // The compiled-plan cache must be invisible: a cached compile
-    // binds the same store contents and programs as a cold one, so
-    // cycles, outputs, stall attribution and energy counts all stay
-    // bit-identical with the cache on or off.
+    // binds the same store contents and programs as a cold one. Two
+    // machines run the same forward pass twice, and one drops its
+    // plans between the runs, so its second run compiles every layer
+    // cold while the other's is served from the cache. Cycles,
+    // outputs, stall attribution, spatial counters and energy counts
+    // of the two second runs stay bit-identical.
     const unsigned seeds = std::max(1u, fuzzSeedCount() / 4);
     for (unsigned seed = 1; seed <= seeds; ++seed) {
         Rng rng(uint64_t(seed) * 0x9e3779b97f4a7c15ull);
         NetworkDesc net = randomNet(rng);
         NeurocubeConfig config = randomConfig(rng, false);
+        config.engine = SimEngine::Event;
         NetworkData data = NetworkData::randomized(net, seed);
         Tensor input(net.inputMaps(), net.inputHeight(),
                      net.inputWidth());
         Rng input_rng(seed + 2000);
         input.randomize(input_rng);
 
-        NeurocubeConfig cached = config;
-        cached.planCache = true;
-        NeurocubeConfig cold = config;
-        cold.planCache = false;
-        RunSnapshot with_cache = snapshotForward(
-            cached, SimEngine::Event, net, data, input);
-        RunSnapshot without = snapshotForward(
-            cold, SimEngine::Event, net, data, input);
-        ASSERT_TRUE(snapshotsEqual(without, with_cache))
-            << "seed " << seed;
+        auto second_run = [&](bool drop_plans) {
+            Neurocube cube(config);
+            cube.loadNetwork(net, data);
+            cube.setInput(input);
+            cube.runForward();
+            const LayerCompiler &compiler = cube.compiler();
+            if (drop_plans)
+                compiler.invalidatePlanCache();
+            const uint64_t hits = compiler.planCacheHits();
+            const uint64_t misses = compiler.planCacheMisses();
+            RunSnapshot snap = snapshotRun(cube, cube.runForward());
+            // Every layer is named apart, so each has its own plan.
+            const uint64_t layers = net.layers.size();
+            EXPECT_EQ(compiler.planCacheHits() - hits,
+                      drop_plans ? 0 : layers)
+                << "seed " << seed;
+            EXPECT_EQ(compiler.planCacheMisses() - misses,
+                      drop_plans ? layers : 0)
+                << "seed " << seed;
+            return snap;
+        };
+        const RunSnapshot cached = second_run(false);
+        const RunSnapshot cold = second_run(true);
+        ASSERT_TRUE(snapshotsEqual(cold, cached)) << "seed " << seed;
     }
 }
 
@@ -596,42 +619,6 @@ TEST(EngineDiff, FuzzTraceOnVsOffCycleInvariance)
     }
     removeSinkFiles(tag);
 }
-
-#if NEUROCUBE_TRACE_ENABLED
-TEST(EngineDiff, ActiveEngineUnderLiveRecorder)
-{
-    const std::string tag = "engine_diff_active";
-
-    // A live sampled recorder leaves the event engine active — no
-    // Legacy fallback.
-    NeurocubeConfig config;
-    config.engine = SimEngine::Event;
-    config.trace.enabled = true;
-    addSampledSinks(config, tag, 8);
-    {
-        Neurocube cube(config);
-        EXPECT_EQ(cube.activeEngine(), SimEngine::Event);
-    }
-
-    // ThreadedLanes stays active under the recorder too: its buckets
-    // stage their events and the recorder merges them.
-    config.engine = SimEngine::ThreadedLanes;
-    {
-        Neurocube cube(config);
-        EXPECT_EQ(cube.activeEngine(), SimEngine::ThreadedLanes);
-    }
-
-    // A counters-only session has no recorder either way.
-    NeurocubeConfig counters_only;
-    counters_only.engine = SimEngine::ThreadedLanes;
-    counters_only.trace.enabled = true;
-    {
-        Neurocube cube(counters_only);
-        EXPECT_EQ(cube.activeEngine(), SimEngine::ThreadedLanes);
-    }
-    removeSinkFiles(tag);
-}
-#endif
 
 /** Engine-invariant view of a driver-produced RunResult. */
 struct DriverSnapshot

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -35,8 +37,10 @@ convFcNet()
     LayerDesc conv;
     conv.type = LayerType::Conv2D;
     conv.name = "conv";
-    conv.inWidth = 20;
-    conv.inHeight = 16;
+    // Odd sizes tile a lane's vaults unevenly, so the parts of a lane
+    // split over several buckets finish at different ticks.
+    conv.inWidth = 21;
+    conv.inHeight = 17;
     conv.inMaps = 2;
     conv.outMaps = 4;
     conv.kernel = 3;
@@ -342,14 +346,21 @@ TEST(EngineThreads, BatchedTracesMatchEventByteForByte)
 {
     NetworkDesc net = convFcNet();
     NetworkData data = NetworkData::randomized(net, 27);
-    std::vector<Tensor> inputs = laneInputs(net, 4, 2700);
+    const std::vector<Tensor> inputs = laneInputs(net, 4, 2700);
     NeurocubeConfig config;
     config.batch.lanes = 4;
     config.trace.windowTicks = 64;
-    expectSameTraces(config, [&](Neurocube &cube) {
-        cube.loadNetwork(net, data);
-        cube.runForwardBatch(inputs);
-    });
+    // Four busy lanes, then three with the fourth parked: its nodes
+    // carry no work, so buckets hold parts of several lanes.
+    for (size_t occupied : {size_t(4), size_t(3)}) {
+        SCOPED_TRACE(std::to_string(occupied) + " of 4 lanes");
+        const std::vector<Tensor> batch(inputs.begin(),
+                                        inputs.begin() + occupied);
+        expectSameTraces(config, [&](Neurocube &cube) {
+            cube.loadNetwork(net, data);
+            cube.runForwardBatch(batch);
+        });
+    }
 }
 
 TEST(EngineThreads, FinishedBucketsWakeLikeOneScheduler)
@@ -390,6 +401,124 @@ TEST(EngineThreads, Ddr3TracesMatchEventByteForByte)
         cube.setInput(input);
         cube.runForward();
     });
+}
+
+/** What a run must reproduce whatever the engine and CPU count. */
+struct LaneRuns
+{
+    /** Per lane, per layer: cycles and the flat output. */
+    std::vector<std::vector<Tick>> cycles;
+    std::vector<std::vector<std::vector<Fixed>>> outputs;
+    /** Per lane. */
+    std::vector<std::string> metrics;
+    uint64_t crossLane = 0;
+};
+
+/** Run @p inputs on @p lanes lanes (1: an unbatched forward run). */
+LaneRuns
+runLanes(SimEngine engine, unsigned lanes, const NetworkDesc &net,
+         const NetworkData &data, const std::vector<Tensor> &inputs)
+{
+    NeurocubeConfig config = threadedConfig(lanes);
+    config.engine = engine;
+    Neurocube cube(config);
+    cube.loadNetwork(net, data);
+    std::vector<RunResult> runs;
+    if (lanes == 1) {
+        cube.setInput(inputs.front());
+        runs.push_back(cube.runForward());
+    } else {
+        runs = cube.runForwardBatch(inputs).lanes;
+    }
+    LaneRuns out;
+    for (unsigned l = 0; l < runs.size(); ++l) {
+        out.cycles.emplace_back();
+        out.outputs.emplace_back();
+        for (size_t i = 0; i < net.layers.size(); ++i) {
+            out.cycles.back().push_back(runs[l].layers[i].cycles);
+            out.outputs.back().push_back(
+                (lanes == 1 ? cube.layerOutput(i)
+                            : cube.batchLayerOutput(l, i))
+                    .flat());
+        }
+        out.metrics.push_back(runs[l].metricsJson());
+    }
+    out.crossLane = cube.fabric().crossLanePackets();
+    return out;
+}
+
+/** Narrow the calling thread to @p cpus of @p allowed for a scope. */
+class CpuMask
+{
+  public:
+    CpuMask(const cpu_set_t &allowed, unsigned cpus) : saved_(allowed)
+    {
+        cpu_set_t narrow;
+        CPU_ZERO(&narrow);
+        for (int c = 0; c < CPU_SETSIZE && CPU_COUNT(&narrow) < int(cpus);
+             ++c) {
+            if (CPU_ISSET(c, &allowed))
+                CPU_SET(c, &narrow);
+        }
+        EXPECT_EQ(sched_setaffinity(0, sizeof narrow, &narrow), 0);
+    }
+    ~CpuMask() { sched_setaffinity(0, sizeof saved_, &saved_); }
+    CpuMask(const CpuMask &) = delete;
+    CpuMask &operator=(const CpuMask &) = delete;
+
+  private:
+    cpu_set_t saved_;
+};
+
+TEST(EngineThreads, NarrowCpuMasksMatchEvent)
+{
+    // ThreadedLanes packs into at most one bucket per CPU the calling
+    // thread may use. On 2 and 3 CPUs the four lanes of a batch share
+    // buckets, and a bucket holds parts of several lanes: the packing
+    // a wider host never produces by default.
+    cpu_set_t allowed;
+    ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+    if (CPU_COUNT(&allowed) < 3)
+        GTEST_SKIP() << "needs 3 CPUs, has " << CPU_COUNT(&allowed);
+
+    NetworkDesc batch_net = convFcNet();
+    NetworkData batch_data = NetworkData::randomized(batch_net, 30);
+    const std::vector<Tensor> batch = laneInputs(batch_net, 4, 3000);
+    NetworkDesc solo_net = convPoolFcNet();
+    NetworkData solo_data = NetworkData::randomized(solo_net, 31);
+    struct Case
+    {
+        const char *name;
+        unsigned lanes;
+        const NetworkDesc &net;
+        const NetworkData &data;
+        std::vector<Tensor> inputs;
+    };
+    const Case cases[] = {
+        {"4-lane batch", 4, batch_net, batch_data, batch},
+        {"3 of 4 lanes", 4, batch_net, batch_data,
+         {batch.begin(), batch.begin() + 3}},
+        {"unbatched", 1, solo_net, solo_data,
+         laneInputs(solo_net, 1, 3100)},
+    };
+    for (const Case &c : cases) {
+        const LaneRuns event =
+            runLanes(SimEngine::Event, c.lanes, c.net, c.data, c.inputs);
+        for (unsigned cpus : {2u, 3u}) {
+            SCOPED_TRACE(std::string(c.name) + " on "
+                         + std::to_string(cpus) + " CPUs");
+            LaneRuns threaded;
+            {
+                CpuMask narrow(allowed, cpus);
+                threaded = runLanes(SimEngine::ThreadedLanes, c.lanes,
+                                    c.net, c.data, c.inputs);
+            }
+            EXPECT_EQ(event.cycles, threaded.cycles);
+            EXPECT_EQ(event.metrics, threaded.metrics);
+            EXPECT_TRUE(event.outputs == threaded.outputs);
+            EXPECT_EQ(threaded.crossLane, 0u);
+        }
+    }
 }
 
 TEST(EngineThreads, PartialBatchParksTrailingLanesThreaded)

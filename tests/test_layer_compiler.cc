@@ -300,12 +300,11 @@ TEST_F(CompilerTest, PlanCacheHitsOnRepeatAndBindsIdentically)
     compile(other, other_data.weights[0], input);
     EXPECT_EQ(compiler_.planCacheMisses(), 2u);
 
-    // A cache-disabled compiler builds fresh plans every time but
+    // A compile after the cache is dropped builds a fresh plan but
     // binds bit-identical store contents.
-    NeurocubeConfig no_cache = config_;
-    no_cache.planCache = false;
-    LayerCompiler cold_compiler(no_cache);
+    LayerCompiler cold_compiler(config_);
     cold_compiler.compile(conv, data.weights[0], input, stores_);
+    cold_compiler.invalidatePlanCache();
     cold_compiler.compile(conv, data.weights[0], input, stores_);
     EXPECT_EQ(cold_compiler.planCacheHits(), 0u);
     EXPECT_EQ(cold_compiler.planCacheMisses(), 2u);

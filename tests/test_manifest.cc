@@ -103,8 +103,8 @@ TEST(Manifest, FingerprintPinsTheBaselineHashes)
 TEST(Manifest, BuildRunManifestFillsTheIdentityBlock)
 {
     NeurocubeConfig config;
-    RunManifest m =
-        buildRunManifest(config, SimEngine::Event, "unit", true);
+    config.engine = SimEngine::Event;
+    RunManifest m = buildRunManifest(config, "unit", true);
     EXPECT_EQ(m.name, "unit");
     EXPECT_EQ(m.engine, "event");
     EXPECT_TRUE(m.quick);
@@ -119,8 +119,8 @@ TEST(Manifest, RunManifestJsonCarriesTheStructuredFields)
 {
     RunResult run = tinyRun();
     NeurocubeConfig config;
-    RunManifest m =
-        buildRunManifest(config, SimEngine::Event, "json-test");
+    config.engine = SimEngine::Event;
+    RunManifest m = buildRunManifest(config, "json-test");
     std::string json = runManifestJson(m, run);
 
     EXPECT_NE(json.find("\"name\":\"json-test\""), std::string::npos);
@@ -151,8 +151,7 @@ TEST(Manifest, MetricsTextfileIsPrometheusShaped)
 {
     RunResult run = tinyRun();
     NeurocubeConfig config;
-    RunManifest m =
-        buildRunManifest(config, SimEngine::Event, "prom-test");
+    RunManifest m = buildRunManifest(config, "prom-test");
     std::string prom = runMetricsTextfile(m, run);
 
     EXPECT_NE(prom.find("# TYPE neurocube_run_info gauge"),
@@ -211,8 +210,7 @@ TEST(Manifest, ServingExportsCarryTheIdentityAndReport)
     ServingConfig serving;
     ServingSimulator sim(cube, serving);
     ServingReport report = buildServingReport(sim.run(arrivals, input));
-    RunManifest m = buildRunManifest(machine, cube.activeEngine(),
-                                     "serve-test");
+    RunManifest m = buildRunManifest(machine, "serve-test");
 
     std::string json = servingManifestJson(m, report, 3.5);
     EXPECT_NE(json.find("\"name\":\"serve-test\""), std::string::npos);

@@ -1052,7 +1052,6 @@ TEST(TraceIsolation, CountersOnlyThreadedMachineBesideAChromeSink)
     {
         Neurocube idle(chrome);
         Neurocube busy(counters);
-        EXPECT_EQ(busy.activeEngine(), SimEngine::ThreadedLanes);
         EXPECT_TRUE(run_batch(busy) == busy_alone);
     }
     // The idle machine recorded nothing of its neighbour's run.
